@@ -21,11 +21,17 @@ impedance matrix is exactly scalar (a multiple of the identity), and a
 Cholesky-based product root otherwise. With this convention the
 single-receiver reciprocity identity and the general reverse-link
 transform hold to machine precision.
+
+Only the coupling block Z21 varies between realizations. A
+:class:`FrontEnd` holds every Z21-independent factor of one direction,
+and each normalized channel is a fixed linear map of Z21, so a Monte
+Carlo run builds the front ends once and pays a few small matrix
+products per realization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
@@ -208,6 +214,113 @@ def port_noise_covariance(system: ImpedanceSystem, noise: NoiseConfig) -> np.nda
 
 
 @dataclass(frozen=True)
+class FrontEnd:
+    """Coupling-independent part of one link direction.
+
+    Everything except the coupling block Z21 is fixed by the array
+    impedances, the terminations and the noise model, so the normalized
+    channels are linear in Z21 (see :func:`link_channel` and
+    :func:`naive_channels`):
+
+    - ``rx_map`` = noise_scale * z_load * output_noise_root^-1 * (Z_rx + z_load I)^-1
+    - ``tx_map`` = (Z_tx + z_source I)^-1 * (power_coupling_root^H)^-1
+    - ``tx_map_decoupled`` = (Z_tx + z_source I)^-1 * diag(1 / conj(decoupled_power_root))
+    - ``rx_map_assumed`` replaces the output noise root by the square
+      root of the diagonal of its covariance, as a designer ignoring
+      noise correlation would.
+
+    ``mismatch_power`` is :func:`mismatch_power_matrix` of the direction.
+    """
+
+    power_coupling: np.ndarray = field(repr=False)
+    power_coupling_root: np.ndarray = field(repr=False)
+    decoupled_power_root: np.ndarray = field(repr=False)
+    mismatch_power: np.ndarray = field(repr=False)
+    port_noise_covariance: np.ndarray = field(repr=False)
+    output_noise_covariance: np.ndarray = field(repr=False)
+    output_noise_root: np.ndarray = field(repr=False)
+    noise_scale: float
+    rx_map: np.ndarray = field(repr=False)
+    rx_map_assumed: np.ndarray = field(repr=False)
+    tx_map: np.ndarray = field(repr=False)
+    tx_map_decoupled: np.ndarray = field(repr=False)
+
+
+def front_end(system: ImpedanceSystem, noise: NoiseConfig) -> FrontEnd:
+    """Build the coupling-independent front end of one link direction.
+
+    ``system.z_coupling`` is not read. Raises FactorizationError when
+    the receive-noise covariance cannot be factored or a map is
+    singular; this cannot depend on the coupling realization.
+    """
+    n, m = system.n_tx, system.n_rx
+    b = power_coupling(system)
+    b_root = power_coupling_root(system)
+    b_diag_root = decoupled_power_root(system)
+    q = port_noise_covariance(system, noise)
+
+    z_load = system.z_load
+    r_load = z_load.real
+    a_rx = system.z_rx + z_load * np.eye(m)
+    if is_scalar_matrix(system.z_rx):
+        # Scalar receive side: pick the real scalar root so the
+        # normalized channel carries no spurious global phase.
+        sigma_q = q[0, 0].real
+        if not sigma_q > 0.0:
+            raise FactorizationError("receive noise covariance is not positive definite")
+        sigma_out = (
+            abs(z_load) * sqrt(sigma_q) / (sqrt(r_load) * abs(system.z_rx[0, 0] + z_load))
+        )
+        noise_root = sigma_out * np.eye(m)
+        r_out = (sigma_out * sigma_out) * np.eye(m)
+    else:
+        q_chol = cholesky_psd(q)
+        noise_root = (z_load / sqrt(r_load)) * np.linalg.solve(a_rx, q_chol)
+        r_out = noise_root @ noise_root.conj().T
+    sigma_theta = sqrt(float(np.trace(r_out).real) / m)
+
+    try:
+        a_rx_inv = np.linalg.inv(a_rx)
+        a_tx_inv = np.linalg.inv(system.z_tx + system.z_source * np.eye(n))
+        rx_map = (sigma_theta * z_load) * np.linalg.solve(noise_root, a_rx_inv)
+        tx_map = a_tx_inv @ np.linalg.inv(b_root.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(str(exc)) from exc
+    diag_out_root = np.sqrt(np.diag(r_out).real)
+
+    return FrontEnd(
+        power_coupling=b,
+        power_coupling_root=b_root,
+        decoupled_power_root=b_diag_root,
+        mismatch_power=_mismatch_power(b, b_diag_root),
+        port_noise_covariance=q,
+        output_noise_covariance=hermitize(r_out, tol=1e-6),
+        output_noise_root=noise_root,
+        noise_scale=sigma_theta,
+        rx_map=rx_map,
+        rx_map_assumed=(sigma_theta * z_load) * a_rx_inv / diag_out_root[:, None],
+        tx_map=tx_map,
+        tx_map_decoupled=a_tx_inv / np.conj(b_diag_root)[None, :],
+    )
+
+
+def link_channel(front: FrontEnd, z21: np.ndarray) -> np.ndarray:
+    """Normalized channel of coupling block ``z21`` (n_rx, n_tx)."""
+    return front.rx_map @ z21 @ front.tx_map
+
+
+def naive_channels(front: FrontEnd, z21: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mismatched and assumed channels of coupling block ``z21``.
+
+    Both ignore transmit coupling. The mismatched channel is the true
+    whitened channel seen through the decoupled power model; the
+    assumed channel also ignores receive noise correlation.
+    """
+    right = z21 @ front.tx_map_decoupled
+    return front.rx_map @ right, front.rx_map_assumed @ right
+
+
+@dataclass(frozen=True)
 class ChannelBundle:
     """All derived matrices of one link direction for one realization."""
 
@@ -236,58 +349,22 @@ class ChannelBundle:
 def build_bundle(system: ImpedanceSystem, noise: NoiseConfig) -> ChannelBundle:
     """Map an impedance description to the normalized channel model.
 
-    Raises FactorizationError when the receive-noise covariance cannot
-    be factored (numerically indefinite realization).
+    Applies the front end of ``system`` to its coupling block. Raises
+    FactorizationError when the front end cannot be built.
     """
-    n, m = system.n_tx, system.n_rx
-    d = voltage_transfer(system)
-    b = power_coupling(system)
-    b_root = power_coupling_root(system)
-    b_diag_root = decoupled_power_root(system)
-    q = port_noise_covariance(system, noise)
-
-    z_load = system.z_load
-    r_load = z_load.real
-    a_rx = system.z_rx + z_load * np.eye(m)
-    if is_scalar_matrix(system.z_rx):
-        # Scalar receive side: pick the real scalar root so the
-        # normalized channel carries no spurious global phase.
-        sigma_q = q[0, 0].real
-        if not sigma_q > 0.0:
-            raise FactorizationError("receive noise covariance is not positive definite")
-        sigma_out = (
-            abs(z_load) * sqrt(sigma_q) / (sqrt(r_load) * abs(system.z_rx[0, 0] + z_load))
-        )
-        noise_root = sigma_out * np.eye(m)
-        r_out = (sigma_out * sigma_out) * np.eye(m)
-    else:
-        q_chol = cholesky_psd(q)
-        noise_root = (z_load / sqrt(r_load)) * np.linalg.solve(a_rx, q_chol)
-        r_out = noise_root @ noise_root.conj().T
-    sigma_theta = sqrt(float(np.trace(r_out).real) / m)
-
-    try:
-        whitened = np.linalg.solve(noise_root, d)
-        channel = sigma_theta * whitened @ np.linalg.inv(b_root.conj().T)
-        channel_mismatched = sigma_theta * whitened / np.conj(b_diag_root)[None, :]
-        diag_out_root = np.sqrt(np.diag(r_out).real)
-        channel_assumed = (
-            sigma_theta * (d / diag_out_root[:, None]) / np.conj(b_diag_root)[None, :]
-        )
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(str(exc)) from exc
-
+    front = front_end(system, noise)
+    channel_mismatched, channel_assumed = naive_channels(front, system.z_coupling)
     return ChannelBundle(
         system=system,
-        voltage_transfer=d,
-        power_coupling=b,
-        power_coupling_root=b_root,
-        decoupled_power_root=b_diag_root,
-        port_noise_covariance=q,
-        output_noise_covariance=hermitize(r_out, tol=1e-6),
-        output_noise_root=noise_root,
-        noise_scale=sigma_theta,
-        channel=channel,
+        voltage_transfer=voltage_transfer(system),
+        power_coupling=front.power_coupling,
+        power_coupling_root=front.power_coupling_root,
+        decoupled_power_root=front.decoupled_power_root,
+        port_noise_covariance=front.port_noise_covariance,
+        output_noise_covariance=front.output_noise_covariance,
+        output_noise_root=front.output_noise_root,
+        noise_scale=front.noise_scale,
+        channel=link_channel(front, system.z_coupling),
         channel_mismatched=channel_mismatched,
         channel_assumed=channel_assumed,
     )
@@ -318,6 +395,10 @@ def mismatch_power_matrix(bundle: ChannelBundle) -> np.ndarray:
     model, the actually radiated power is tr(K @ R) with this K; it is
     the true power coupling conjugated by the inverse diagonal root.
     """
-    inv_root = 1.0 / bundle.decoupled_power_root
-    k = (inv_root[:, None] * bundle.power_coupling) * np.conj(inv_root)[None, :]
+    return _mismatch_power(bundle.power_coupling, bundle.decoupled_power_root)
+
+
+def _mismatch_power(power_coupling: np.ndarray, decoupled_root: np.ndarray) -> np.ndarray:
+    inv_root = 1.0 / decoupled_root
+    k = (inv_root[:, None] * power_coupling) * np.conj(inv_root)[None, :]
     return hermitize(k, tol=1e-6)

@@ -10,7 +10,8 @@ Subcommands:
   CSV of samples.
 
 Exit codes: 0 on success, 2 for configuration or input errors, 3 when
-a simulation aborts because too many realizations failed.
+a simulation aborts because a link front end cannot be built (the
+receive noise covariance does not factor).
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ import sys
 
 import numpy as np
 
-from .em_arrays import array_impedance_matrix, uniform_circular_array, write_impedance_csv
+from .em_arrays import (
+    array_impedance_matrix,
+    uniform_circular_array,
+    write_impedance_csv,
+    write_impedance_rows,
+)
 from .montecarlo import (
     ConfigError,
     ScenarioResult,
@@ -191,13 +197,7 @@ def cmd_dump_impedance(args: argparse.Namespace) -> int:
         write_impedance_csv(args.out, matrix)
         print(args.out)
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["i", "j", "re_ohm", "im_ohm"])
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                writer.writerow(
-                    [i, j, repr(float(matrix[i, j].real)), repr(float(matrix[i, j].imag))]
-                )
+        write_impedance_rows(sys.stdout, matrix)
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -184,15 +185,20 @@ def array_impedance_matrix(geometry: ArrayGeometry) -> np.ndarray:
 
 def write_impedance_csv(path: str, matrix: np.ndarray) -> None:
     """Write a complex matrix as rows of (i, j, re_ohm, im_ohm)."""
+    with open(path, "w", newline="") as fh:
+        write_impedance_rows(fh, matrix)
+
+
+def write_impedance_rows(stream: TextIO, matrix: np.ndarray) -> None:
+    """Write the impedance CSV of a complex matrix to a text stream."""
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "re_ohm", "im_ohm"])
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                writer.writerow([i, j, repr(float(m[i, j].real)), repr(float(m[i, j].imag))])
+    writer = csv.writer(stream)
+    writer.writerow(["i", "j", "re_ohm", "im_ohm"])
+    for i in range(m.shape[0]):
+        for j in range(m.shape[1]):
+            writer.writerow([i, j, repr(float(m[i, j].real)), repr(float(m[i, j].imag))])
 
 
 def read_impedance_csv(path: str) -> np.ndarray:

@@ -9,8 +9,12 @@ ergodic averages plus per-realization samples of rates, active stream
 counts, and radiated-power ratios with a Gaussian kernel density
 estimate of the latter.
 
+Only the coupling block varies between realizations, so both link
+front ends are built once per scenario; a front end that cannot be
+built aborts the run before any coupling is drawn.
+
 Reproducibility: every realization uses a counter-based random stream
-keyed by (seed, realization index, resampling attempt), so results are
+keyed by (seed, realization index, attempt 0), so results are
 independent of worker count and realization order.
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -25,11 +30,13 @@ from functools import partial
 import numpy as np
 
 from .channel_model import (
-    ChannelBundle,
+    FrontEnd,
     ImpedanceSystem,
     NoiseConfig,
-    build_bundle,
-    mismatch_power_matrix,
+    build_bundle,  # noqa: F401  # bench/tests/test_bench.py reads montecarlo.build_bundle
+    front_end,
+    link_channel,
+    naive_channels,
     reversed_link,
 )
 from .em_arrays import (
@@ -56,8 +63,6 @@ from .strategies import (
 FAR_FIELD_DISTANCE_WAVELENGTHS = 1000.0
 SINGLE_USER_STRATEGIES = ("cap", "recip", "hyp")
 MULTI_USER_STRATEGIES = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
-MAX_RESAMPLE_ATTEMPTS = 25
-FAILURE_ABORT_FRACTION = 0.01
 KDE_GRID_POINTS = 128
 
 
@@ -66,7 +71,7 @@ class ConfigError(ValueError):
 
 
 class SimulationAbort(RuntimeError):
-    """Too many realizations failed to produce a usable channel."""
+    """The scenario's link front ends cannot be built."""
 
 
 def far_field_coupling_std() -> float:
@@ -273,6 +278,8 @@ class ScenarioResult:
     per_realization_streams: dict[str, np.ndarray]
     alpha_samples: np.ndarray | None
     alpha_kde: tuple[tuple[np.ndarray, np.ndarray], ...] | None
+    # Realizations without a usable channel. Always 0: only the front
+    # ends can fail to factor, and that aborts the run.
     n_failures: int
 
 
@@ -283,7 +290,8 @@ def coupling_realization(
 
     Entries have standard deviation ``std`` split evenly between real
     and imaginary parts. The counter-based stream makes each
-    (seed, realization, attempt) triple independent.
+    (seed, realization, attempt) triple independent; runs always draw
+    ``attempt`` 0.
     """
     bitgen = np.random.Philox(
         key=np.array([seed, 0], dtype=np.uint64),
@@ -302,24 +310,34 @@ def read_coupling_file(path: str) -> np.ndarray:
     JSON files carry {"n_rx", "n_tx", "realizations": [[[re, im], ...]]};
     CSV files carry rows (realization, i, j, re_ohm, im_ohm) after a
     matching header. Returns an (n_realizations, n_rx, n_tx) array.
+    Raises ConfigError unless the file holds exactly one finite value
+    for every (realization, i, j) of a complete grid.
     """
-    if path.endswith(".json"):
+    out = _read_coupling_json(path) if path.endswith(".json") else _read_coupling_csv(path)
+    if not np.all(np.isfinite(out)):
+        raise ConfigError("coupling file holds a NaN or infinite value")
+    return out
+
+
+def _read_coupling_json(path: str) -> np.ndarray:
+    try:
         with open(path) as fh:
             data = json.load(fh)
-        try:
-            n_rx, n_tx = int(data["n_rx"]), int(data["n_tx"])
-            reals = data["realizations"]
-            out = np.zeros((len(reals), n_rx, n_tx), dtype=complex)
-            for r, mat in enumerate(reals):
-                for i in range(n_rx):
-                    for j in range(n_tx):
-                        re, im = mat[i][j]
-                        out[r, i, j] = complex(re, im)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"invalid coupling JSON: {exc}") from exc
-        if out.size == 0:
-            raise ConfigError("coupling file holds no realizations")
-        return out
+        reals = data["realizations"]
+        shape = (len(reals), int(data["n_rx"]), int(data["n_tx"]), 2)
+        parts = np.array(reals, dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid coupling JSON: {exc}") from exc
+    if not reals:
+        raise ConfigError("coupling file holds no realizations")
+    if parts.shape != shape:
+        raise ConfigError(
+            f"coupling JSON realizations have shape {parts.shape}, expected {shape}"
+        )
+    return parts.view(complex)[..., 0]
+
+
+def _read_coupling_csv(path: str) -> np.ndarray:
     import csv as _csv
 
     entries: dict[tuple[int, int, int], complex] = {}
@@ -332,17 +350,24 @@ def read_coupling_file(path: str) -> np.ndarray:
             if not row:
                 continue
             try:
-                entries[(int(row[0]), int(row[1]), int(row[2]))] = complex(
-                    float(row[3]), float(row[4])
-                )
-            except (TypeError, ValueError) as exc:
+                key = (int(row[0]), int(row[1]), int(row[2]))
+                value = complex(float(row[3]), float(row[4]))
+            except (IndexError, ValueError) as exc:
                 raise ConfigError(f"invalid coupling CSV row {row!r}") from exc
+            if min(key) < 0:
+                raise ConfigError(f"negative index in coupling CSV row {row!r}")
+            if key in entries:
+                raise ConfigError(f"duplicate coupling CSV entry {key}")
+            entries[key] = value
     if not entries:
         raise ConfigError("coupling file holds no realizations")
-    n_reals = max(k[0] for k in entries) + 1
-    n_rx = max(k[1] for k in entries) + 1
-    n_tx = max(k[2] for k in entries) + 1
-    out = np.zeros((n_reals, n_rx, n_tx), dtype=complex)
+    shape = tuple(max(k[axis] for k in entries) + 1 for axis in range(3))
+    if len(entries) != math.prod(shape):
+        raise ConfigError(
+            f"coupling CSV holds {len(entries)} entries, not the complete "
+            f"{shape[0]} x {shape[1]} x {shape[2]} grid"
+        )
+    out = np.zeros(shape, dtype=complex)
     for (r, i, j), v in entries.items():
         out[r, i, j] = v
     return out
@@ -388,25 +413,12 @@ def _receive_impedance(config: ScenarioConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ScenarioKernel:
-    """Precomputed geometry shared by all realizations."""
+    """Link front ends shared by all realizations."""
 
     config: ScenarioConfig
-    z_tx: np.ndarray
-    z_rx: np.ndarray
-    termination: complex
+    down: FrontEnd
+    up: FrontEnd
     coupling_std: float
-
-    def bundles(self, z21: np.ndarray) -> tuple[ChannelBundle, ChannelBundle]:
-        forward = ImpedanceSystem(
-            z_tx=self.z_tx,
-            z_rx=self.z_rx,
-            z_coupling=z21,
-            z_source=self.termination,
-            z_load=self.termination,
-        )
-        down = build_bundle(forward, self.config.noise)
-        up = build_bundle(reversed_link(forward), self.config.noise)
-        return down, up
 
 
 def _make_kernel(config: ScenarioConfig) -> _ScenarioKernel:
@@ -419,20 +431,35 @@ def _make_kernel(config: ScenarioConfig) -> _ScenarioKernel:
         if config.coupling_std_ohm is not None
         else far_field_coupling_std()
     )
-    return _ScenarioKernel(config, z_tx, z_rx, termination, std)
+    forward = ImpedanceSystem(
+        z_tx=z_tx,
+        z_rx=z_rx,
+        z_coupling=np.zeros((config.n_rx_total, config.n_tx), dtype=complex),
+        z_source=termination,
+        z_load=termination,
+    )
+    try:
+        down = front_end(forward, config.noise)
+        up = front_end(reversed_link(forward), config.noise)
+    except FactorizationError as exc:
+        raise SimulationAbort(f"link front end cannot be built: {exc}") from exc
+    return _ScenarioKernel(config, down, up, std)
+
+
+def bounded_workers(requested: int, n_realizations: int, cpu_count: int | None) -> int:
+    """Worker processes worth starting: at most one per CPU and per realization."""
+    return max(1, min(requested, cpu_count or 1, n_realizations))
 
 
 def _evaluate_single_user(
     config: ScenarioConfig,
-    down: ChannelBundle,
-    up: ChannelBundle,
+    down: FrontEnd,
+    channels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     powers_w: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None]:
+    h, h_mismatched, h_assumed, h_up = channels
     sigma = down.noise_scale
-    miso = down.n_rx == 1
-    mismatch = (
-        mismatch_power_matrix(down) if "hyp" in config.strategies else None
-    )
+    miso = h.shape[0] == 1
     rates = {s: np.zeros(powers_w.size) for s in config.strategies}
     streams = {s: np.zeros(powers_w.size) for s in config.strategies}
     alphas = np.zeros(powers_w.size) if "hyp" in config.strategies else None
@@ -440,26 +467,22 @@ def _evaluate_single_user(
         for s in config.strategies:
             if s == "cap":
                 res = (
-                    su_miso_capacity(down.channel[0], p_w, sigma)
+                    su_miso_capacity(h[0], p_w, sigma)
                     if miso
-                    else su_mimo_capacity(down.channel, p_w, sigma)
+                    else su_mimo_capacity(h, p_w, sigma)
                 )
             elif s == "recip":
                 res = (
-                    su_miso_reciprocal(down.channel[0], up.channel[:, 0], p_w, sigma)
+                    su_miso_reciprocal(h[0], h_up[:, 0], p_w, sigma)
                     if miso
-                    else su_mimo_reciprocal(down.channel, up.channel, p_w, sigma)
+                    else su_mimo_reciprocal(h, h_up, p_w, sigma)
                 )
             else:
                 res = (
-                    su_miso_naive(down.channel_mismatched[0], mismatch, p_w, sigma)
+                    su_miso_naive(h_mismatched[0], down.mismatch_power, p_w, sigma)
                     if miso
                     else su_mimo_naive(
-                        down.channel_mismatched,
-                        down.channel_assumed,
-                        mismatch,
-                        p_w,
-                        sigma,
+                        h_mismatched, h_assumed, down.mismatch_power, p_w, sigma
                     )
                 )
                 alphas[j] = res.alpha
@@ -470,14 +493,13 @@ def _evaluate_single_user(
 
 def _evaluate_multi_user(
     config: ScenarioConfig,
-    down: ChannelBundle,
-    up: ChannelBundle,
+    down: FrontEnd,
+    channels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     powers_w: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None]:
+    h, h_mismatched, h_assumed, h_up = channels
     sigma = down.noise_scale
     partition = config.rx_partition
-    need_mismatch = any(s in config.strategies for s in ("hyp", "hyp_lin"))
-    mismatch = mismatch_power_matrix(down) if need_mismatch else None
     rates = {s: np.zeros(powers_w.size) for s in config.strategies}
     streams = {s: np.zeros(powers_w.size) for s in config.strategies}
     alphas = np.zeros(powers_w.size) if "hyp_lin" in config.strategies else None
@@ -488,31 +510,27 @@ def _evaluate_multi_user(
         )
         for s in config.strategies:
             if s == "cap":
-                sol = mac_sum_capacity(
-                    down.channel, partition, p_w, sigma, initial=warm["cap"]
-                )
+                sol = mac_sum_capacity(h, partition, p_w, sigma, initial=warm["cap"])
                 warm["cap"] = sol.mac_covariance * scale_next
                 rates[s][j] = sol.rate.rate_bits
                 streams[s][j] = sol.rate.active_streams
             elif s == "hyp":
                 sol = mac_sum_capacity(
-                    down.channel_assumed, partition, p_w, sigma, initial=warm["hyp"]
+                    h_assumed, partition, p_w, sigma, initial=warm["hyp"]
                 )
                 warm["hyp"] = sol.mac_covariance * scale_next
-                rates[s][j] = dpc_sum_rate(
-                    down.channel_mismatched, sol.mac_covariance, sigma
-                )
+                rates[s][j] = dpc_sum_rate(h_mismatched, sol.mac_covariance, sigma)
                 streams[s][j] = sol.rate.active_streams
             else:
                 if s == "cap_lin":
-                    assumed, true = down.channel, down.channel
+                    assumed, true = h, h
                 elif s == "recip_lin":
-                    assumed, true = up.channel.T, down.channel
+                    assumed, true = h_up.T, h
                 else:
-                    assumed, true = down.channel_assumed, down.channel_mismatched
+                    assumed, true = h_assumed, h_mismatched
                 lin = greedy_zf(assumed, partition, p_w, sigma)
                 if s == "hyp_lin":
-                    lin = with_true_power(lin, mismatch)
+                    lin = with_true_power(lin, down.mismatch_power)
                     alphas[j] = lin.alpha if lin.predicted_power_w > 0 else 1.0
                 res = evaluate_bc_rates(true, lin, sigma)
                 rates[s][j] = res.rate_bits
@@ -524,54 +542,32 @@ def _run_realization(
     kernel: _ScenarioKernel,
     imported: np.ndarray | None,
     index: int,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None]:
     config = kernel.config
     powers_w = np.array([10.0 ** (p / 10.0) for p in config.power_grid_dbw])
-    failures = 0
-    attempt = 0
-    while True:
-        if imported is not None:
-            z21 = imported[index]
-        else:
-            z21 = coupling_realization(
-                config.seed,
-                index,
-                attempt,
-                config.n_rx_total,
-                config.n_tx,
-                kernel.coupling_std,
-            )
-        try:
-            down, up = kernel.bundles(z21)
-            evaluate = (
-                _evaluate_single_user if config.is_single_user else _evaluate_multi_user
-            )
-            rates, streams, alphas = evaluate(config, down, up, powers_w)
-            return rates, streams, alphas, failures
-        except FactorizationError:
-            failures += 1
-            if imported is not None:
-                # Imported realizations cannot be resampled; mark as lost.
-                nan = np.full(powers_w.size, np.nan)
-                rates = {s: nan.copy() for s in config.strategies}
-                streams = {s: nan.copy() for s in config.strategies}
-                has_alpha = ("hyp" in config.strategies and config.is_single_user) or (
-                    "hyp_lin" in config.strategies
-                )
-                return rates, streams, (nan.copy() if has_alpha else None), failures
-            attempt += 1
-            if attempt >= MAX_RESAMPLE_ATTEMPTS:
-                raise SimulationAbort(
-                    f"realization {index} failed {attempt} consecutive resampling attempts"
-                ) from None
+    if imported is not None:
+        z21 = imported[index]
+    else:
+        z21 = coupling_realization(
+            config.seed, index, 0, config.n_rx_total, config.n_tx, kernel.coupling_std
+        )
+    channels = (
+        link_channel(kernel.down, z21),
+        *naive_channels(kernel.down, z21),
+        link_channel(kernel.up, z21.T),
+    )
+    evaluate = _evaluate_single_user if config.is_single_user else _evaluate_multi_user
+    return evaluate(config, kernel.down, channels, powers_w)
 
 
 def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     """Run all realizations of a scenario and aggregate the results.
 
-    ``n_workers`` > 1 distributes realizations over processes; outputs
-    are identical to the serial run because every realization owns a
-    counter-based random stream and results are reduced in index order.
+    ``n_workers`` > 1 distributes realizations over processes, at most
+    one per CPU and per realization; outputs are identical to the
+    serial run because every realization owns a counter-based random
+    stream and results are reduced in index order. Raises
+    SimulationAbort when the link front ends cannot be built.
     """
     kernel = _make_kernel(config)
     imported = None
@@ -589,6 +585,7 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
             )
     worker = partial(_run_realization, kernel, imported)
     indices = range(config.n_realizations)
+    n_workers = bounded_workers(n_workers, config.n_realizations, os.cpu_count())
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(worker, indices, chunksize=8))
@@ -596,7 +593,6 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
         outcomes = [worker(i) for i in indices]
 
     n_p = len(config.power_grid_dbw)
-    n_r = config.n_realizations
     per_rates = {
         s: np.vstack([out[0][s] for out in outcomes]) for s in config.strategies
     }
@@ -607,25 +603,14 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     alpha_samples = (
         np.vstack([out[2] for out in outcomes]) if has_alpha else None
     )
-    n_failures = int(sum(out[3] for out in outcomes))
-    if n_failures > FAILURE_ABORT_FRACTION * n_r:
-        raise SimulationAbort(
-            f"{n_failures} failed realizations out of {n_r} exceed the "
-            f"{FAILURE_ABORT_FRACTION:.0%} abort threshold"
-        )
-    with np.errstate(invalid="ignore"):
-        ergodic = {s: np.nanmean(per_rates[s], axis=0) for s in config.strategies}
-        mean_streams = {
-            s: np.nanmean(per_streams[s], axis=0) for s in config.strategies
-        }
+    ergodic = {s: per_rates[s].mean(axis=0) for s in config.strategies}
+    mean_streams = {s: per_streams[s].mean(axis=0) for s in config.strategies}
     alpha_kde = None
     if has_alpha:
         curves = []
         for j in range(n_p):
-            col = alpha_samples[:, j]
-            col = col[np.isfinite(col)]
             try:
-                curves.append(gaussian_kde(col))
+                curves.append(gaussian_kde(alpha_samples[:, j]))
             except ValueError:
                 grid = np.full(KDE_GRID_POINTS, np.nan)
                 curves.append((grid, grid.copy()))
@@ -639,5 +624,5 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
         per_realization_streams=per_streams,
         alpha_samples=alpha_samples,
         alpha_kde=alpha_kde,
-        n_failures=n_failures,
+        n_failures=0,
     )

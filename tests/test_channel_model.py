@@ -176,6 +176,84 @@ class TestNoiseCovariances:
             mp.build_bundle(system, dead)
 
 
+def per_system_channels(
+    system: mp.ImpedanceSystem, noise: mp.NoiseConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channel, mismatched and assumed channels composed from one system.
+
+    Whitens the system's own voltage transfer by its output noise root
+    and divides out the transmit power roots, without the front-end
+    factorization under test.
+    """
+    m = system.n_rx
+    d = mp.voltage_transfer(system)
+    q = mp.port_noise_covariance(system, noise)
+    z_load = system.z_load
+    a_rx = system.z_rx + z_load * np.eye(m)
+    if mp.is_scalar_matrix(system.z_rx):
+        sigma_out = (
+            abs(z_load) * np.sqrt(q[0, 0].real)
+            / (np.sqrt(z_load.real) * abs(system.z_rx[0, 0] + z_load))
+        )
+        noise_root = sigma_out * np.eye(m)
+    else:
+        noise_root = (z_load / np.sqrt(z_load.real)) * np.linalg.solve(
+            a_rx, np.linalg.cholesky(q)
+        )
+    out_cov = noise_root @ noise_root.conj().T
+    sigma = np.sqrt(np.trace(out_cov).real / m)
+    whitened = np.linalg.solve(noise_root, d)
+    diag_root = np.conj(mp.decoupled_power_root(system))[None, :]
+    channel = sigma * whitened @ np.linalg.inv(mp.power_coupling_root(system).conj().T)
+    mismatched = sigma * whitened / diag_root
+    assumed = sigma * d / np.sqrt(np.diag(out_cov).real)[:, None] / diag_root
+    return channel, mismatched, assumed
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("partition", [(1,), (3,), (1, 1, 1)])
+    def test_map_reproduces_per_system_channels(self, partition, default_noise):
+        # One front end per direction serves every coupling realization.
+        first = make_system(7, partition, seed=30)
+        down = mp.front_end(first, default_noise)
+        up = mp.front_end(mp.reversed_link(first), default_noise)
+        for realization in range(4):
+            system = make_system(7, partition, seed=30, realization=realization)
+            for front, sys_dir in (
+                (down, system),
+                (up, mp.reversed_link(system)),
+            ):
+                z21 = sys_dir.z_coupling
+                mapped = (mp.link_channel(front, z21), *mp.naive_channels(front, z21))
+                for got, want in zip(mapped, per_system_channels(sys_dir, default_noise)):
+                    rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+                    assert rel < 1e-13
+            fwd, rev = make_bundles(system, default_noise)
+            predicted = mp.reciprocal_channel(fwd, rev)
+            rel = np.linalg.norm(predicted - fwd.channel) / np.linalg.norm(fwd.channel)
+            assert rel < 1e-12
+
+    def test_holds_mismatch_power_matrix(self, default_noise):
+        system = make_system(5, (2,), seed=31)
+        front = mp.front_end(system, default_noise)
+        bundle = mp.build_bundle(system, default_noise)
+        assert np.array_equal(front.mismatch_power, mp.mismatch_power_matrix(bundle))
+
+    def test_ignores_coupling_block(self, default_noise):
+        system = make_system(4, (3,), seed=32)
+        other = mp.ImpedanceSystem(
+            z_tx=system.z_tx,
+            z_rx=system.z_rx,
+            z_coupling=np.zeros_like(system.z_coupling),
+            z_source=system.z_source,
+            z_load=system.z_load,
+        )
+        a = mp.front_end(system, default_noise)
+        b = mp.front_end(other, default_noise)
+        assert np.array_equal(a.rx_map, b.rx_map)
+        assert np.array_equal(a.tx_map, b.tx_map)
+
+
 class TestNoiseConfig:
     def test_default_values(self):
         noise = mp.NoiseConfig.default()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import multiport as mp
+from multiport import montecarlo
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -206,6 +207,92 @@ class TestCouplingFiles:
         with pytest.raises(mp.ConfigError):
             mp.read_coupling_file(str(empty_json))
 
+    @staticmethod
+    def write_csv(path, rows) -> str:
+        lines = ["realization,i,j,re_ohm,im_ohm"] + [",".join(map(str, r)) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @staticmethod
+    def write_json(path, realizations, n_rx=1, n_tx=2) -> str:
+        # json.dumps writes NaN and Infinity literals, which json.load reads back.
+        path.write_text(
+            json.dumps({"n_rx": n_rx, "n_tx": n_tx, "realizations": realizations})
+        )
+        return str(path)
+
+    GRID = [(0, 0, 0, 1.0, 0.5), (0, 0, 1, 2.0, -0.5)]
+
+    def test_csv_negative_index(self, tmp_path):
+        path = self.write_csv(tmp_path / "c.csv", self.GRID + [(-1, 0, 0, 3.0, 0.0)])
+        with pytest.raises(mp.ConfigError, match="negative"):
+            mp.read_coupling_file(path)
+
+    def test_csv_incomplete_grid(self, tmp_path):
+        path = self.write_csv(tmp_path / "c.csv", self.GRID + [(1, 0, 1, 3.0, 0.0)])
+        with pytest.raises(mp.ConfigError, match="complete"):
+            mp.read_coupling_file(path)
+
+    def test_csv_duplicate_entry(self, tmp_path):
+        path = self.write_csv(tmp_path / "c.csv", self.GRID + [(0, 0, 1, 3.0, 0.0)])
+        with pytest.raises(mp.ConfigError, match="duplicate"):
+            mp.read_coupling_file(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_value(self, tmp_path, bad):
+        path = self.write_csv(tmp_path / "c.csv", [self.GRID[0], (0, 0, 1, 2.0, bad)])
+        with pytest.raises(mp.ConfigError, match="NaN or infinite"):
+            mp.read_coupling_file(path)
+
+    def test_json_negative_index(self, tmp_path):
+        path = self.write_json(tmp_path / "c.json", [[[[1.0, 0.0], [2.0, 0.0]]]], n_rx=-1)
+        with pytest.raises(mp.ConfigError):
+            mp.read_coupling_file(path)
+
+    @pytest.mark.parametrize(
+        "realizations",
+        [
+            [[[[1.0, 0.0]]]],  # row shorter than n_tx
+            [[[[1.0, 0.0], [2.0, 0.0]]], [[[1.0, 0.0]]]],  # ragged realizations
+            [[[[1.0, 0.0], [2.0]]]],  # entry without imaginary part
+        ],
+    )
+    def test_json_incomplete_grid(self, tmp_path, realizations):
+        path = self.write_json(tmp_path / "c.json", realizations)
+        with pytest.raises(mp.ConfigError):
+            mp.read_coupling_file(path)
+
+    def test_json_extra_entry(self, tmp_path):
+        # The JSON grid has no explicit indices; an entry beyond n_tx is
+        # the JSON form of a duplicate and must not be dropped silently.
+        path = self.write_json(
+            tmp_path / "c.json", [[[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]]]
+        )
+        with pytest.raises(mp.ConfigError, match="shape"):
+            mp.read_coupling_file(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_json_non_finite_value(self, tmp_path, bad):
+        path = self.write_json(tmp_path / "c.json", [[[[1.0, 0.0], [2.0, bad]]]])
+        with pytest.raises(mp.ConfigError, match="NaN or infinite"):
+            mp.read_coupling_file(path)
+
+
+class TestBoundedWorkers:
+    @pytest.mark.parametrize(
+        "requested, n_realizations, cpus, expected",
+        [
+            (1, 100, 8, 1),
+            (4, 100, 8, 4),
+            (64, 100, 8, 8),
+            (64, 3, 8, 3),
+            (4, 100, None, 1),
+            (4, 100, 0, 1),
+        ],
+    )
+    def test_bound(self, requested, n_realizations, cpus, expected):
+        assert montecarlo.bounded_workers(requested, n_realizations, cpus) == expected
+
 
 class TestRunScenario:
     def test_deterministic_and_worker_invariant(self):
@@ -305,6 +392,24 @@ class TestRunScenario:
         config = tiny_config(noise=dead, n_realizations=2)
         with pytest.raises(mp.SimulationAbort):
             mp.run_scenario(config)
+
+    def test_zero_noise_aborts_before_drawing_coupling(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("coupling drawn before the front end was checked")
+
+        monkeypatch.setattr(montecarlo, "coupling_realization", no_draw)
+        dead = mp.NoiseConfig(
+            voltage_noise_var=0.0, current_noise_var=0.0, antenna_temperature_k=0.0
+        )
+        for partition in ((1,), (1, 1)):
+            config = tiny_config(
+                noise=dead,
+                rx_partition=partition,
+                strategies=("cap",),
+                n_realizations=2,
+            )
+            with pytest.raises(mp.SimulationAbort, match="front end"):
+                mp.run_scenario(config)
 
     def test_imported_coupling_matches_sampled(self, tmp_path):
         config = tiny_config(n_realizations=4)
