@@ -3,7 +3,10 @@
 Subcommands:
 
 - ``run``: execute a scenario described by a JSON file and write CSV
-  outputs plus the resolved effective configuration.
+  outputs plus the resolved effective configuration. Stdout lists the
+  written files and a ``failures: N`` line; stderr gets an
+  ``unconverged: N`` line counting sum-capacity solves that stopped
+  short of their KKT tolerance.
 - ``dump-impedance``: print or save the impedance matrix of a uniform
   circular dipole array.
 - ``kde``: compute a Gaussian kernel density estimate from a one-column
@@ -183,6 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for path in written:
         print(path)
     print(f"failures: {result.n_failures}")
+    print(f"unconverged: {result.n_unconverged}", file=sys.stderr)
     return 0
 
 

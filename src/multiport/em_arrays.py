@@ -9,6 +9,7 @@ radius is chosen so that adjacent elements sit a given spacing apart.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -202,21 +203,42 @@ def write_impedance_rows(stream: TextIO, matrix: np.ndarray) -> None:
 
 
 def read_impedance_csv(path: str) -> np.ndarray:
-    """Read a matrix written by :func:`write_impedance_csv`."""
+    """Read a matrix written by :func:`write_impedance_csv`.
+
+    Raises ValueError unless the file has the header and exactly one
+    finite value for every (i, j) of a complete grid with nonnegative
+    indices.
+    """
     entries: dict[tuple[int, int], complex] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["i", "j", "re_ohm", "im_ohm"]:
+        header = next(reader, None)
+        if header is None or header[:4] != ["i", "j", "re_ohm", "im_ohm"]:
             raise ValueError("unrecognized impedance CSV header")
         for row in reader:
             if not row:
                 continue
-            entries[(int(row[0]), int(row[1]))] = complex(float(row[2]), float(row[3]))
+            try:
+                key = (int(row[0]), int(row[1]))
+                value = complex(float(row[2]), float(row[3]))
+            except IndexError as exc:
+                raise ValueError(f"short impedance CSV row {row!r}") from exc
+            if min(key) < 0:
+                raise ValueError(f"negative index in impedance CSV row {row!r}")
+            if key in entries:
+                raise ValueError(f"duplicate impedance CSV entry {key}")
+            if not cmath.isfinite(value):
+                raise ValueError(f"non-finite impedance CSV value in row {row!r}")
+            entries[key] = value
     if not entries:
         raise ValueError("empty impedance CSV")
     n_rows = max(k[0] for k in entries) + 1
     n_cols = max(k[1] for k in entries) + 1
+    if len(entries) != n_rows * n_cols:
+        raise ValueError(
+            f"impedance CSV holds {len(entries)} entries, not the complete "
+            f"{n_rows} x {n_cols} grid"
+        )
     out = np.zeros((n_rows, n_cols), dtype=complex)
     for (i, j), v in entries.items():
         out[i, j] = v

@@ -281,6 +281,9 @@ class ScenarioResult:
     # Realizations without a usable channel. Always 0: only the front
     # ends can fail to factor, and that aborts the run.
     n_failures: int
+    # Sum-capacity solves (multi-user cap and hyp) that stopped without
+    # meeting their KKT tolerance. Always 0 for single-user runs.
+    n_unconverged: int
 
 
 def coupling_realization(
@@ -456,7 +459,7 @@ def _evaluate_single_user(
     down: FrontEnd,
     channels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     powers_w: np.ndarray,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]:
     h, h_mismatched, h_assumed, h_up = channels
     sigma = down.noise_scale
     miso = h.shape[0] == 1
@@ -488,7 +491,7 @@ def _evaluate_single_user(
                 alphas[j] = res.alpha
             rates[s][j] = res.rate.rate_bits
             streams[s][j] = res.rate.active_streams
-    return rates, streams, alphas
+    return rates, streams, alphas, 0
 
 
 def _evaluate_multi_user(
@@ -496,7 +499,7 @@ def _evaluate_multi_user(
     down: FrontEnd,
     channels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     powers_w: np.ndarray,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]:
     h, h_mismatched, h_assumed, h_up = channels
     sigma = down.noise_scale
     partition = config.rx_partition
@@ -504,6 +507,7 @@ def _evaluate_multi_user(
     streams = {s: np.zeros(powers_w.size) for s in config.strategies}
     alphas = np.zeros(powers_w.size) if "hyp_lin" in config.strategies else None
     warm: dict[str, np.ndarray | None] = {"cap": None, "hyp": None}
+    unconverged = 0
     for j, p_w in enumerate(powers_w):
         scale_next = (
             powers_w[j + 1] / p_w if j + 1 < powers_w.size and p_w > 0 else 1.0
@@ -512,6 +516,7 @@ def _evaluate_multi_user(
             if s == "cap":
                 sol = mac_sum_capacity(h, partition, p_w, sigma, initial=warm["cap"])
                 warm["cap"] = sol.mac_covariance * scale_next
+                unconverged += not sol.converged
                 rates[s][j] = sol.rate.rate_bits
                 streams[s][j] = sol.rate.active_streams
             elif s == "hyp":
@@ -519,6 +524,7 @@ def _evaluate_multi_user(
                     h_assumed, partition, p_w, sigma, initial=warm["hyp"]
                 )
                 warm["hyp"] = sol.mac_covariance * scale_next
+                unconverged += not sol.converged
                 rates[s][j] = dpc_sum_rate(h_mismatched, sol.mac_covariance, sigma)
                 streams[s][j] = sol.rate.active_streams
             else:
@@ -535,14 +541,14 @@ def _evaluate_multi_user(
                 res = evaluate_bc_rates(true, lin, sigma)
                 rates[s][j] = res.rate_bits
                 streams[s][j] = res.active_streams
-    return rates, streams, alphas
+    return rates, streams, alphas, unconverged
 
 
 def _run_realization(
     kernel: _ScenarioKernel,
     imported: np.ndarray | None,
     index: int,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]:
     config = kernel.config
     powers_w = np.array([10.0 ** (p / 10.0) for p in config.power_grid_dbw])
     if imported is not None:
@@ -625,4 +631,5 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
         alpha_samples=alpha_samples,
         alpha_kde=alpha_kde,
         n_failures=0,
+        n_unconverged=sum(out[3] for out in outcomes),
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,20 @@ class TestRun:
             "R_erg_recip_lin",
             "R_erg_hyp_lin",
         ]
+
+    def test_bundled_multi_user_run_reports_no_unconverged_solves(self, tmp_path, capsys):
+        bundled = Path(__file__).resolve().parents[1] / "configs" / "mu_miso_n33_k2.json"
+        data = json.loads(bundled.read_text())
+        data["scenario"]["n_realizations"] = 3
+        data["emit"] = ["rates_csv"]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        out_lines = captured.out.splitlines()
+        assert out_lines[-1] == "failures: 0"
+        assert all(Path(line).is_file() for line in out_lines[:-1])
+        assert "unconverged: 0" in captured.err.splitlines()
 
     def test_worker_invariance_bytewise(self, tmp_path):
         config = write_run_config(tmp_path / "run.json")

@@ -209,3 +209,29 @@ class TestImpedanceCsv:
         path.write_text("i,j,re_ohm,im_ohm\n")
         with pytest.raises(ValueError):
             read_impedance_csv(str(path))
+
+    @staticmethod
+    def _rejects(tmp_path, text, match):
+        path = tmp_path / "z.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_impedance_csv(str(path))
+
+    def test_rejects_file_without_header(self, tmp_path):
+        self._rejects(tmp_path, "", "header")
+
+    def test_rejects_incomplete_grid(self, tmp_path):
+        self._rejects(tmp_path, "i,j,re_ohm,im_ohm\n0,0,5.0,0.0\n1,1,5.0,0.0\n", "complete")
+
+    def test_rejects_duplicate_entry(self, tmp_path):
+        self._rejects(tmp_path, "i,j,re_ohm,im_ohm\n0,0,5.0,0.0\n0,0,6.0,0.0\n", "duplicate")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_value(self, tmp_path, value):
+        self._rejects(tmp_path, f"i,j,re_ohm,im_ohm\n0,0,5.0,{value}\n", "non-finite")
+
+    def test_rejects_negative_index(self, tmp_path):
+        self._rejects(tmp_path, "i,j,re_ohm,im_ohm\n0,0,5.0,0.0\n-1,0,5.0,0.0\n", "negative")
+
+    def test_rejects_short_row(self, tmp_path):
+        self._rejects(tmp_path, "i,j,re_ohm,im_ohm\n0,0,5.0\n", "short")

@@ -324,11 +324,30 @@ class TestRunScenario:
                 result.ergodic_rates[s], result.per_realization_rates[s].mean(axis=0)
             )
         assert result.n_failures == 0
+        assert result.n_unconverged == 0
         assert result.alpha_samples.shape == (5, 3)
         assert len(result.alpha_kde) == 3
         grid, density = result.alpha_kde[0]
         assert np.all(np.isfinite(grid)) and np.all(np.isfinite(density))
         assert 0.9 <= float(trapezoid(density, grid)) <= 1.1
+
+    def test_unconverged_solves_are_counted(self, monkeypatch):
+        solver = montecarlo.mac_sum_capacity
+        solutions = []
+
+        def one_step(*args, **kwargs):
+            solutions.append(solver(*args, **kwargs, max_iterations=1))
+            return solutions[-1]
+
+        monkeypatch.setattr(montecarlo, "mac_sum_capacity", one_step)
+        config = tiny_config(
+            rx_partition=(1, 1), strategies=("cap", "hyp", "cap_lin"), n_realizations=2
+        )
+        result = mp.run_scenario(config)
+        assert len(solutions) == 2 * 2 * 2
+        expected = sum(not sol.converged for sol in solutions)
+        assert expected > 0
+        assert result.n_unconverged == expected
 
     def test_rates_increase_with_power(self):
         config = tiny_config(

@@ -250,6 +250,37 @@ class TestMacSumCapacity:
         assert mac.rate.active_streams == 0
         assert mac.converged
 
+    def test_two_user_closed_form_maximizer(self):
+        # det(I + G diag(p, P - p)) = 1 + g22 P + (g11 - g22 + d P) p - d p^2
+        # with d = g11 g22 - |g12|^2 >= 0: a concave quadratic in p.
+        rng = RNG(29)
+        corners = 0
+        for budget in np.logspace(-10.0, 3.0, 20):
+            h = crandn(rng, 2, 4) * np.array([[1.0], [rng.uniform(0.2, 1.5)]])
+            gram = h @ h.conj().T / SIGMA**2
+            g11, g22 = gram[0, 0].real, gram[1, 1].real
+            d = g11 * g22 - abs(gram[0, 1]) ** 2
+            p = float(np.clip((g11 - g22 + d * budget) / (2.0 * d), 0.0, budget))
+            corners += p in (0.0, budget)
+            # log1p of a sum of nonnegative terms: exact even for tiny budgets.
+            best = np.log1p(g11 * p + g22 * (budget - p) + d * p * (budget - p)) / np.log(2.0)
+            mac = mp.mac_sum_capacity(h, (1, 1), budget, SIGMA)
+            assert mac.rate.rate_bits == pytest.approx(best, rel=1e-10, abs=0.0)
+            assert mac.converged
+        assert 0 < corners < 20
+
+    def test_mixed_partition_converges_above_greedy_zf(self):
+        rng = RNG(30)
+        h = crandn(rng, 6, 8)
+        partition = (2, 1, 3)
+        for power in (0.01, 0.1, 1.0, 10.0, 100.0):
+            mac = mp.mac_sum_capacity(h, partition, power, SIGMA)
+            assert mac.converged
+            assert mac.iterations <= 200
+            assert np.all(np.diff(mac.objective_trace) >= 0.0)
+            linear = mp.greedy_zf(h, partition, power, SIGMA).predicted_rate_bits
+            assert mac.rate.rate_bits >= linear - 1e-9
+
     def test_validation(self):
         h = np.ones((3, 4), complex)
         with pytest.raises(ValueError):
