@@ -261,15 +261,24 @@ def su_mimo_naive(
     )
 
 
+def _gram_root(channel: np.ndarray, noise_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian Gram G = H H^H / sigma^2 and a square root R with G = R R^H."""
+    gram = channel @ channel.conj().T / noise_std**2
+    gram = 0.5 * (gram + gram.conj().T)
+    lam, vec = np.linalg.eigh(gram)
+    return gram, vec * np.sqrt(np.maximum(lam, 0.0))
+
+
+def _dpc_bits(root: np.ndarray, xi: np.ndarray) -> float:
+    """log2 det(I + R R^H Xi) via log1p of eig(R^H Xi R); precise for tiny Xi."""
+    return float(np.log1p(np.linalg.eigvalsh(root.conj().T @ xi @ root)).sum() / LN2)
+
+
 def dpc_sum_rate(
     channel: np.ndarray, mac_covariance: np.ndarray, noise_std: float
 ) -> float:
     """Sum rate log2 det(I + H^H Xi H / sigma^2) for a stacked channel."""
-    h = np.asarray(channel)
-    m = h.shape[0]
-    gram = h @ h.conj().T / noise_std**2
-    _, logdet = np.linalg.slogdet(np.eye(m) + gram @ mac_covariance)
-    return float(logdet / LN2)
+    return _dpc_bits(_gram_root(np.asarray(channel), noise_std)[1], mac_covariance)
 
 
 def mac_sum_capacity(
@@ -312,27 +321,21 @@ def mac_sum_capacity(
     users = np.arange(n_users)[:, None, None]
     # outside[k] masks out user k's rows and columns: Xi * outside[k] is Xi_-k.
     outside = (owner[None, :, None] != users) & (owner[None, None, :] != users)
-    gram = h @ h.conj().T / noise_std**2
-    gram = 0.5 * (gram + gram.conj().T)
+    gram, root = _gram_root(h, noise_std)
+    # numpy 1.x reads a 2-D right-hand side of a stacked solve as vectors.
+    gram_stack = np.broadcast_to(gram, (n_users, m_total, m_total))
     eye = np.eye(m_total)
-    # G = R R^H, so log det(I + G Xi) = sum log1p(eig(R^H Xi R)): unlike
-    # slogdet, this keeps full relative precision when G Xi is tiny.
-    lam, vec = np.linalg.eigh(gram)
-    root = vec * np.sqrt(np.maximum(lam, 0.0))
-    root_h = root.conj().T
-
-    def objective(xi: np.ndarray) -> float:
-        return float(np.log1p(np.linalg.eigvalsh(root_h @ xi @ root)).sum() / LN2)
-
     if initial is not None:
         xi = project_psd_trace(np.where(mask, initial, 0j), total_power)
     else:
         xi = (total_power / m_total) * np.eye(m_total, dtype=complex)
-    fx = objective(xi)
+    fx = _dpc_bits(root, xi)
     trace = [fx]
     iterations = 0
+    # Streams come from the last water-fill: averaging never zeroes a user.
+    powers = np.linalg.eigvalsh(xi)
     for iterations in range(1, max_iterations + 1):
-        effective = np.linalg.solve(eye + gram @ (xi * outside), gram)
+        effective = np.linalg.solve(eye + gram @ (xi * outside), gram_stack)
         gains, bases = [], []
         for k, b in enumerate(blocks):
             e_k = effective[k, b, b]
@@ -342,11 +345,11 @@ def mac_sum_capacity(
                 w, v = np.linalg.eigh(0.5 * (e_k + e_k.conj().T))
             gains.append(w)
             bases.append(v)
-        powers = waterfill(np.maximum(np.concatenate(gains), 0.0), total_power) / n_users
+        powers = waterfill(np.maximum(np.concatenate(gains), 0.0), total_power)
         cand = xi * ((n_users - 1) / n_users)
         for b, v in zip(blocks, bases):
-            cand[b, b] += (v * powers[b]) @ v.conj().T
-        fc = objective(cand)
+            cand[b, b] += (v * (powers[b] / n_users)) @ v.conj().T
+        fc = _dpc_bits(root, cand)
         if fc < fx:
             break
         gain, xi, fx = fc - fx, cand, fc
@@ -364,9 +367,8 @@ def mac_sum_capacity(
     else:
         kkt_residual = 0.0
 
-    vals = [np.linalg.eigvalsh(0.5 * (xi[b, b] + xi[b, b].conj().T)) for b in blocks]
     return MacSolution(
-        rate=RateResult(fx, _count_active(np.concatenate(vals), total_power)),
+        rate=RateResult(fx, _count_active(powers, total_power)),
         mac_covariance=xi,
         iterations=iterations,
         kkt_residual=kkt_residual,

@@ -261,11 +261,16 @@ class TestMacSumCapacity:
             g11, g22 = gram[0, 0].real, gram[1, 1].real
             d = g11 * g22 - abs(gram[0, 1]) ** 2
             p = float(np.clip((g11 - g22 + d * budget) / (2.0 * d), 0.0, budget))
-            corners += p in (0.0, budget)
+            corner = p in (0.0, budget)
+            corners += corner
             # log1p of a sum of nonnegative terms: exact even for tiny budgets.
             best = np.log1p(g11 * p + g22 * (budget - p) + d * p * (budget - p)) / np.log(2.0)
             mac = mp.mac_sum_capacity(h, (1, 1), budget, SIGMA)
             assert mac.rate.rate_bits == pytest.approx(best, rel=1e-10, abs=0.0)
+            assert mp.dpc_sum_rate(h, mac.mac_covariance, SIGMA) == pytest.approx(
+                best, rel=1e-10, abs=0.0
+            )
+            assert mac.rate.active_streams == (1 if corner else 2)
             assert mac.converged
         assert 0 < corners < 20
 
