@@ -6,7 +6,9 @@ Subcommands:
   outputs plus the resolved effective configuration. Stdout lists the
   written files and a ``failures: N`` line; stderr gets an
   ``unconverged: N`` line counting sum-capacity solves that stopped
-  short of their KKT tolerance.
+  short of their KKT tolerance. Each output is written to a temporary
+  file in the output directory and renamed into place, so an aborted
+  run leaves no half-written file.
 - ``dump-impedance``: print or save the impedance matrix of a uniform
   circular dipole array.
 - ``kde``: compute a Gaussian kernel density estimate from a one-column
@@ -24,6 +26,7 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -107,6 +110,27 @@ def _write_kde_csv(path: str, result: ScenarioResult) -> None:
                 writer.writerow([repr(float(p_dbw)), repr(float(g)), repr(float(d))])
 
 
+def _write_json(path: str, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_atomically(path: str, write: Callable[[str], None]) -> None:
+    """Run ``write`` on a temporary file beside ``path``, then rename it over ``path``.
+
+    The rename is atomic within one directory, so ``path`` is either
+    left as it was or complete; the temporary file never survives.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 _EMIT_WRITERS = {
     "rates_csv": ("rates.csv", _write_rates_csv),
     "alpha_csv": ("alpha.csv", _write_alpha_csv),
@@ -170,7 +194,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for item in emit:
         suffix, writer = _EMIT_WRITERS[item]
         path = os.path.join(out_dir, f"{config.name}_{suffix}")
-        writer(path, result)
+        _write_atomically(path, lambda tmp: writer(tmp, result))
         written.append(path)
     effective = {
         "scenario": config_to_dict(config),
@@ -179,9 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "output_dir": os.path.abspath(out_dir),
     }
     effective_path = os.path.join(out_dir, f"{config.name}_effective_config.json")
-    with open(effective_path, "w") as fh:
-        json.dump(effective, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomically(effective_path, lambda tmp: _write_json(tmp, effective))
     written.append(effective_path)
     for path in written:
         print(path)

@@ -51,12 +51,12 @@ from .strategies import (
     evaluate_bc_rates,
     greedy_zf,
     mac_sum_capacity,
-    su_mimo_capacity,
-    su_mimo_naive,
-    su_mimo_reciprocal,
-    su_miso_capacity,
-    su_miso_naive,
-    su_miso_reciprocal,
+    mimo_capacity_design,
+    mimo_naive_design,
+    mimo_reciprocal_design,
+    miso_capacity_design,
+    miso_naive_design,
+    miso_reciprocal_design,
     with_true_power,
 )
 
@@ -461,36 +461,28 @@ def _evaluate_single_user(
     powers_w: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]:
     h, h_mismatched, h_assumed, h_up = channels
-    sigma = down.noise_scale
     miso = h.shape[0] == 1
-    rates = {s: np.zeros(powers_w.size) for s in config.strategies}
-    streams = {s: np.zeros(powers_w.size) for s in config.strategies}
-    alphas = np.zeros(powers_w.size) if "hyp" in config.strategies else None
-    for j, p_w in enumerate(powers_w):
-        for s in config.strategies:
-            if s == "cap":
-                res = (
-                    su_miso_capacity(h[0], p_w, sigma)
-                    if miso
-                    else su_mimo_capacity(h, p_w, sigma)
-                )
-            elif s == "recip":
-                res = (
-                    su_miso_reciprocal(h[0], h_up[:, 0], p_w, sigma)
-                    if miso
-                    else su_mimo_reciprocal(h, h_up, p_w, sigma)
-                )
-            else:
-                res = (
-                    su_miso_naive(h_mismatched[0], down.mismatch_power, p_w, sigma)
-                    if miso
-                    else su_mimo_naive(
-                        h_mismatched, h_assumed, down.mismatch_power, p_w, sigma
-                    )
-                )
-                alphas[j] = res.alpha
-            rates[s][j] = res.rate.rate_bits
-            streams[s][j] = res.rate.active_streams
+    rates, streams, alphas = {}, {}, None
+    for s in config.strategies:
+        if s == "cap":
+            design = miso_capacity_design(h[0]) if miso else mimo_capacity_design(h)
+        elif s == "recip":
+            design = (
+                miso_reciprocal_design(h[0], h_up[:, 0])
+                if miso
+                else mimo_reciprocal_design(h, h_up)
+            )
+        else:
+            design = (
+                miso_naive_design(h_mismatched[0], down.mismatch_power)
+                if miso
+                else mimo_naive_design(h_mismatched, h_assumed, down.mismatch_power)
+            )
+        grid = design.evaluate(powers_w, down.noise_scale)
+        rates[s] = grid.rates
+        streams[s] = grid.streams.astype(float)
+        if s == "hyp":
+            alphas = grid.alpha
     return rates, streams, alphas, 0
 
 

@@ -53,59 +53,82 @@ def principal_sqrt_psd(matrix: np.ndarray, neg_tol: float = 1e-9) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def waterfill(gains: np.ndarray, total_power: float) -> np.ndarray:
+# Gains at or below this have an infinite reciprocal and get no power.
+_MIN_GAIN = 1.0 / np.finfo(float).max
+_MAX_INV = np.finfo(float).max / 2.0
+
+
+def waterfill(gains: np.ndarray, budgets: float | np.ndarray) -> np.ndarray:
     """Water-filling allocation maximizing sum log2(1 + g_i p_i).
 
     Parameters
     ----------
     gains : array of nonnegative floats
         Per-channel power gains (1/W units cancel against watts).
-    total_power : float
-        Power budget in watts, nonnegative.
+    budgets : float or 1-D array of floats
+        Power budget in watts, or a grid of budgets; nonnegative.
 
     Returns
     -------
     array of floats
-        Allocation p with p >= 0 and sum(p) == total_power whenever a
-        positive gain exists and the budget is positive.
+        For a scalar budget, the allocation p (shape ``(n,)``) with
+        p >= 0 and sum(p) == budget whenever a positive gain exists and
+        the budget is positive. For P budgets, one such row per budget
+        (shape ``(P, n)``).
+
+    The gains are sorted once. With shifted inverse gains inv (inv[0] =
+    0, nondecreasing) and csum their cumulative sum, the m strongest
+    channels are all active exactly when the budget reaches the
+    breakpoint m * inv[m] - csum[m - 1], so each budget's active count
+    is a binary search over the breakpoints.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1:
         raise ValueError("gains must be 1-D")
-    if np.any(g < 0.0) or not np.all(np.isfinite(g)):
-        raise ValueError("gains must be finite and nonnegative")
-    if total_power < 0.0:
+    b = np.asarray(budgets, dtype=float)
+    scalar = b.ndim == 0
+    if scalar:
+        b = float(b)
+        if not b >= 0.0:
+            raise ValueError("power budget must be nonnegative")
+    elif b.ndim != 1:
+        raise ValueError("budgets must be a scalar or 1-D")
+    elif not (b >= 0.0).all():
         raise ValueError("power budget must be nonnegative")
-    powers = np.zeros_like(g)
-    if total_power == 0.0 or not np.any(g > 0.0):
-        return powers
     order = np.argsort(g)[::-1]
     gs = g[order]
-    with np.errstate(divide="ignore", over="ignore"):
-        inv_all = np.where(gs > 0.0, 1.0 / gs, np.inf)
-    active = int(np.count_nonzero(np.isfinite(inv_all)))
+    # Sorting puts NaN first here, so the extremes validate every gain.
+    if g.size and not (gs[0] < np.inf and gs[-1] >= 0.0):
+        raise ValueError("gains must be finite and nonnegative")
+    active = int(np.count_nonzero(gs > _MIN_GAIN))
     if active == 0:
-        return powers
+        return np.zeros(g.shape if scalar else (b.size, g.size))
     # Work with inverse gains shifted by their minimum so the water
-    # level stays resolvable when 1/g dwarfs the budget.
-    inv = inv_all[:active] - inv_all[0]
+    # level stays resolvable when 1/g dwarfs the budget. The cap keeps
+    # every breakpoint finite; a capped channel would need a budget
+    # beyond 1e300 W to turn on.
+    inv = 1.0 / gs[:active]
+    inv -= inv[0]
+    np.minimum(inv, _MAX_INV / active, out=inv)
     csum = np.cumsum(inv)
-    # Largest m with a water level above the m-th inverse gain.
-    level = 0.0
-    m_used = 1
-    for m in range(1, active + 1):
-        cand = (total_power + csum[m - 1]) / m
-        if m < active and cand >= inv[m]:
-            continue
-        level = cand
-        m_used = m
-        break
-    alloc = np.clip(level - inv[:m_used], 0.0, None)
-    # Exact budget despite clipping roundoff.
-    s = float(alloc.sum())
-    if s > 0.0:
-        alloc *= total_power / s
-    powers[order[:m_used]] = alloc
+    breaks = np.arange(1, active) * inv[1:] - csum[:-1]
+    used = np.searchsorted(breaks, b, side="right") + 1
+    level = (b + csum[used - 1]) / used
+    if scalar:
+        alloc = np.maximum(level - inv[:used], 0.0)
+        # Exact budget despite clipping roundoff.
+        s = float(alloc.sum())
+        if s > 0.0:
+            alloc *= b / s
+        powers = np.zeros_like(g)
+        powers[order[:used]] = alloc
+        return powers
+    alloc = np.maximum(level[:, None] - inv, 0.0)
+    alloc[np.arange(active) >= used[:, None]] = 0.0
+    s = alloc.sum(axis=1)
+    alloc *= np.divide(b, s, out=np.ones_like(s), where=s > 0.0)[:, None]
+    powers = np.zeros((b.size, g.size))
+    powers[:, order[:active]] = alloc
     return powers
 
 

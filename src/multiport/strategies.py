@@ -3,9 +3,14 @@
 Single-user strategies cover the informed capacity benchmark, the
 reverse-link (reciprocity-based) precoder, and the naive strategy that
 optimizes against the mismatched channel a coupling-unaware designer
-would assume. Multi-user strategies cover dual-decomposition sum
-capacity via sum-power iterative water-filling and a greedy zero-forcing
-linear precoder with rate evaluation under residual interference.
+would assume. Each single-user strategy splits into a power-independent
+design (a ``BeamDesign`` or ``ModeDesign``: beamformer or eigenbasis,
+computed once per channel realization) and an allocation that covers a
+whole grid of power budgets at once; the per-power functions evaluate
+the same design at a one-point grid. Multi-user strategies cover
+dual-decomposition sum capacity via sum-power iterative water-filling
+and a greedy zero-forcing linear precoder with rate evaluation under
+residual interference.
 
 Rates are in bits per channel use throughout. The scalar noise level
 is the per-port standard deviation of the whitened receive noise.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +107,173 @@ class MacSolution:
     objective_trace: tuple[float, ...]
 
 
-def _count_active(powers: np.ndarray, total_power: float) -> int:
-    return int(np.count_nonzero(powers > STREAM_POWER_REL_TOL * max(total_power, 1e-300)))
+def _count_active(powers: np.ndarray, total_power: float | np.ndarray) -> np.ndarray:
+    """Streams above STREAM_POWER_REL_TOL of the budget, one count per budget."""
+    floor = STREAM_POWER_REL_TOL * np.maximum(total_power, 1e-300)
+    return np.count_nonzero(powers > np.expand_dims(floor, -1), axis=-1)
+
+
+class SuGrid(NamedTuple):
+    """Single-user outcome at every point of a power grid.
+
+    ``rates``, ``streams`` and ``alpha`` have one entry per budget;
+    ``mode_powers`` (P, k) holds the watts given to each transmit mode.
+    """
+
+    rates: np.ndarray
+    streams: np.ndarray
+    alpha: np.ndarray
+    mode_powers: np.ndarray
+
+
+class BeamDesign(NamedTuple):
+    """Power-independent part of a single-receiver strategy: one beam.
+
+    ``beam`` is the unit-norm beamformer (zeros when the designer sees a
+    zero channel), ``gain`` the power gain |h f|^2 it achieves on the
+    true channel and ``alpha`` its ratio of radiated to intended power.
+    The whole budget goes to the beam.
+    """
+
+    beam: np.ndarray
+    gain: float
+    alpha: float = 1.0
+
+    def evaluate(self, powers_w: np.ndarray, noise_std: float) -> SuGrid:
+        """Rates log2(1 + P gain / sigma^2) over the budgets ``powers_w``."""
+        p = np.asarray(powers_w, dtype=float)
+        if not (p >= 0.0).all():
+            raise ValueError("power budget must be nonnegative")
+        streams = (p > 0.0) & bool(self.beam.any())
+        return SuGrid(
+            np.log2(1.0 + p * self.gain / noise_std**2),
+            streams.astype(int),
+            np.full(p.shape, self.alpha),
+            p[:, None],
+        )
+
+    def covariance(self, mode_powers: np.ndarray) -> np.ndarray:
+        return mode_powers[0] * np.outer(self.beam, self.beam.conj())
+
+
+class ModeDesign(NamedTuple):
+    """Power-independent part of an eigenmode strategy.
+
+    The transmitter water-fills the design ``gains`` (k,) over the
+    unit-norm transmit modes ``basis`` (n_tx, k). ``forward`` (m, k) is
+    the true channel times the basis, or None when the modes diagonalize
+    the true channel and the rate follows from the gains alone.
+    ``radiated`` (k,) holds v_i^H M v_i, so that alpha = radiated . p / P,
+    or None for strategies designed against the true power model.
+    """
+
+    basis: np.ndarray
+    gains: np.ndarray
+    forward: np.ndarray | None = None
+    radiated: np.ndarray | None = None
+
+    def evaluate(self, powers_w: np.ndarray, noise_std: float) -> SuGrid:
+        """Water-fill every budget of ``powers_w`` at once and rate the result."""
+        budgets = np.asarray(powers_w, dtype=float)
+        gains = self.gains / noise_std**2
+        powers = waterfill(gains, budgets)
+        if self.forward is None:
+            rates = np.log2(1.0 + powers * gains).sum(axis=1)
+        else:
+            a = self.forward
+            received = (a * powers[:, None, :]) @ a.conj().T
+            _, logdet = np.linalg.slogdet(np.eye(a.shape[0]) + received / noise_std**2)
+            rates = logdet / LN2
+        alpha = np.ones_like(budgets)
+        if self.radiated is not None:
+            np.divide(powers @ self.radiated, budgets, out=alpha, where=budgets > 0.0)
+        return SuGrid(rates, _count_active(powers, budgets), alpha, powers)
+
+    def covariance(self, mode_powers: np.ndarray) -> np.ndarray:
+        return (self.basis * mode_powers) @ self.basis.conj().T
+
+
+def _at_power(
+    design: BeamDesign | ModeDesign, total_power: float, noise_std: float
+) -> SuStrategyResult:
+    grid = design.evaluate(np.array([total_power], dtype=float), noise_std)
+    return SuStrategyResult(
+        RateResult(float(grid.rates[0]), int(grid.streams[0])),
+        design.covariance(grid.mode_powers[0]),
+        float(grid.alpha[0]),
+    )
+
+
+def _matched_beam(h: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit-norm conj(h)/|h| (zeros for a zero channel) and |h|^2."""
+    h = np.asarray(h).reshape(-1)
+    norm2 = float(np.vdot(h, h).real)
+    if norm2 == 0.0:
+        return np.zeros(h.size, dtype=complex), 0.0
+    return h.conj() / math.sqrt(norm2), norm2
+
+
+def miso_capacity_design(h: np.ndarray) -> BeamDesign:
+    """Matched filter on the true channel row."""
+    beam, gain = _matched_beam(h)
+    return BeamDesign(beam, gain)
+
+
+def miso_reciprocal_design(h_forward: np.ndarray, h_reverse: np.ndarray) -> BeamDesign:
+    """Matched filter on the reverse-link vector, rated on the forward one."""
+    hf = np.asarray(h_forward).reshape(-1)
+    hr = np.asarray(h_reverse).reshape(-1)
+    if hf.size != hr.size:
+        raise ValueError("forward and reverse channels must have equal length")
+    beam, _ = _matched_beam(hr)
+    return BeamDesign(beam, float(abs(hf @ beam) ** 2))
+
+
+def miso_naive_design(
+    h_mismatched: np.ndarray, mismatch_power: np.ndarray
+) -> BeamDesign:
+    """Matched filter on the mismatched channel, with its power ratio f^H M f."""
+    beam, gain = _matched_beam(h_mismatched)
+    if gain == 0.0:
+        return BeamDesign(beam, 0.0)
+    return BeamDesign(beam, gain, float(np.vdot(beam, mismatch_power @ beam).real))
+
+
+def _modes(design_channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right singular vectors (n_tx, k) and squared singular values (k,)."""
+    _, s, vh = np.linalg.svd(design_channel, full_matrices=False)
+    return vh.conj().T, s * s
+
+
+def mimo_capacity_design(channel: np.ndarray) -> ModeDesign:
+    """Eigenmodes of the true channel."""
+    basis, gains = _modes(np.asarray(channel))
+    return ModeDesign(basis, gains)
+
+
+def mimo_reciprocal_design(
+    channel_forward: np.ndarray, channel_reverse: np.ndarray
+) -> ModeDesign:
+    """Eigenmodes of the conjugated reverse Gram, rated on the forward channel."""
+    hf = np.asarray(channel_forward)
+    hr = np.asarray(channel_reverse)
+    if hr.shape != (hf.shape[1], hf.shape[0]):
+        raise ValueError("reverse channel must have transposed shape")
+    # conj(H_r) H_r^T = (H_r^T)^H H_r^T: its eigenbasis is the right
+    # singular basis of H_r^T.
+    basis, gains = _modes(hr.T)
+    return ModeDesign(basis, gains, forward=hf @ basis)
+
+
+def mimo_naive_design(
+    h_mismatched: np.ndarray, h_assumed: np.ndarray, mismatch_power: np.ndarray
+) -> ModeDesign:
+    """Eigenmodes of the assumed channel, rated on the mismatched one."""
+    basis, gains = _modes(np.asarray(h_assumed))
+    radiated = np.sum(basis.conj() * (mismatch_power @ basis), axis=0).real
+    return ModeDesign(
+        basis, gains, forward=np.asarray(h_mismatched) @ basis, radiated=radiated
+    )
 
 
 def su_miso_capacity(
@@ -112,17 +283,7 @@ def su_miso_capacity(
 
     Rate is log2(1 + P |h|^2 / sigma^2), the single-receiver capacity.
     """
-    h = np.asarray(h).reshape(-1)
-    gain = float(np.vdot(h, h).real)
-    rate = math.log2(1.0 + total_power * gain / noise_std**2)
-    if gain > 0.0:
-        f = h.conj() / math.sqrt(gain)
-        cov = total_power * np.outer(f, f.conj())
-        streams = 1 if total_power > 0.0 else 0
-    else:
-        cov = np.zeros((h.size, h.size), dtype=complex)
-        streams = 0
-    return SuStrategyResult(RateResult(rate, streams), cov)
+    return _at_power(miso_capacity_design(h), total_power, noise_std)
 
 
 def su_miso_reciprocal(
@@ -138,20 +299,9 @@ def su_miso_reciprocal(
     which meets the capacity gain exactly when the two directions are
     aligned and drops to zero when they are orthogonal.
     """
-    hf = np.asarray(h_forward).reshape(-1)
-    hr = np.asarray(h_reverse).reshape(-1)
-    if hf.size != hr.size:
-        raise ValueError("forward and reverse channels must have equal length")
-    nrm = float(np.vdot(hr, hr).real)
-    if nrm == 0.0:
-        return SuStrategyResult(
-            RateResult(0.0, 0), np.zeros((hf.size, hf.size), dtype=complex)
-        )
-    f = hr.conj() / math.sqrt(nrm)
-    gain = float(abs(hf @ f) ** 2)
-    rate = math.log2(1.0 + total_power * gain / noise_std**2)
-    cov = total_power * np.outer(f, f.conj())
-    return SuStrategyResult(RateResult(rate, 1 if total_power > 0.0 else 0), cov)
+    return _at_power(
+        miso_reciprocal_design(h_forward, h_reverse), total_power, noise_std
+    )
 
 
 def su_miso_naive(
@@ -167,18 +317,8 @@ def su_miso_naive(
     same channel, while the truly radiated power is the quadratic form
     of the beamformer under ``mismatch_power`` times the budget.
     """
-    hh = np.asarray(h_mismatched).reshape(-1)
-    gain = float(np.vdot(hh, hh).real)
-    if gain == 0.0:
-        return SuStrategyResult(
-            RateResult(0.0, 0), np.zeros((hh.size, hh.size), dtype=complex)
-        )
-    f = hh.conj() / math.sqrt(gain)
-    rate = math.log2(1.0 + total_power * gain / noise_std**2)
-    cov = total_power * np.outer(f, f.conj())
-    alpha = float(np.vdot(f, mismatch_power @ f).real)
-    return SuStrategyResult(
-        RateResult(rate, 1 if total_power > 0.0 else 0), cov, alpha
+    return _at_power(
+        miso_naive_design(h_mismatched, mismatch_power), total_power, noise_std
     )
 
 
@@ -186,13 +326,7 @@ def su_mimo_capacity(
     channel: np.ndarray, total_power: float, noise_std: float
 ) -> SuStrategyResult:
     """Water-filling over the eigenmodes of the true channel."""
-    h = np.asarray(channel)
-    w, v = np.linalg.eigh(h.conj().T @ h)
-    gains = np.clip(w.real, 0.0, None) / noise_std**2
-    powers = waterfill(gains, total_power)
-    rate = float(np.sum(np.log2(1.0 + powers * gains)))
-    cov = (v * powers) @ v.conj().T
-    return SuStrategyResult(RateResult(rate, _count_active(powers, total_power)), cov)
+    return _at_power(mimo_capacity_design(channel), total_power, noise_std)
 
 
 def su_mimo_reciprocal(
@@ -207,21 +341,8 @@ def su_mimo_reciprocal(
     conjugated reverse channel Gram matrix; the achieved rate is then
     evaluated on the true forward channel.
     """
-    hf = np.asarray(channel_forward)
-    hr = np.asarray(channel_reverse)
-    if hr.shape != (hf.shape[1], hf.shape[0]):
-        raise ValueError("reverse channel must have transposed shape")
-    gram = hr.conj() @ hr.T
-    w, v = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    gains = np.clip(w.real, 0.0, None) / noise_std**2
-    powers = waterfill(gains, total_power)
-    cov = (v * powers) @ v.conj().T
-    m = hf.shape[0]
-    _, logdet = np.linalg.slogdet(
-        np.eye(m) + hf @ cov @ hf.conj().T / noise_std**2
-    )
-    return SuStrategyResult(
-        RateResult(float(logdet / LN2), _count_active(powers, total_power)), cov
+    return _at_power(
+        mimo_reciprocal_design(channel_forward, channel_reverse), total_power, noise_std
     )
 
 
@@ -240,24 +361,10 @@ def su_mimo_naive(
     whitened front end, and ``alpha`` is the truly radiated fraction of
     the intended power.
     """
-    hh = np.asarray(h_mismatched)
-    ha = np.asarray(h_assumed)
-    _, s, vh = np.linalg.svd(ha)
-    gains = (s * s) / noise_std**2
-    powers = waterfill(gains, total_power)
-    v = vh.conj().T[:, : powers.size]
-    cov = (v * powers) @ v.conj().T
-    m = hh.shape[0]
-    _, logdet = np.linalg.slogdet(
-        np.eye(m) + hh @ cov @ hh.conj().T / noise_std**2
-    )
-    alpha = (
-        float(np.trace(mismatch_power @ cov).real / total_power)
-        if total_power > 0.0
-        else 1.0
-    )
-    return SuStrategyResult(
-        RateResult(float(logdet / LN2), _count_active(powers, total_power)), cov, alpha
+    return _at_power(
+        mimo_naive_design(h_mismatched, h_assumed, mismatch_power),
+        total_power,
+        noise_std,
     )
 
 
@@ -368,7 +475,7 @@ def mac_sum_capacity(
         kkt_residual = 0.0
 
     return MacSolution(
-        rate=RateResult(fx, _count_active(powers, total_power)),
+        rate=RateResult(fx, int(_count_active(powers, total_power))),
         mac_covariance=xi,
         iterations=iterations,
         kkt_residual=kkt_residual,
@@ -513,5 +620,5 @@ def evaluate_bc_rates(
             np.eye(m_k) + np.linalg.solve(noise_cov, signal)
         )
         rates.append(float(logdet / LN2))
-    active = _count_active(powers, total_power if total_power > 0 else 1.0)
+    active = int(_count_active(powers, total_power if total_power > 0 else 1.0))
     return RateResult(float(sum(rates)), active, tuple(rates))

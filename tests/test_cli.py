@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import multiport as mp
+from multiport import cli
 from multiport.cli import OUTPUT_DIR_ENV, main
 
 
@@ -110,6 +111,29 @@ class TestRun:
             a = (out1 / f"clirun_{suffix}.csv").read_bytes()
             b = (out2 / f"clirun_{suffix}.csv").read_bytes()
             assert a == b
+
+    def test_failed_writer_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        config = write_run_config(tmp_path / "run.json")
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "clirun_streams.csv"
+        target.write_text("previous run\n")
+
+        def failing_writer(path, result):
+            with open(path, "w") as fh:
+                fh.write("P_dBW,strategy,")
+            raise OSError("disk full")
+
+        monkeypatch.setitem(
+            cli._EMIT_WRITERS, "streams_csv", ("streams.csv", failing_writer)
+        )
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", config, "--output-dir", str(out)])
+        assert target.read_text() == "previous run\n"
+        assert (out / "clirun_rates.csv").is_file()
+        assert not list(out.glob("*.tmp"))
+        assert not (out / "clirun_alpha.csv").exists()
+        assert not (out / "clirun_effective_config.json").exists()
 
     def test_effective_config_reproduces_run(self, tmp_path):
         config = write_run_config(tmp_path / "run.json", emit=["rates_csv"])

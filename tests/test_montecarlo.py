@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,6 +293,73 @@ class TestBoundedWorkers:
     )
     def test_bound(self, requested, n_realizations, cpus, expected):
         assert montecarlo.bounded_workers(requested, n_realizations, cpus) == expected
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def single_user_channels(kind: str, m: int, n: int, seed: int):
+    """(h, h_mismatched, h_assumed, h_up) plus a mismatch power matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        mats = [crandn(rng, m, n) for _ in range(3)]
+    elif kind == "rank_one":
+        mats = [np.outer(crandn(rng, m), crandn(rng, n)) for _ in range(3)]
+    else:
+        mats = [np.zeros((m, n), dtype=complex) for _ in range(3)]
+    h_up = mats[0].T + (0.3 * crandn(rng, n, m) if kind == "random" else 0.0)
+    a = crandn(rng, n, n)
+    return (*mats, h_up), a @ a.conj().T / n
+
+
+class TestSingleUserGrid:
+    """The montecarlo grid path against the public per-power functions."""
+
+    # Zero budget, partial and full water-filling at unit noise.
+    POWERS_W = np.array([0.0, 1e-10, 1e-3, 0.05, 0.3, 2.0, 1e3])
+
+    @pytest.mark.parametrize("kind", ["random", "rank_one", "zero"])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_power_functions(self, kind, m, seed):
+        n = 5
+        sigma = 0.7
+        channels, mismatch = single_user_channels(kind, m, n, seed)
+        h, h_mm, h_as, h_up = channels
+        config = SimpleNamespace(strategies=("cap", "recip", "hyp"))
+        down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
+        rates, streams, alphas, unconverged = montecarlo._evaluate_single_user(
+            config, down, channels, self.POWERS_W
+        )
+        assert unconverged == 0
+        for j, p_w in enumerate(self.POWERS_W):
+            if m == 1:
+                expected = {
+                    "cap": mp.su_miso_capacity(h[0], p_w, sigma),
+                    "recip": mp.su_miso_reciprocal(h[0], h_up[:, 0], p_w, sigma),
+                    "hyp": mp.su_miso_naive(h_mm[0], mismatch, p_w, sigma),
+                }
+            else:
+                expected = {
+                    "cap": mp.su_mimo_capacity(h, p_w, sigma),
+                    "recip": mp.su_mimo_reciprocal(h, h_up, p_w, sigma),
+                    "hyp": mp.su_mimo_naive(h_mm, h_as, mismatch, p_w, sigma),
+                }
+            for s, res in expected.items():
+                np.testing.assert_allclose(
+                    rates[s][j], res.rate.rate_bits, rtol=1e-12, atol=0.0
+                )
+                assert streams[s][j] == res.rate.active_streams
+            np.testing.assert_allclose(
+                alphas[j], expected["hyp"].alpha, rtol=1e-12, atol=0.0
+            )
+        if kind == "zero":
+            for s in config.strategies:
+                assert np.all(rates[s] == 0.0) and np.all(streams[s] == 0.0)
+        else:
+            assert streams["cap"][0] == 0 and rates["cap"][0] == 0.0
+            assert np.all(np.diff(rates["cap"]) > 0.0)
 
 
 class TestRunScenario:

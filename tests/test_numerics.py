@@ -134,6 +134,43 @@ class TestWaterfill:
         )
 
 
+BUDGETS = arrays(
+    np.float64,
+    st.integers(min_value=1, max_value=6),
+    elements=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e3)),
+)
+GAINS = arrays(
+    np.float64,
+    st.integers(min_value=1, max_value=8),
+    elements=st.floats(min_value=0.0, max_value=1e4),
+)
+
+
+class TestWaterfillBudgetGrid:
+    @given(GAINS, BUDGETS)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_scalar_calls(self, gains, budgets):
+        grid = waterfill(gains, budgets)
+        assert grid.shape == (budgets.size, gains.size)
+        for row, budget in zip(grid, budgets):
+            assert np.all(np.abs(row - waterfill(gains, budget)) <= 1e-15 * budget)
+
+    @given(GAINS, BUDGETS)
+    @settings(max_examples=150, deadline=None)
+    def test_monotone_in_budget(self, gains, budgets):
+        ordered = np.sort(budgets)
+        grid = waterfill(gains, ordered)
+        assert np.all(np.diff(grid, axis=0) >= -1e-14 * ordered[-1])
+
+    @pytest.mark.parametrize(
+        "budgets",
+        [np.array([1.0, -0.5]), np.array([[1.0]]), np.array([1.0, np.nan])],
+    )
+    def test_rejects_negative_and_2d_budgets(self, budgets):
+        with pytest.raises(ValueError):
+            waterfill(np.array([1.0, 2.0]), budgets)
+
+
 class TestSimplexProject:
     @given(
         arrays(
