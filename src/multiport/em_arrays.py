@@ -171,17 +171,18 @@ def array_impedance_matrix(geometry: ArrayGeometry) -> np.ndarray:
 
     Diagonal entries are the dipole self impedance, off-diagonal
     entries the pairwise mutual impedance at the element distance.
-    The result is complex symmetric.
+    The result is complex symmetric. The array is a UCA, so the distance
+    of elements i and j depends only on min(|i - j|, N - |i - j|): the
+    matrix is a symmetric circulant built from the N // 2 + 1 distinct
+    impedances between element 0 and elements 0 .. N // 2.
     """
     n = geometry.n_elements
-    z = np.zeros((n, n), dtype=complex)
-    z_self = dipole_self_impedance()
-    for i in range(n):
-        z[i, i] = z_self
-        for j in range(i + 1, n):
-            dist = float(np.linalg.norm(geometry.positions[i] - geometry.positions[j]))
-            z[i, j] = z[j, i] = dipole_mutual_impedance(dist)
-    return z
+    first = [dipole_self_impedance()]
+    for k in range(1, n // 2 + 1):
+        dist = float(np.linalg.norm(geometry.positions[0] - geometry.positions[k]))
+        first.append(dipole_mutual_impedance(dist))
+    offset = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    return np.array(first, dtype=complex)[np.minimum(offset, n - offset)]
 
 
 def write_impedance_csv(path: str, matrix: np.ndarray) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -47,17 +47,14 @@ from .em_arrays import (
 )
 from .numerics import FactorizationError
 from .strategies import (
-    dpc_sum_rate,
-    evaluate_bc_rates,
-    greedy_zf,
-    mac_sum_capacity,
+    greedy_zf_design,
+    mac_sum_capacity_grid,
     mimo_capacity_design,
     mimo_naive_design,
     mimo_reciprocal_design,
     miso_capacity_design,
     miso_naive_design,
     miso_reciprocal_design,
-    with_true_power,
 )
 
 FAR_FIELD_DISTANCE_WAVELENGTHS = 1000.0
@@ -281,8 +278,9 @@ class ScenarioResult:
     # Realizations without a usable channel. Always 0: only the front
     # ends can fail to factor, and that aborts the run.
     n_failures: int
-    # Sum-capacity solves (multi-user cap and hyp) that stopped without
-    # meeting their KKT tolerance. Always 0 for single-user runs.
+    # Sum-capacity solves (multi-user cap and hyp, one per budget of each
+    # grid solve) that stopped without meeting their KKT tolerance.
+    # Always 0 for single-user runs.
     n_unconverged: int
 
 
@@ -340,39 +338,46 @@ def _read_coupling_json(path: str) -> np.ndarray:
     return parts.view(complex)[..., 0]
 
 
-def _read_coupling_csv(path: str) -> np.ndarray:
-    import csv as _csv
+_COUPLING_CSV_ROW = np.dtype(
+    [("r", np.int64), ("i", np.int64), ("j", np.int64), ("re", float), ("im", float)]
+)
 
-    entries: dict[tuple[int, int, int], complex] = {}
+
+def _read_coupling_csv(path: str) -> np.ndarray:
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:5] != ["realization", "i", "j", "re_ohm", "im_ohm"]:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[:5] != ["realization", "i", "j", "re_ohm", "im_ohm"]:
             raise ConfigError("unrecognized coupling CSV header")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                key = (int(row[0]), int(row[1]), int(row[2]))
-                value = complex(float(row[3]), float(row[4]))
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"invalid coupling CSV row {row!r}") from exc
-            if min(key) < 0:
-                raise ConfigError(f"negative index in coupling CSV row {row!r}")
-            if key in entries:
-                raise ConfigError(f"duplicate coupling CSV entry {key}")
-            entries[key] = value
-    if not entries:
+        try:
+            with warnings.catch_warnings():
+                # A file without rows is reported below.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    fh, dtype=_COUPLING_CSV_ROW, delimiter=",", usecols=range(5), ndmin=1
+                )
+        except ValueError as exc:
+            raise ConfigError(f"invalid coupling CSV row: {exc}") from exc
+    if not rows.size:
         raise ConfigError("coupling file holds no realizations")
-    shape = tuple(max(k[axis] for k in entries) + 1 for axis in range(3))
-    if len(entries) != math.prod(shape):
+    index = np.stack([rows["r"], rows["i"], rows["j"]])
+    if index.min() < 0:
+        bad = int(np.argmin(index.min(axis=0)))
+        raise ConfigError(f"negative index in coupling CSV entry {tuple(index[:, bad])}")
+    order = np.lexsort(index[::-1])
+    repeated = (np.diff(index[:, order], axis=1) == 0).all(axis=0)
+    if repeated.any():
+        key = tuple(int(v) for v in index[:, order[np.argmax(repeated)]])
+        raise ConfigError(f"duplicate coupling CSV entry {key}")
+    shape = tuple(int(v) + 1 for v in index.max(axis=1))
+    if rows.size != math.prod(shape):
         raise ConfigError(
-            f"coupling CSV holds {len(entries)} entries, not the complete "
+            f"coupling CSV holds {rows.size} entries, not the complete "
             f"{shape[0]} x {shape[1]} x {shape[2]} grid"
         )
-    out = np.zeros(shape, dtype=complex)
-    for (r, i, j), v in entries.items():
-        out[r, i, j] = v
+    values = np.empty(rows.size, dtype=complex)
+    values.real, values.imag = rows["re"], rows["im"]
+    out = np.empty(shape, dtype=complex)
+    out[rows["r"], rows["i"], rows["j"]] = values
     return out
 
 
@@ -495,44 +500,29 @@ def _evaluate_multi_user(
     h, h_mismatched, h_assumed, h_up = channels
     sigma = down.noise_scale
     partition = config.rx_partition
-    rates = {s: np.zeros(powers_w.size) for s in config.strategies}
-    streams = {s: np.zeros(powers_w.size) for s in config.strategies}
-    alphas = np.zeros(powers_w.size) if "hyp_lin" in config.strategies else None
-    warm: dict[str, np.ndarray | None] = {"cap": None, "hyp": None}
+    rates, streams, alphas = {}, {}, None
     unconverged = 0
-    for j, p_w in enumerate(powers_w):
-        scale_next = (
-            powers_w[j + 1] / p_w if j + 1 < powers_w.size and p_w > 0 else 1.0
-        )
-        for s in config.strategies:
-            if s == "cap":
-                sol = mac_sum_capacity(h, partition, p_w, sigma, initial=warm["cap"])
-                warm["cap"] = sol.mac_covariance * scale_next
-                unconverged += not sol.converged
-                rates[s][j] = sol.rate.rate_bits
-                streams[s][j] = sol.rate.active_streams
-            elif s == "hyp":
-                sol = mac_sum_capacity(
-                    h_assumed, partition, p_w, sigma, initial=warm["hyp"]
-                )
-                warm["hyp"] = sol.mac_covariance * scale_next
-                unconverged += not sol.converged
-                rates[s][j] = dpc_sum_rate(h_mismatched, sol.mac_covariance, sigma)
-                streams[s][j] = sol.rate.active_streams
-            else:
-                if s == "cap_lin":
-                    assumed, true = h, h
-                elif s == "recip_lin":
-                    assumed, true = h_up.T, h
-                else:
-                    assumed, true = h_assumed, h_mismatched
-                lin = greedy_zf(assumed, partition, p_w, sigma)
-                if s == "hyp_lin":
-                    lin = with_true_power(lin, down.mismatch_power)
-                    alphas[j] = lin.alpha if lin.predicted_power_w > 0 else 1.0
-                res = evaluate_bc_rates(true, lin, sigma)
-                rates[s][j] = res.rate_bits
-                streams[s][j] = res.active_streams
+    for s in config.strategies:
+        if s in ("cap", "hyp"):
+            mac = mac_sum_capacity_grid(
+                h if s == "cap" else h_assumed, partition, powers_w, sigma
+            )
+            unconverged += int(np.count_nonzero(~mac.converged))
+            rates[s] = mac.rates if s == "cap" else mac.rates_on(h_mismatched, sigma)
+            streams[s] = mac.streams.astype(float)
+            continue
+        if s == "cap_lin":
+            design, true = greedy_zf_design(h, partition), h
+        elif s == "recip_lin":
+            design, true = greedy_zf_design(h_up.T, partition), h
+        else:
+            design = greedy_zf_design(h_assumed, partition, down.mismatch_power)
+            true = h_mismatched
+        grid = design.evaluate(true, powers_w, sigma)
+        rates[s] = grid.rates
+        streams[s] = grid.streams.astype(float)
+        if s == "hyp_lin":
+            alphas = grid.alpha
     return rates, streams, alphas, unconverged
 
 
@@ -585,6 +575,9 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     indices = range(config.n_realizations)
     n_workers = bounded_workers(n_workers, config.n_realizations, os.cpu_count())
     if n_workers > 1:
+        # Imported here: loading multiprocessing costs every serial run.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(worker, indices, chunksize=8))
     else:

@@ -64,9 +64,11 @@ def waterfill(gains: np.ndarray, budgets: float | np.ndarray) -> np.ndarray:
     Parameters
     ----------
     gains : array of nonnegative floats
-        Per-channel power gains (1/W units cancel against watts).
+        Per-channel power gains (1/W units cancel against watts), shape
+        ``(n,)``, or ``(P, n)`` for one set of gains per budget.
     budgets : float or 1-D array of floats
-        Power budget in watts, or a grid of budgets; nonnegative.
+        Power budget in watts, or a grid of budgets; nonnegative. With
+        2-D gains, one budget per gains row (shape ``(P,)``).
 
     Returns
     -------
@@ -74,62 +76,64 @@ def waterfill(gains: np.ndarray, budgets: float | np.ndarray) -> np.ndarray:
         For a scalar budget, the allocation p (shape ``(n,)``) with
         p >= 0 and sum(p) == budget whenever a positive gain exists and
         the budget is positive. For P budgets, one such row per budget
-        (shape ``(P, n)``).
+        (shape ``(P, n)``), from the shared gains or, with 2-D gains,
+        from gains row i for budget i.
 
-    The gains are sorted once. With shifted inverse gains inv (inv[0] =
-    0, nondecreasing) and csum their cumulative sum, the m strongest
-    channels are all active exactly when the budget reaches the
-    breakpoint m * inv[m] - csum[m - 1], so each budget's active count
-    is a binary search over the breakpoints.
+    Each gains row is sorted once. With shifted inverse gains inv
+    (inv[0] = 0, nondecreasing) and csum their cumulative sum, the m
+    strongest channels are all active exactly when the budget reaches
+    the breakpoint m * inv[m] - csum[m - 1], so each budget's active
+    count is the number of breakpoints it reaches.
     """
     g = np.asarray(gains, dtype=float)
-    if g.ndim != 1:
-        raise ValueError("gains must be 1-D")
     b = np.asarray(budgets, dtype=float)
-    scalar = b.ndim == 0
-    if scalar:
-        b = float(b)
-        if not b >= 0.0:
-            raise ValueError("power budget must be nonnegative")
-    elif b.ndim != 1:
-        raise ValueError("budgets must be a scalar or 1-D")
-    elif not (b >= 0.0).all():
+    if g.ndim == 2:
+        if b.shape != g.shape[:1]:
+            raise ValueError("2-D gains need one budget per row")
+        rows, level_budgets = g, b[:, None]
+    elif g.ndim == 1:
+        if b.ndim > 1:
+            raise ValueError("budgets must be a scalar or 1-D")
+        rows, level_budgets = g[None], b.reshape(1, -1)
+    else:
+        raise ValueError("gains must be 1-D or 2-D")
+    if not (level_budgets >= 0.0).all():
         raise ValueError("power budget must be nonnegative")
-    order = np.argsort(g)[::-1]
-    gs = g[order]
+    r = np.arange(rows.shape[0])[:, None]
+    order = np.argsort(rows, axis=1)[:, ::-1]
+    gs = rows[r, order]
     # Sorting puts NaN first here, so the extremes validate every gain.
-    if g.size and not (gs[0] < np.inf and gs[-1] >= 0.0):
+    if gs.size and not (gs[:, 0].max() < np.inf and gs[:, -1].min() >= 0.0):
         raise ValueError("gains must be finite and nonnegative")
-    active = int(np.count_nonzero(gs > _MIN_GAIN))
-    if active == 0:
-        return np.zeros(g.shape if scalar else (b.size, g.size))
-    # Work with inverse gains shifted by their minimum so the water
-    # level stays resolvable when 1/g dwarfs the budget. The cap keeps
-    # every breakpoint finite; a capped channel would need a budget
-    # beyond 1e300 W to turn on.
-    inv = 1.0 / gs[:active]
-    inv -= inv[0]
-    np.minimum(inv, _MAX_INV / active, out=inv)
-    csum = np.cumsum(inv)
-    breaks = np.arange(1, active) * inv[1:] - csum[:-1]
-    used = np.searchsorted(breaks, b, side="right") + 1
-    level = (b + csum[used - 1]) / used
-    if scalar:
-        alloc = np.maximum(level - inv[:used], 0.0)
+    # The active gains of a row are its sorted prefix.
+    active = gs > _MIN_GAIN
+    n_active = active.sum(axis=1)
+    width = int(n_active.max()) if gs.size else 0
+    powers = np.zeros((rows.shape[0], level_budgets.shape[1], g.shape[-1]))
+    if width:
+        gs, order, active = gs[:, :width], order[:, :width], active[:, :width]
+        # Work with inverse gains shifted by their minimum so the water
+        # level stays resolvable when 1/g dwarfs the budget. The cap
+        # keeps every breakpoint finite; a capped channel would need a
+        # budget beyond 1e300 W to turn on. Inactive entries are masked.
+        inv = 1.0 / np.where(active, gs, np.inf)
+        inv -= inv[:, :1]
+        np.minimum(inv, _MAX_INV / width, out=inv)
+        csum = np.cumsum(inv, axis=1)
+        breaks = np.arange(1, width) * inv[:, 1:] - csum[:, :-1]
+        breaks[~active[:, 1:]] = np.inf
+        used = (breaks[:, None, :] <= level_budgets[:, :, None]).sum(axis=2) + 1
+        level = (level_budgets + csum[r, used - 1]) / used
+        alloc = np.maximum(level[:, :, None] - inv[:, None, :], 0.0)
+        alloc[np.arange(width) >= np.minimum(used, n_active[:, None])[:, :, None]] = 0.0
         # Exact budget despite clipping roundoff.
-        s = float(alloc.sum())
-        if s > 0.0:
-            alloc *= b / s
-        powers = np.zeros_like(g)
-        powers[order[:used]] = alloc
-        return powers
-    alloc = np.maximum(level[:, None] - inv, 0.0)
-    alloc[np.arange(active) >= used[:, None]] = 0.0
-    s = alloc.sum(axis=1)
-    alloc *= np.divide(b, s, out=np.ones_like(s), where=s > 0.0)[:, None]
-    powers = np.zeros((b.size, g.size))
-    powers[:, order[:active]] = alloc
-    return powers
+        s = alloc.sum(axis=2)
+        alloc *= (level_budgets / np.where(s > 0.0, s, 1.0))[:, :, None]
+        columns = np.arange(level_budgets.shape[1])[:, None]
+        powers[r[:, :, None], columns, order[:, None, :]] = alloc
+    if g.ndim == 2:
+        return powers[:, 0]
+    return powers[0, 0] if b.ndim == 0 else powers[0]
 
 
 def simplex_project(values: np.ndarray, total: float) -> np.ndarray:

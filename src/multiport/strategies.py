@@ -3,14 +3,18 @@
 Single-user strategies cover the informed capacity benchmark, the
 reverse-link (reciprocity-based) precoder, and the naive strategy that
 optimizes against the mismatched channel a coupling-unaware designer
-would assume. Each single-user strategy splits into a power-independent
-design (a ``BeamDesign`` or ``ModeDesign``: beamformer or eigenbasis,
-computed once per channel realization) and an allocation that covers a
-whole grid of power budgets at once; the per-power functions evaluate
-the same design at a one-point grid. Multi-user strategies cover
-dual-decomposition sum capacity via sum-power iterative water-filling
-and a greedy zero-forcing linear precoder with rate evaluation under
-residual interference.
+would assume. Multi-user strategies cover dual-decomposition sum
+capacity via sum-power iterative water-filling and a greedy
+zero-forcing linear precoder with rate evaluation under residual
+interference.
+
+Every strategy splits into work done once per channel realization and
+an evaluation that covers a whole grid of power budgets at once. The
+single-user designs (``BeamDesign``, ``ModeDesign``) hold a beamformer
+or eigenbasis; the greedy zero-forcing design (``ZfDesign``) holds the
+greedy stream order and every prefix's beams; sum capacity
+(``mac_sum_capacity_grid``) iterates one stack of covariances, one per
+budget. The per-power functions run the same code at a one-point grid.
 
 Rates are in bits per channel use throughout. The scalar noise level
 is the per-port standard deviation of the whitened receive noise.
@@ -28,6 +32,7 @@ from .numerics import project_psd_trace, waterfill
 
 LN2 = math.log(2.0)
 STREAM_POWER_REL_TOL = 1e-12
+MAC_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -239,6 +244,11 @@ def miso_naive_design(
     return BeamDesign(beam, gain, float(np.vdot(beam, mismatch_power @ beam).real))
 
 
+def _radiated(beams: np.ndarray, mismatch_power: np.ndarray) -> np.ndarray:
+    """Radiated power b^H M b of every unit-power column b of ``beams``."""
+    return np.sum(beams.conj() * (mismatch_power @ beams), axis=0).real
+
+
 def _modes(design_channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right singular vectors (n_tx, k) and squared singular values (k,)."""
     _, s, vh = np.linalg.svd(design_channel, full_matrices=False)
@@ -270,9 +280,11 @@ def mimo_naive_design(
 ) -> ModeDesign:
     """Eigenmodes of the assumed channel, rated on the mismatched one."""
     basis, gains = _modes(np.asarray(h_assumed))
-    radiated = np.sum(basis.conj() * (mismatch_power @ basis), axis=0).real
     return ModeDesign(
-        basis, gains, forward=np.asarray(h_mismatched) @ basis, radiated=radiated
+        basis,
+        gains,
+        forward=np.asarray(h_mismatched) @ basis,
+        radiated=_radiated(basis, mismatch_power),
     )
 
 
@@ -376,16 +388,156 @@ def _gram_root(channel: np.ndarray, noise_std: float) -> tuple[np.ndarray, np.nd
     return gram, vec * np.sqrt(np.maximum(lam, 0.0))
 
 
-def _dpc_bits(root: np.ndarray, xi: np.ndarray) -> float:
-    """log2 det(I + R R^H Xi) via log1p of eig(R^H Xi R); precise for tiny Xi."""
-    return float(np.log1p(np.linalg.eigvalsh(root.conj().T @ xi @ root)).sum() / LN2)
+def _dpc_bits(root: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """log2 det(I + R R^H Xi) via log1p of eig(R^H Xi R); precise for tiny Xi.
+
+    ``xi`` may be a stack of covariances; the result has one value per
+    covariance.
+    """
+    return np.log1p(np.linalg.eigvalsh(root.conj().T @ xi @ root)).sum(axis=-1) / LN2
 
 
 def dpc_sum_rate(
     channel: np.ndarray, mac_covariance: np.ndarray, noise_std: float
 ) -> float:
     """Sum rate log2 det(I + H^H Xi H / sigma^2) for a stacked channel."""
-    return _dpc_bits(_gram_root(np.asarray(channel), noise_std)[1], mac_covariance)
+    return float(
+        _dpc_bits(_gram_root(np.asarray(channel), noise_std)[1], mac_covariance)
+    )
+
+
+def _check_partition(channel: np.ndarray, partition: tuple[int, ...]) -> tuple[int, ...]:
+    partition = tuple(int(p) for p in partition)
+    if sum(partition) != channel.shape[0] or any(p < 1 for p in partition):
+        raise ValueError("partition must be positive and sum to the channel rows")
+    return partition
+
+
+def _block_mask(partition: tuple[int, ...]) -> np.ndarray:
+    """True on the diagonal blocks of the users' covariances."""
+    owner = np.repeat(np.arange(len(partition)), partition)
+    return owner[:, None] == owner[None, :]
+
+
+class MacGrid(NamedTuple):
+    """Sum-capacity solutions at every budget of a power grid.
+
+    Entry j of every field belongs to budget j: ``covariances`` (P, m, m)
+    holds the dual-MAC covariances, ``rates`` and ``streams`` the sum
+    rates and active streams, ``iterations``, ``kkt_residual`` and
+    ``converged`` the solver diagnostics (as in :class:`MacSolution`),
+    and ``objective_traces`` the objective after every accepted
+    iteration.
+    """
+
+    rates: np.ndarray
+    streams: np.ndarray
+    covariances: np.ndarray
+    iterations: np.ndarray
+    kkt_residual: np.ndarray
+    converged: np.ndarray
+    objective_traces: tuple[tuple[float, ...], ...]
+
+    def rates_on(self, channel: np.ndarray, noise_std: float) -> np.ndarray:
+        """DPC sum rate of every covariance on another stacked channel."""
+        return _dpc_bits(_gram_root(np.asarray(channel), noise_std)[1], self.covariances)
+
+
+def _solve_mac(
+    h: np.ndarray,
+    partition: tuple[int, ...],
+    budgets: np.ndarray,
+    noise_std: float,
+    initial: np.ndarray | None,
+    rel_tol: float,
+    max_iterations: int,
+) -> MacGrid:
+    """Sum-power iterative water-filling for every budget at once.
+
+    Each iteration does one batched solve for all running budgets and
+    users, one eigh per block size, and one row-wise water-fill. A
+    budget freezes once its stopping rule fires. ``initial`` (P, m, m)
+    is the start stack; None starts every budget at P/m I.
+    """
+    n_users = len(partition)
+    m_total = h.shape[0]
+    offsets = np.cumsum((0,) + partition)
+    blocks = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+    mask = _block_mask(partition)
+    owner = np.repeat(np.arange(n_users), partition)
+    users = np.arange(n_users)[:, None, None]
+    # outside[k] masks out user k's rows and columns: Xi * outside[k] is Xi_-k.
+    outside = (owner[None, :, None] != users) & (owner[None, None, :] != users)
+    gram, root = _gram_root(h, noise_std)
+    eye = np.eye(m_total)
+    if initial is None:
+        xi = (budgets / m_total)[:, None, None] * np.eye(m_total, dtype=complex)
+    else:
+        xi = np.array(initial, dtype=complex)
+    fx = _dpc_bits(root, xi)
+    traces = [fx.copy()]
+    accepted = np.zeros(budgets.size, dtype=int)
+    iterations = np.zeros(budgets.size, dtype=int)
+    # Streams come from the last water-fill: averaging never zeroes a user.
+    powers = np.linalg.eigvalsh(xi)
+    running = np.arange(budgets.size)
+    for iteration in range(1, max_iterations + 1):
+        if not running.size:
+            break
+        x = xi[running]
+        # An equal-rank right-hand side is a matrix stack in numpy 1.x too.
+        effective = np.linalg.solve(eye + gram @ (x[:, None] * outside), gram[None, None])
+        gains, bases = [], []
+        for k, b in enumerate(blocks):
+            e_k = effective[:, k, b, b]
+            if e_k.shape[1] == 1:
+                gains.append(e_k[:, 0].real)
+                bases.append(None)
+            else:
+                w, v = np.linalg.eigh(0.5 * (e_k + e_k.conj().swapaxes(1, 2)))
+                gains.append(w)
+                bases.append(v)
+        p = waterfill(np.maximum(np.concatenate(gains, axis=1), 0.0), budgets[running])
+        cand = x * ((n_users - 1) / n_users)
+        for b, v in zip(blocks, bases):
+            if v is None:
+                cand[:, b, b] += (p[:, b] / n_users)[:, :, None]
+            else:
+                cand[:, b, b] += (v * (p[:, None, b] / n_users)) @ v.conj().swapaxes(1, 2)
+        fc = _dpc_bits(root, cand)
+        powers[running] = p
+        iterations[running] = iteration
+        # A step that would lower the objective is rejected and ends its budget.
+        up = ~(fc < fx[running])
+        gain = fc[up] - fx[running[up]]
+        kept = running[up]
+        xi[kept] = cand[up]
+        fx[kept] = fc[up]
+        accepted[kept] += 1
+        traces.append(fx.copy())
+        done = gain <= rel_tol * np.maximum(np.abs(fc[up]), 1e-12)
+        running = kept[~done] if iteration > 2 else kept
+
+    core = np.linalg.solve(eye + gram @ xi, gram[None])
+    grad = np.where(mask, 0.5 * (core + core.conj().swapaxes(1, 2)) / LN2, 0.0)
+    grad_norm = np.linalg.norm(grad, axis=(1, 2))
+    kkt_residual = np.zeros(budgets.size)
+    for j in np.flatnonzero((budgets > 0.0) & (grad_norm > 0.0)):
+        probe = budgets[j] / grad_norm[j]
+        moved = project_psd_trace(np.where(mask, xi[j] + probe * grad[j], 0.0), budgets[j])
+        kkt_residual[j] = np.linalg.norm(moved - xi[j]) / budgets[j]
+    trace_rows = np.array(traces)
+    return MacGrid(
+        rates=fx,
+        streams=_count_active(powers, budgets),
+        covariances=xi,
+        iterations=iterations,
+        kkt_residual=kkt_residual,
+        converged=kkt_residual < 1e-5,
+        objective_traces=tuple(
+            tuple(trace_rows[: n + 1, j].tolist()) for j, n in enumerate(accepted)
+        ),
+    )
 
 
 def mac_sum_capacity(
@@ -394,7 +546,7 @@ def mac_sum_capacity(
     total_power: float,
     noise_std: float,
     initial: np.ndarray | None = None,
-    rel_tol: float = 1e-12,
+    rel_tol: float = MAC_REL_TOL,
     max_iterations: int = 5000,
 ) -> MacSolution:
     """Broadcast sum capacity via its dual multiple-access problem.
@@ -412,76 +564,56 @@ def mac_sum_capacity(
 
     ``kkt_residual`` measures the normalized fixed-point gap of the
     projected-gradient map; values below 1e-5 set ``converged``.
+    :func:`mac_sum_capacity_grid` runs the same solver over a grid of
+    budgets.
     """
     h = np.asarray(channel)
-    partition = tuple(int(p) for p in partition)
-    m_total = h.shape[0]
-    if sum(partition) != m_total or any(p < 1 for p in partition):
-        raise ValueError("partition must be positive and sum to the channel rows")
+    partition = _check_partition(h, partition)
     if total_power < 0.0:
         raise ValueError("power budget must be nonnegative")
-    n_users = len(partition)
-    offsets = np.cumsum((0,) + partition)
-    blocks = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-    owner = np.repeat(np.arange(n_users), partition)
-    mask = owner[:, None] == owner[None, :]
-    users = np.arange(n_users)[:, None, None]
-    # outside[k] masks out user k's rows and columns: Xi * outside[k] is Xi_-k.
-    outside = (owner[None, :, None] != users) & (owner[None, None, :] != users)
-    gram, root = _gram_root(h, noise_std)
-    # numpy 1.x reads a 2-D right-hand side of a stacked solve as vectors.
-    gram_stack = np.broadcast_to(gram, (n_users, m_total, m_total))
-    eye = np.eye(m_total)
+    start = None
     if initial is not None:
-        xi = project_psd_trace(np.where(mask, initial, 0j), total_power)
-    else:
-        xi = (total_power / m_total) * np.eye(m_total, dtype=complex)
-    fx = _dpc_bits(root, xi)
-    trace = [fx]
-    iterations = 0
-    # Streams come from the last water-fill: averaging never zeroes a user.
-    powers = np.linalg.eigvalsh(xi)
-    for iterations in range(1, max_iterations + 1):
-        effective = np.linalg.solve(eye + gram @ (xi * outside), gram_stack)
-        gains, bases = [], []
-        for k, b in enumerate(blocks):
-            e_k = effective[k, b, b]
-            if e_k.shape[0] == 1:
-                w, v = e_k[0].real, np.ones((1, 1))
-            else:
-                w, v = np.linalg.eigh(0.5 * (e_k + e_k.conj().T))
-            gains.append(w)
-            bases.append(v)
-        powers = waterfill(np.maximum(np.concatenate(gains), 0.0), total_power)
-        cand = xi * ((n_users - 1) / n_users)
-        for b, v in zip(blocks, bases):
-            cand[b, b] += (v * (powers[b] / n_users)) @ v.conj().T
-        fc = _dpc_bits(root, cand)
-        if fc < fx:
-            break
-        gain, xi, fx = fc - fx, cand, fc
-        trace.append(fx)
-        if gain <= rel_tol * max(abs(fx), 1e-12) and iterations > 2:
-            break
-
-    core = np.linalg.solve(eye + gram @ xi, gram)
-    grad = np.where(mask, 0.5 * (core + core.conj().T) / LN2, 0.0)
-    grad_norm = float(np.linalg.norm(grad))
-    if total_power > 0.0 and grad_norm > 0.0:
-        probe = total_power / grad_norm
-        moved = project_psd_trace(np.where(mask, xi + probe * grad, 0.0), total_power)
-        kkt_residual = float(np.linalg.norm(moved - xi)) / total_power
-    else:
-        kkt_residual = 0.0
-
-    return MacSolution(
-        rate=RateResult(fx, int(_count_active(powers, total_power))),
-        mac_covariance=xi,
-        iterations=iterations,
-        kkt_residual=kkt_residual,
-        converged=bool(kkt_residual < 1e-5),
-        objective_trace=tuple(trace),
+        masked = np.where(_block_mask(partition), initial, 0j)
+        start = project_psd_trace(masked, total_power)[None]
+    grid = _solve_mac(
+        h,
+        partition,
+        np.array([float(total_power)]),
+        noise_std,
+        start,
+        rel_tol,
+        max_iterations,
     )
+    return MacSolution(
+        rate=RateResult(float(grid.rates[0]), int(grid.streams[0])),
+        mac_covariance=grid.covariances[0],
+        iterations=int(grid.iterations[0]),
+        kkt_residual=float(grid.kkt_residual[0]),
+        converged=bool(grid.converged[0]),
+        objective_trace=grid.objective_traces[0],
+    )
+
+
+def mac_sum_capacity_grid(
+    channel: np.ndarray,
+    partition: tuple[int, ...],
+    powers_w: np.ndarray,
+    noise_std: float,
+    max_iterations: int = 5000,
+) -> MacGrid:
+    """Sum capacity at every budget of ``powers_w`` in one batched solve.
+
+    Entry j equals :func:`mac_sum_capacity` at budget ``powers_w[j]``
+    started cold: every budget starts at P/m I, runs the same
+    iteration, stops by the same rule (with ``rel_tol`` at its default)
+    and counts its streams on its own last water-fill.
+    """
+    h = np.asarray(channel)
+    partition = _check_partition(h, partition)
+    budgets = np.asarray(powers_w, dtype=float)
+    if budgets.ndim != 1 or not (budgets >= 0.0).all():
+        raise ValueError("power budgets must be a 1-D array of nonnegative values")
+    return _solve_mac(h, partition, budgets, noise_std, None, MAC_REL_TOL, max_iterations)
 
 
 def _split_rows(channel: np.ndarray, partition: tuple[int, ...]) -> list[np.ndarray]:
@@ -489,40 +621,147 @@ def _split_rows(channel: np.ndarray, partition: tuple[int, ...]) -> list[np.ndar
     return [channel[offsets[k] : offsets[k + 1]] for k in range(len(partition))]
 
 
-def greedy_zf(
+def _bc_rates(
+    channel: np.ndarray,
+    partition: tuple[int, ...],
+    beams: np.ndarray,
+    owner: np.ndarray,
+    powers: np.ndarray,
+    noise_std: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user rates (B, K) and their sum (B,) of a linear precoder.
+
+    Column i of ``beams`` serves user ``owner[i]`` with power
+    ``powers[:, i]``, one row per budget. Each user decodes its own
+    streams jointly; the other users' beams act as colored
+    interference added to the thermal noise.
+    """
+    per_user = np.zeros((powers.shape[0], len(partition)))
+    total = np.zeros(powers.shape[0])
+    for k, hk in enumerate(_split_rows(channel, partition)):
+        own = owner == k
+        if not own.any():
+            continue
+        m_k = hk.shape[0]
+        received = hk @ beams
+        mine, theirs = received[:, own], received[:, ~own]
+        noise_cov = noise_std**2 * np.eye(m_k, dtype=complex) + (
+            theirs * powers[:, None, ~own]
+        ) @ theirs.conj().T
+        signal = (mine * powers[:, None, own]) @ mine.conj().T
+        _, logdet = np.linalg.slogdet(np.eye(m_k) + np.linalg.solve(noise_cov, signal))
+        per_user[:, k] = logdet / LN2
+        total += per_user[:, k]
+    return per_user, total
+
+
+class ZfGrid(NamedTuple):
+    """Greedy zero-forcing outcome at every point of a power grid."""
+
+    rates: np.ndarray
+    streams: np.ndarray
+    alpha: np.ndarray
+
+
+class ZfDesign(NamedTuple):
+    """Power-independent part of greedy zero-forcing.
+
+    The greedy stream order depends only on the design channel, so every
+    prefix of it is designed once. Stream i belongs to user
+    ``owners[i]``; prefix l holds the first l streams, with unit-norm
+    zero-forcing beams ``beams[l]`` (n_tx, l) and pseudo-inverse column
+    norms ``norms[l]``, so stream gains are 1 / (norm^2 sigma^2).
+    ``radiated[l]`` holds b^H M b of those beams, or ``radiated`` is None
+    for designs against the true power model. Prefix 0 is empty.
+    """
+
+    partition: tuple[int, ...]
+    owners: np.ndarray
+    beams: tuple[np.ndarray, ...]
+    norms: tuple[np.ndarray, ...]
+    radiated: tuple[np.ndarray, ...] | None = None
+
+    def allocate(
+        self, powers_w: np.ndarray, noise_std: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each budget's prefix length, predicted rate and stream powers.
+
+        Every prefix is water-filled over all budgets; a budget moves to
+        the next prefix while the predicted rate still rises by more
+        than 1e-12 bits. Stream powers (P, L) follow the greedy order
+        and are zero beyond the chosen prefix.
+        """
+        budgets = np.asarray(powers_w, dtype=float)
+        chosen = np.zeros(budgets.size, dtype=int)
+        best = np.zeros(budgets.size)
+        powers = np.zeros((budgets.size, self.owners.size))
+        for l in range(1, self.owners.size + 1):
+            gains = 1.0 / (self.norms[l] ** 2 * noise_std**2)
+            p = waterfill(gains, budgets)
+            rate = np.log2(1.0 + p * gains).sum(axis=1)
+            better = (chosen == l - 1) & (rate > best + 1e-12)
+            if not better.any():
+                break
+            chosen[better] = l
+            best[better] = rate[better]
+            powers[better, :l] = p[better]
+        return chosen, best, powers
+
+    def evaluate(
+        self, channel_true: np.ndarray, powers_w: np.ndarray, noise_std: float
+    ) -> ZfGrid:
+        """Rates on ``channel_true``, streams and alpha over the budgets."""
+        h = np.asarray(channel_true)
+        chosen, _, powers = self.allocate(powers_w, noise_std)
+        rates = np.zeros(chosen.size)
+        streams = np.zeros(chosen.size, dtype=int)
+        alpha = np.ones(chosen.size)
+        for l in np.unique(chosen[chosen > 0]):
+            rows = chosen == l
+            # Group streams by user, as PrecodingSolution.stacked() does.
+            # take() gives C order like stacked(); BLAS rounds
+            # differently on other layouts.
+            order = np.argsort(self.owners[:l], kind="stable")
+            p = powers[rows, :l][:, order]
+            beams = self.beams[l].take(order, axis=1)
+            _, rates[rows] = _bc_rates(
+                h, self.partition, beams, self.owners[order], p, noise_std
+            )
+            # A chosen prefix raised the rate, so it carries power.
+            used = p.sum(axis=1)
+            streams[rows] = _count_active(p, used)
+            if self.radiated is not None:
+                alpha[rows] = p @ self.radiated[l][order] / used
+        return ZfGrid(rates, streams, alpha)
+
+
+def greedy_zf_design(
     channel_assumed: np.ndarray,
     partition: tuple[int, ...],
-    total_power: float,
-    noise_std: float,
-) -> PrecodingSolution:
-    """Greedy zero-forcing stream selection with exact nulling.
+    mismatch_power: np.ndarray | None = None,
+) -> ZfDesign:
+    """Greedy zero-forcing stream order and every prefix's beams.
 
     Streams are added one at a time: each candidate user contributes
     the dominant singular direction of its channel projected on the
-    orthogonal complement of the already selected virtual streams. The
-    precoder zero-forces the stacked virtual rows via pseudo-inverse,
-    powers come from water-filling the resulting stream gains, and a
-    stream is kept only while the predicted sum rate still improves.
+    orthogonal complement of the already selected virtual streams. Each
+    prefix's precoder zero-forces its stacked virtual rows via
+    pseudo-inverse. Selection stops when no user has a direction left.
+    With ``mismatch_power`` the design also records each beam's
+    radiated power.
     """
     h = np.asarray(channel_assumed)
-    partition = tuple(int(p) for p in partition)
-    m_total, n_tx = h.shape
-    if sum(partition) != m_total or any(p < 1 for p in partition):
-        raise ValueError("partition must be positive and sum to the channel rows")
-    if total_power < 0.0:
-        raise ValueError("power budget must be nonnegative")
+    partition = _check_partition(h, partition)
     users = _split_rows(h, partition)
-    max_streams = min(n_tx, m_total)
+    n_tx = h.shape[1]
+    max_streams = min(n_tx, h.shape[0])
 
     basis = np.zeros((n_tx, 0), dtype=complex)
     rows = np.zeros((0, n_tx), dtype=complex)
     owners: list[int] = []
     per_user = [0] * len(partition)
-    best_rate = 0.0
-    best_beams = np.zeros((n_tx, 0), dtype=complex)
-    best_powers = np.zeros(0)
-    best_owners: list[int] = []
-
+    beams = [np.zeros((n_tx, 0), dtype=complex)]
+    norms = [np.zeros(0)]
     while len(owners) < max_streams:
         proj = np.eye(n_tx) - basis @ basis.conj().T
         candidate = None
@@ -535,37 +774,48 @@ def greedy_zf(
         if candidate is None or candidate[0] ** 2 <= 1e-28:
             break
         _, k, left, direction = candidate
-        rows_next = np.vstack([rows, (left.conj() @ users[k])[None, :]])
-        inverse = np.linalg.pinv(rows_next)
-        norms = np.linalg.norm(inverse, axis=0)
-        gains = 1.0 / (norms**2 * noise_std**2)
-        powers = waterfill(gains, total_power)
-        rate = float(np.sum(np.log2(1.0 + powers * gains)))
-        if rate <= best_rate + 1e-12:
-            break
-        rows = rows_next
+        rows = np.vstack([rows, (left.conj() @ users[k])[None, :]])
+        inverse = np.linalg.pinv(rows)
+        col_norms = np.linalg.norm(inverse, axis=0)
         basis = np.hstack([basis, direction[:, None]])
         owners.append(k)
         per_user[k] += 1
-        best_rate = rate
-        best_beams = inverse / norms[None, :]
-        best_powers = powers
-        best_owners = list(owners)
+        beams.append(inverse / col_norms[None, :])
+        norms.append(col_norms)
+    radiated = None
+    if mismatch_power is not None:
+        radiated = tuple(_radiated(b, mismatch_power) for b in beams)
+    return ZfDesign(
+        partition, np.array(owners, dtype=int), tuple(beams), tuple(norms), radiated
+    )
 
-    precoders: list[np.ndarray] = []
-    stream_powers: list[np.ndarray] = []
-    for k in range(len(partition)):
-        idx = [i for i, owner in enumerate(best_owners) if owner == k]
-        precoders.append(
-            best_beams[:, idx] if idx else np.zeros((n_tx, 0), dtype=complex)
-        )
-        stream_powers.append(best_powers[idx] if idx else np.zeros(0))
-    used_power = float(sum(float(p.sum()) for p in stream_powers))
+
+def greedy_zf(
+    channel_assumed: np.ndarray,
+    partition: tuple[int, ...],
+    total_power: float,
+    noise_std: float,
+) -> PrecodingSolution:
+    """Greedy zero-forcing stream selection with exact nulling.
+
+    The prefixes of :func:`greedy_zf_design` are tried in order; powers
+    come from water-filling each prefix's stream gains, and a stream is
+    kept only while the predicted sum rate still improves.
+    """
+    if total_power < 0.0:
+        raise ValueError("power budget must be nonnegative")
+    design = greedy_zf_design(channel_assumed, partition)
+    chosen, rate, powers = design.allocate(np.array([float(total_power)]), noise_std)
+    l = int(chosen[0])
+    owners, beams, p = design.owners[:l], design.beams[l], powers[0, :l]
+    users = range(len(design.partition))
+    stream_powers = tuple(p[owners == k] for k in users)
+    used_power = float(sum(float(q.sum()) for q in stream_powers))
     return PrecodingSolution(
-        precoders=tuple(precoders),
-        stream_powers=tuple(stream_powers),
-        partition=partition,
-        predicted_rate_bits=best_rate,
+        precoders=tuple(beams[:, owners == k] for k in users),
+        stream_powers=stream_powers,
+        partition=design.partition,
+        predicted_rate_bits=float(rate[0]),
         predicted_power_w=used_power,
         true_power_w=used_power,
     )
@@ -578,8 +828,7 @@ def with_true_power(
     stacked, powers = solution.stacked()
     if stacked.shape[1] == 0:
         return solution
-    cov = (stacked * powers) @ stacked.conj().T
-    true_power = float(np.trace(mismatch_power @ cov).real)
+    true_power = float(powers @ _radiated(stacked, mismatch_power))
     return replace(solution, true_power_w=true_power)
 
 
@@ -593,32 +842,13 @@ def evaluate_bc_rates(
     Each user decodes its own streams jointly; the other users' beams
     act as colored interference added to the thermal noise.
     """
-    h = np.asarray(channel_true)
-    users = _split_rows(h, solution.partition)
     stacked, powers = solution.stacked()
-    owner_of = np.concatenate(
-        [
-            np.full(f.shape[1], k, dtype=int)
-            for k, f in enumerate(solution.precoders)
-        ]
-    ) if stacked.shape[1] else np.zeros(0, dtype=int)
+    owner = np.repeat(
+        np.arange(len(solution.precoders)), [f.shape[1] for f in solution.precoders]
+    )
+    per_user, total = _bc_rates(
+        np.asarray(channel_true), solution.partition, stacked, owner, powers[None], noise_std
+    )
     total_power = float(powers.sum())
-    rates: list[float] = []
-    for k, hk in enumerate(users):
-        m_k = hk.shape[0]
-        received = hk @ stacked if stacked.shape[1] else np.zeros((m_k, 0), dtype=complex)
-        own = owner_of == k
-        if not np.any(own):
-            rates.append(0.0)
-            continue
-        noise_cov = noise_std**2 * np.eye(m_k, dtype=complex)
-        if np.any(~own):
-            other = received[:, ~own] * powers[~own]
-            noise_cov = noise_cov + other @ received[:, ~own].conj().T
-        signal = (received[:, own] * powers[own]) @ received[:, own].conj().T
-        _, logdet = np.linalg.slogdet(
-            np.eye(m_k) + np.linalg.solve(noise_cov, signal)
-        )
-        rates.append(float(logdet / LN2))
     active = int(_count_active(powers, total_power if total_power > 0 else 1.0))
-    return RateResult(float(sum(rates)), active, tuple(rates))
+    return RateResult(float(total[0]), active, tuple(per_user[0].tolist()))

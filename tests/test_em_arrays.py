@@ -189,6 +189,17 @@ class TestArrayMatrix:
         d01 = float(np.linalg.norm(geom.positions[0] - geom.positions[1]))
         assert z[0, 1] == dipole_mutual_impedance(d01)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 33])
+    def test_matches_per_pair_reference(self, n):
+        # The circulant assembly against a mutual impedance for every pair.
+        geom = uniform_circular_array(n, 0.4)
+        ref = np.diag(np.full(n, dipole_self_impedance()))
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist = float(np.linalg.norm(geom.positions[i] - geom.positions[j]))
+                ref[i, j] = ref[j, i] = dipole_mutual_impedance(dist)
+        np.testing.assert_allclose(array_impedance_matrix(geom), ref, rtol=1e-13, atol=0.0)
+
 
 class TestImpedanceCsv:
     def test_round_trip_exact(self, tmp_path):

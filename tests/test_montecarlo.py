@@ -245,6 +245,31 @@ class TestCouplingFiles:
         with pytest.raises(mp.ConfigError, match="NaN or infinite"):
             mp.read_coupling_file(path)
 
+    @pytest.mark.parametrize("bad", ["1.5", "1.0", "x"])
+    def test_csv_non_integer_index(self, tmp_path, bad):
+        path = self.write_csv(tmp_path / "c.csv", [self.GRID[0], (0, 0, bad, 2.0, -0.5)])
+        with pytest.raises(mp.ConfigError, match="invalid"):
+            mp.read_coupling_file(path)
+
+    def test_csv_short_row(self, tmp_path):
+        path = self.write_csv(tmp_path / "c.csv", [self.GRID[0], (0, 0, 1, 2.0)])
+        with pytest.raises(mp.ConfigError, match="invalid"):
+            mp.read_coupling_file(path)
+
+    def test_csv_header_only(self, tmp_path):
+        path = self.write_csv(tmp_path / "c.csv", [])
+        with pytest.raises(mp.ConfigError, match="no realizations"):
+            mp.read_coupling_file(path)
+
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "realization,i,j,re_ohm,im_ohm\n\n0,0,0,1.0,0.5\n\n0,0,1,2.0,-0.5\n\n"
+        )
+        assert np.array_equal(
+            mp.read_coupling_file(str(path)), np.array([[[1.0 + 0.5j, 2.0 - 0.5j]]])
+        )
+
     def test_json_negative_index(self, tmp_path):
         path = self.write_json(tmp_path / "c.json", [[[[1.0, 0.0], [2.0, 0.0]]]], n_rx=-1)
         with pytest.raises(mp.ConfigError):
@@ -362,6 +387,59 @@ class TestSingleUserGrid:
             assert np.all(np.diff(rates["cap"]) > 0.0)
 
 
+class TestMultiUserGrid:
+    """The montecarlo multi-user grid path against the per-power functions."""
+
+    POWERS_W = np.array([0.0, 1e-10, 1e-3, 0.05, 0.3, 2.0, 1e3])
+
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 2)])
+    def test_matches_per_power_functions(self, partition):
+        n = 5
+        sigma = 0.7
+        rng = np.random.default_rng(7)
+        m = sum(partition)
+        h, h_mm, h_as = (crandn(rng, m, n) for _ in range(3))
+        h_up = h.T + 0.3 * crandn(rng, n, m)
+        a = crandn(rng, n, n)
+        mismatch = a @ a.conj().T / n
+        strategies = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
+        config = SimpleNamespace(strategies=strategies, rx_partition=partition)
+        down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
+        rates, streams, alphas, unconverged = montecarlo._evaluate_multi_user(
+            config, down, (h, h_mm, h_as, h_up), self.POWERS_W
+        )
+        assert unconverged == 0
+        for j, p_w in enumerate(self.POWERS_W):
+            cap = mp.mac_sum_capacity(h, partition, p_w, sigma)
+            hyp = mp.mac_sum_capacity(h_as, partition, p_w, sigma)
+            expected_rates = {
+                "cap": cap.rate.rate_bits,
+                "hyp": mp.dpc_sum_rate(h_mm, hyp.mac_covariance, sigma),
+            }
+            expected_streams = {
+                "cap": cap.rate.active_streams,
+                "hyp": hyp.rate.active_streams,
+            }
+            for s, assumed, true in (
+                ("cap_lin", h, h),
+                ("recip_lin", h_up.T, h),
+                ("hyp_lin", h_as, h_mm),
+            ):
+                lin = mp.greedy_zf(assumed, partition, p_w, sigma)
+                if s == "hyp_lin":
+                    lin = mp.with_true_power(lin, mismatch)
+                    expected_alpha = lin.alpha if lin.predicted_power_w > 0 else 1.0
+                res = mp.evaluate_bc_rates(true, lin, sigma)
+                expected_rates[s] = res.rate_bits
+                expected_streams[s] = res.active_streams
+            for s in strategies:
+                np.testing.assert_allclose(
+                    rates[s][j], expected_rates[s], rtol=1e-12, atol=0.0
+                )
+                assert streams[s][j] == expected_streams[s]
+            np.testing.assert_allclose(alphas[j], expected_alpha, rtol=1e-12, atol=0.0)
+
+
 class TestRunScenario:
     def test_deterministic_and_worker_invariant(self):
         config = tiny_config(n_realizations=8)
@@ -400,20 +478,22 @@ class TestRunScenario:
         assert 0.9 <= float(trapezoid(density, grid)) <= 1.1
 
     def test_unconverged_solves_are_counted(self, monkeypatch):
-        solver = montecarlo.mac_sum_capacity
-        solutions = []
+        solver = montecarlo.mac_sum_capacity_grid
+        grids = []
 
         def one_step(*args, **kwargs):
-            solutions.append(solver(*args, **kwargs, max_iterations=1))
-            return solutions[-1]
+            grids.append(solver(*args, **kwargs, max_iterations=1))
+            return grids[-1]
 
-        monkeypatch.setattr(montecarlo, "mac_sum_capacity", one_step)
+        monkeypatch.setattr(montecarlo, "mac_sum_capacity_grid", one_step)
         config = tiny_config(
             rx_partition=(1, 1), strategies=("cap", "hyp", "cap_lin"), n_realizations=2
         )
         result = mp.run_scenario(config)
-        assert len(solutions) == 2 * 2 * 2
-        expected = sum(not sol.converged for sol in solutions)
+        # One grid solve per MAC strategy and realization, each over 2 budgets.
+        assert len(grids) == 2 * 2
+        assert all(grid.converged.shape == (2,) for grid in grids)
+        expected = sum(int(np.count_nonzero(~grid.converged)) for grid in grids)
         assert expected > 0
         assert result.n_unconverged == expected
 

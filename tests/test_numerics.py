@@ -171,6 +171,43 @@ class TestWaterfillBudgetGrid:
             waterfill(np.array([1.0, 2.0]), budgets)
 
 
+@st.composite
+def gain_rows_and_budgets(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=9))
+    gains = draw(arrays(np.float64, (rows, n), elements=st.floats(0.0, 1e4)))
+    budgets = draw(
+        arrays(
+            np.float64,
+            rows,
+            elements=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e3)),
+        )
+    )
+    return gains, budgets
+
+
+class TestWaterfillGainRows:
+    @given(gain_rows_and_budgets())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_scalar_calls(self, data):
+        gains, budgets = data
+        rows = waterfill(gains, budgets)
+        assert rows.shape == gains.shape
+        for row, g, budget in zip(rows, gains, budgets):
+            assert np.all(np.abs(row - waterfill(g, budget)) <= 1e-15 * budget)
+
+    @pytest.mark.parametrize(
+        "budgets", [np.array([1.0]), np.array([1.0, 2.0, 3.0]), np.array(1.0)]
+    )
+    def test_rejects_budget_count_mismatch(self, budgets):
+        with pytest.raises(ValueError):
+            waterfill(np.ones((2, 3)), budgets)
+
+    def test_rejects_3d_gains(self):
+        with pytest.raises(ValueError):
+            waterfill(np.ones((2, 2, 2)), np.ones(2))
+
+
 class TestSimplexProject:
     @given(
         arrays(

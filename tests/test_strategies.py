@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import multiport as mp
+from multiport.strategies import greedy_zf_design, mac_sum_capacity_grid
 
 RNG = np.random.default_rng
 SIGMA = 1.0
@@ -294,6 +295,115 @@ class TestMacSumCapacity:
             mp.mac_sum_capacity(h, (3, 0), 1.0, SIGMA)
         with pytest.raises(ValueError):
             mp.mac_sum_capacity(h, (1, 1, 1), -1.0, SIGMA)
+
+
+def greedy_zf_reference(h, partition, total_power, noise_std):
+    """Greedy ZF as one loop per budget: the predicted rate and stream count.
+
+    Streams are added while the water-filled predicted rate rises by
+    more than 1e-12 bits; the reference for the prefix design.
+    """
+    offsets = np.cumsum((0,) + partition)
+    users = [h[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    n_tx = h.shape[1]
+    basis = np.zeros((n_tx, 0), dtype=complex)
+    rows = np.zeros((0, n_tx), dtype=complex)
+    per_user = [0] * len(partition)
+    best_rate, n_streams = 0.0, 0
+    while n_streams < min(h.shape):
+        proj = np.eye(n_tx) - basis @ basis.conj().T
+        candidate = None
+        for k, hk in enumerate(users):
+            if per_user[k] >= hk.shape[0]:
+                continue
+            u, s, vh = np.linalg.svd(hk @ proj)
+            if candidate is None or s[0] > candidate[0]:
+                candidate = (float(s[0]), k, u[:, 0], vh[0].conj())
+        if candidate is None or candidate[0] ** 2 <= 1e-28:
+            break
+        _, k, left, direction = candidate
+        rows_next = np.vstack([rows, (left.conj() @ users[k])[None, :]])
+        gains = 1.0 / (np.linalg.norm(np.linalg.pinv(rows_next), axis=0) ** 2 * noise_std**2)
+        rate = float(np.sum(np.log2(1.0 + mp.waterfill(gains, total_power) * gains)))
+        if rate <= best_rate + 1e-12:
+            break
+        rows, basis = rows_next, np.hstack([basis, direction[:, None]])
+        per_user[k] += 1
+        best_rate, n_streams = rate, n_streams + 1
+    return best_rate, n_streams
+
+
+class TestMultiUserGrid:
+    """Grid entries against the per-power public functions at each budget."""
+
+    # Zero budget, one-stream and all-stream regimes at unit noise.
+    POWERS_W = np.array([0.0, 1e-10, 1e-4, 0.01, 0.3, 2.0, 50.0, 1e3])
+
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 2), (2, 1, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mac_rows_match_scalar_solves(self, partition, seed):
+        rng = RNG(40 + seed)
+        h = crandn(rng, sum(partition), 8)
+        other = h + 0.3 * crandn(rng, *h.shape)
+        grid = mac_sum_capacity_grid(h, partition, self.POWERS_W, SIGMA)
+        on_other = grid.rates_on(other, SIGMA)
+        for j, power in enumerate(self.POWERS_W):
+            sol = mp.mac_sum_capacity(h, partition, power, SIGMA)
+            assert grid.rates[j] == pytest.approx(sol.rate.rate_bits, rel=1e-12, abs=0.0)
+            assert grid.streams[j] == sol.rate.active_streams
+            assert grid.converged[j] == sol.converged
+            assert on_other[j] == pytest.approx(
+                mp.dpc_sum_rate(other, sol.mac_covariance, SIGMA), rel=1e-12, abs=0.0
+            )
+        assert grid.rates[0] == 0.0 and grid.streams[0] == 0
+        assert grid.converged.all()
+
+    def test_mac_grid_validation(self):
+        h = np.ones((2, 3), complex)
+        with pytest.raises(ValueError):
+            mac_sum_capacity_grid(h, (1, 2), self.POWERS_W, SIGMA)
+        with pytest.raises(ValueError):
+            mac_sum_capacity_grid(h, (1, 1), np.array([1.0, -1.0]), SIGMA)
+
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 2), (2, 1, 3)])
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_zf_grid_matches_per_power_chain(self, partition, naive):
+        rng = RNG(50)
+        h_design = crandn(rng, sum(partition), 8)
+        h_true = h_design + 0.3 * crandn(rng, *h_design.shape)
+        mismatch = random_psd(rng, 8, 8.0) if naive else None
+        design = greedy_zf_design(h_design, partition, mismatch)
+        grid = design.evaluate(h_true, self.POWERS_W, SIGMA)
+        assert len(set(grid.streams.tolist())) > 2
+        for j, power in enumerate(self.POWERS_W):
+            sol = mp.greedy_zf(h_design, partition, power, SIGMA)
+            if naive:
+                sol = mp.with_true_power(sol, mismatch)
+            res = mp.evaluate_bc_rates(h_true, sol, SIGMA)
+            assert grid.rates[j] == pytest.approx(res.rate_bits, rel=1e-12, abs=0.0)
+            assert grid.streams[j] == res.active_streams
+            alpha = sol.alpha if sol.predicted_power_w > 0 else 1.0
+            assert grid.alpha[j] == pytest.approx(alpha, rel=1e-12)
+
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 2), (2, 1, 3)])
+    def test_zf_prefix_choice_matches_per_budget_loop(self, partition):
+        rng = RNG(52)
+        for _ in range(5):
+            h = crandn(rng, sum(partition), 8) * rng.uniform(0.1, 3.0, (sum(partition), 1))
+            chosen, rate, _ = greedy_zf_design(h, partition).allocate(self.POWERS_W, SIGMA)
+            for j, power in enumerate(self.POWERS_W):
+                ref_rate, ref_streams = greedy_zf_reference(h, partition, power, SIGMA)
+                assert chosen[j] == ref_streams
+                assert rate[j] == pytest.approx(ref_rate, rel=1e-12, abs=0.0)
+
+    def test_zf_grid_with_colinear_users(self):
+        rng = RNG(51)
+        row = crandn(rng, 5)
+        h = np.vstack([row, (0.3 - 0.8j) * row])
+        design = greedy_zf_design(h, (1, 1))
+        assert design.owners.size == 1
+        grid = design.evaluate(h, self.POWERS_W, SIGMA)
+        assert grid.streams.tolist() == [0] + [1] * (self.POWERS_W.size - 1)
 
 
 class TestGreedyZf:
