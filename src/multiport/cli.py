@@ -58,56 +58,49 @@ RATE_COLUMNS = {
 EMIT_CHOICES = ("rates_csv", "alpha_csv", "streams_csv", "kde_csv")
 
 
+def _write_csv(path: str, header: list[str], rows: list[str]) -> None:
+    """Write a header and preformatted rows with csv.writer's "\r\n" endings."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *rows, ""]))
+
+
 def _write_rates_csv(path: str, result: ScenarioResult) -> None:
     strategies = result.config.strategies
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["P_dBW"] + [RATE_COLUMNS[s] for s in strategies])
-        for j, p_dbw in enumerate(result.power_grid_dbw):
-            writer.writerow(
-                [repr(float(p_dbw))]
-                + [repr(float(result.ergodic_rates[s][j])) for s in strategies]
-            )
+    columns = [result.ergodic_rates[s].tolist() for s in strategies]
+    rows = [
+        ",".join(repr(float(v)) for v in values)
+        for values in zip(result.power_grid_dbw, *columns)
+    ]
+    _write_csv(path, ["P_dBW"] + [RATE_COLUMNS[s] for s in strategies], rows)
 
 
 def _write_alpha_csv(path: str, result: ScenarioResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["P_dBW", "realization", "alpha"])
-        for j, p_dbw in enumerate(result.power_grid_dbw):
-            for r in range(result.alpha_samples.shape[0]):
-                writer.writerow(
-                    [
-                        repr(float(p_dbw)),
-                        r,
-                        repr(float(result.alpha_samples[r, j])),
-                    ]
-                )
+    rows = [
+        f"{float(p_dbw)!r},{r},{alpha!r}"
+        for p_dbw, column in zip(result.power_grid_dbw, result.alpha_samples.T.tolist())
+        for r, alpha in enumerate(column)
+    ]
+    _write_csv(path, ["P_dBW", "realization", "alpha"], rows)
 
 
 def _write_streams_csv(path: str, result: ScenarioResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["P_dBW", "strategy", "mean_active_streams"])
-        for j, p_dbw in enumerate(result.power_grid_dbw):
-            for s in result.config.strategies:
-                writer.writerow(
-                    [
-                        repr(float(p_dbw)),
-                        s,
-                        repr(float(result.mean_active_streams[s][j])),
-                    ]
-                )
+    strategies = result.config.strategies
+    columns = [result.mean_active_streams[s].tolist() for s in strategies]
+    rows = [
+        f"{float(p_dbw)!r},{s},{streams!r}"
+        for p_dbw, *values in zip(result.power_grid_dbw, *columns)
+        for s, streams in zip(strategies, values)
+    ]
+    _write_csv(path, ["P_dBW", "strategy", "mean_active_streams"], rows)
 
 
 def _write_kde_csv(path: str, result: ScenarioResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["P_dBW", "alpha", "density"])
-        for j, p_dbw in enumerate(result.power_grid_dbw):
-            grid, density = result.alpha_kde[j]
-            for g, d in zip(grid, density):
-                writer.writerow([repr(float(p_dbw)), repr(float(g)), repr(float(d))])
+    rows = [
+        f"{float(p_dbw)!r},{g!r},{d!r}"
+        for p_dbw, (grid, density) in zip(result.power_grid_dbw, result.alpha_kde)
+        for g, d in zip(grid.tolist(), density.tolist())
+    ]
+    _write_csv(path, ["P_dBW", "alpha", "density"], rows)
 
 
 def _write_json(path: str, data: dict) -> None:

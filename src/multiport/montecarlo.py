@@ -13,9 +13,14 @@ Only the coupling block varies between realizations, so both link
 front ends are built once per scenario; a front end that cannot be
 built aborts the run before any coupling is drawn.
 
+Realizations run in chunks of fixed size; one worker call carries a
+chunk as (R, ...) stacks from the coupling draws to every strategy's
+rates, in serial runs and in the process pool alike.
+
 Reproducibility: every realization uses a counter-based random stream
-keyed by (seed, realization index, attempt 0), so results are
-independent of worker count and realization order.
+keyed by (seed, realization index, attempt 0), and the chunk size does
+not depend on the worker count, so results are byte-identical across
+worker counts.
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ FAR_FIELD_DISTANCE_WAVELENGTHS = 1000.0
 SINGLE_USER_STRATEGIES = ("cap", "recip", "hyp")
 MULTI_USER_STRATEGIES = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
 KDE_GRID_POINTS = 128
+# Realizations per worker call. Fixed, so outputs do not depend on the
+# worker count; it also bounds the memory of the stacked intermediates.
+CHUNK_REALIZATIONS = 32
 
 
 class ConfigError(ValueError):
@@ -294,15 +302,28 @@ def coupling_realization(
     (seed, realization, attempt) triple independent; runs always draw
     ``attempt`` 0.
     """
-    bitgen = np.random.Philox(
-        key=np.array([seed, 0], dtype=np.uint64),
-        counter=np.array([0, 0, attempt, realization], dtype=np.uint64),
-    )
+    return _draw_couplings(seed, attempt, [realization], n_rx, n_tx, std)[0]
+
+
+def _draw_couplings(
+    seed: int, attempt: int, realizations, n_rx: int, n_tx: int, std: float
+) -> np.ndarray:
+    """Coupling matrices (R, n_rx, n_tx), one per realization index.
+
+    One Philox generator serves all indices. Setting its counter to
+    (0, 0, attempt, realization) with an empty output buffer gives the
+    state of a fresh generator with that counter.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
-    scale = std / math.sqrt(2.0)
-    return scale * (
-        rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
-    )
+    state = bitgen.state
+    parts = np.empty((len(realizations), 2, n_rx, n_tx))
+    for i, r in enumerate(realizations):
+        state["state"]["counter"] = np.array([0, 0, attempt, r], dtype=np.uint64)
+        state["buffer_pos"], state["has_uint32"] = 4, 0
+        bitgen.state = state
+        parts[i] = rng.standard_normal((2, n_rx, n_tx))
+    return std / math.sqrt(2.0) * (parts[:, 0] + 1j * parts[:, 1])
 
 
 def read_coupling_file(path: str) -> np.ndarray:
@@ -454,108 +475,98 @@ def _make_kernel(config: ScenarioConfig) -> _ScenarioKernel:
     return _ScenarioKernel(config, down, up, std)
 
 
-def bounded_workers(requested: int, n_realizations: int, cpu_count: int | None) -> int:
-    """Worker processes worth starting: at most one per CPU and per realization."""
-    return max(1, min(requested, cpu_count or 1, n_realizations))
+def bounded_workers(requested: int, n_chunks: int, cpu_count: int | None) -> int:
+    """Worker processes worth starting: at most one per CPU and per chunk."""
+    return max(1, min(requested, cpu_count or 1, n_chunks))
 
 
-def _evaluate_single_user(
+Outcome = tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]
+
+
+def _evaluate_chunk(
     config: ScenarioConfig,
     down: FrontEnd,
     channels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     powers_w: np.ndarray,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]:
-    h, h_mismatched, h_assumed, h_up = channels
-    miso = h.shape[0] == 1
-    rates, streams, alphas = {}, {}, None
-    for s in config.strategies:
-        if s == "cap":
-            design = miso_capacity_design(h[0]) if miso else mimo_capacity_design(h)
-        elif s == "recip":
-            design = (
-                miso_reciprocal_design(h[0], h_up[:, 0])
-                if miso
-                else mimo_reciprocal_design(h, h_up)
-            )
-        else:
-            design = (
-                miso_naive_design(h_mismatched[0], down.mismatch_power)
-                if miso
-                else mimo_naive_design(h_mismatched, h_assumed, down.mismatch_power)
-            )
-        grid = design.evaluate(powers_w, down.noise_scale)
-        rates[s] = grid.rates
-        streams[s] = grid.streams.astype(float)
-        if s == "hyp":
-            alphas = grid.alpha
-    return rates, streams, alphas, 0
+) -> Outcome:
+    """Every strategy on a chunk of channel stacks (R, m, n), with h_up (R, n, m).
 
-
-def _evaluate_multi_user(
-    config: ScenarioConfig,
-    down: FrontEnd,
-    channels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    powers_w: np.ndarray,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]:
+    Returns (R, P) rates and stream counts per strategy, the naive
+    strategy's (R, P) alpha (or None) and the unconverged solve count.
+    """
     h, h_mismatched, h_assumed, h_up = channels
-    sigma = down.noise_scale
-    partition = config.rx_partition
-    rates, streams, alphas = {}, {}, None
-    unconverged = 0
+    sigma, partition = down.noise_scale, config.rx_partition
+    rates, streams, alphas, unconverged = {}, {}, None, 0
+    miso = h.shape[-2] == 1
+    mac = [s for s in ("cap", "hyp") if s in config.strategies and len(partition) > 1]
+    if mac:
+        # The cap and hyp solves of every realization share one stack.
+        designed_on = {"cap": h, "hyp": h_assumed}
+        grid = mac_sum_capacity_grid(
+            np.stack([designed_on[s] for s in mac]), partition, powers_w, sigma
+        )
+        unconverged = int(np.count_nonzero(~grid.converged))
+        for i, s in enumerate(mac):
+            rates[s] = grid.rates_on(h_mismatched, sigma)[i] if s == "hyp" else grid.rates[i]
+            streams[s] = grid.streams[i].astype(float)
     for s in config.strategies:
-        if s in ("cap", "hyp"):
-            mac = mac_sum_capacity_grid(
-                h if s == "cap" else h_assumed, partition, powers_w, sigma
-            )
-            unconverged += int(np.count_nonzero(~mac.converged))
-            rates[s] = mac.rates if s == "cap" else mac.rates_on(h_mismatched, sigma)
-            streams[s] = mac.streams.astype(float)
+        if s in mac:
             continue
-        if s == "cap_lin":
-            design, true = greedy_zf_design(h, partition), h
+        true = h
+        if s == "cap":
+            design = miso_capacity_design(h[:, 0]) if miso else mimo_capacity_design(h)
+        elif s == "recip" and miso:
+            design = miso_reciprocal_design(h[:, 0], h_up[:, :, 0])
+        elif s == "recip":
+            design = mimo_reciprocal_design(h, h_up)
+        elif s == "hyp" and miso:
+            design = miso_naive_design(h_mismatched[:, 0], down.mismatch_power)
+        elif s == "hyp":
+            design = mimo_naive_design(h_mismatched, h_assumed, down.mismatch_power)
+        elif s == "cap_lin":
+            design = greedy_zf_design(h, partition)
         elif s == "recip_lin":
-            design, true = greedy_zf_design(h_up.T, partition), h
+            design = greedy_zf_design(h_up.swapaxes(1, 2), partition)
         else:
             design = greedy_zf_design(h_assumed, partition, down.mismatch_power)
             true = h_mismatched
-        grid = design.evaluate(true, powers_w, sigma)
+        args = (true, powers_w, sigma) if s.endswith("_lin") else (powers_w, sigma)
+        grid = design.evaluate(*args)
         rates[s] = grid.rates
         streams[s] = grid.streams.astype(float)
-        if s == "hyp_lin":
+        if s in ("hyp", "hyp_lin"):
             alphas = grid.alpha
     return rates, streams, alphas, unconverged
 
 
-def _run_realization(
-    kernel: _ScenarioKernel,
-    imported: np.ndarray | None,
-    index: int,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]:
+def _run_chunk(
+    kernel: _ScenarioKernel, imported: np.ndarray | None, chunk: range
+) -> Outcome:
     config = kernel.config
     powers_w = np.array([10.0 ** (p / 10.0) for p in config.power_grid_dbw])
     if imported is not None:
-        z21 = imported[index]
+        z21 = imported[chunk]
     else:
-        z21 = coupling_realization(
-            config.seed, index, 0, config.n_rx_total, config.n_tx, kernel.coupling_std
+        z21 = _draw_couplings(
+            config.seed, 0, chunk, config.n_rx_total, config.n_tx, kernel.coupling_std
         )
     channels = (
         link_channel(kernel.down, z21),
         *naive_channels(kernel.down, z21),
-        link_channel(kernel.up, z21.T),
+        link_channel(kernel.up, z21.swapaxes(1, 2)),
     )
-    evaluate = _evaluate_single_user if config.is_single_user else _evaluate_multi_user
-    return evaluate(config, kernel.down, channels, powers_w)
+    return _evaluate_chunk(config, kernel.down, channels, powers_w)
 
 
 def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     """Run all realizations of a scenario and aggregate the results.
 
-    ``n_workers`` > 1 distributes realizations over processes, at most
-    one per CPU and per realization; outputs are identical to the
-    serial run because every realization owns a counter-based random
-    stream and results are reduced in index order. Raises
-    SimulationAbort when the link front ends cannot be built.
+    Realizations run in chunks of CHUNK_REALIZATIONS. ``n_workers`` > 1
+    distributes the chunks over processes, at most one per CPU and per
+    chunk; outputs are identical to the serial run because every
+    realization owns a counter-based random stream, the chunks do not
+    depend on the worker count and results are reduced in index order.
+    Raises SimulationAbort when the link front ends cannot be built.
     """
     kernel = _make_kernel(config)
     imported = None
@@ -571,29 +582,24 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
                 f"coupling file holds {imported.shape[0]} realizations, "
                 f"need {config.n_realizations}"
             )
-    worker = partial(_run_realization, kernel, imported)
-    indices = range(config.n_realizations)
-    n_workers = bounded_workers(n_workers, config.n_realizations, os.cpu_count())
+    worker = partial(_run_chunk, kernel, imported)
+    n = config.n_realizations
+    chunks = [range(a, min(a + CHUNK_REALIZATIONS, n)) for a in range(0, n, CHUNK_REALIZATIONS)]
+    n_workers = bounded_workers(n_workers, len(chunks), os.cpu_count())
     if n_workers > 1:
         # Imported here: loading multiprocessing costs every serial run.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(worker, indices, chunksize=8))
+            outcomes = list(pool.map(worker, chunks))
     else:
-        outcomes = [worker(i) for i in indices]
+        outcomes = [worker(c) for c in chunks]
 
     n_p = len(config.power_grid_dbw)
-    per_rates = {
-        s: np.vstack([out[0][s] for out in outcomes]) for s in config.strategies
-    }
-    per_streams = {
-        s: np.vstack([out[1][s] for out in outcomes]) for s in config.strategies
-    }
+    per_rates = {s: np.vstack([out[0][s] for out in outcomes]) for s in config.strategies}
+    per_streams = {s: np.vstack([out[1][s] for out in outcomes]) for s in config.strategies}
     has_alpha = outcomes[0][2] is not None
-    alpha_samples = (
-        np.vstack([out[2] for out in outcomes]) if has_alpha else None
-    )
+    alpha_samples = np.vstack([out[2] for out in outcomes]) if has_alpha else None
     ergodic = {s: per_rates[s].mean(axis=0) for s in config.strategies}
     mean_streams = {s: per_streams[s].mean(axis=0) for s in config.strategies}
     alpha_kde = None

@@ -15,16 +15,16 @@ class FactorizationError(RuntimeError):
 
 
 def hermitize(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Return the Hermitian part of a nearly Hermitian matrix.
+    """Return the Hermitian part of a nearly Hermitian matrix (or stack).
 
-    Raises ValueError if the anti-Hermitian part exceeds ``tol``
-    relative to the matrix norm, which would indicate a bug upstream
+    Raises ValueError if the anti-Hermitian part of any matrix exceeds
+    ``tol`` relative to its norm, which would indicate a bug upstream
     rather than roundoff.
     """
     a = np.asarray(matrix)
-    sym = 0.5 * (a + a.conj().T)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    if float(np.linalg.norm(a - sym)) > tol * scale:
+    sym = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1e-300)
+    if (np.linalg.norm(a - sym, axis=(-2, -1)) > tol * scale).any():
         raise ValueError("matrix is not Hermitian within tolerance")
     return sym
 
@@ -136,39 +136,45 @@ def waterfill(gains: np.ndarray, budgets: float | np.ndarray) -> np.ndarray:
     return powers[0, 0] if b.ndim == 0 else powers[0]
 
 
-def simplex_project(values: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum(w) = total}.
+def simplex_project(values: np.ndarray, total: float | np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {w >= 0, sum(w) = total} of each vector.
 
-    The sort-based algorithm, made robust to entries much larger than
-    ``total`` by shifting with the maximum before forming cumulative
-    sums.
+    ``values`` (..., n) holds the vectors, ``total`` one total or one
+    per vector. The sort-based algorithm, made robust to entries much
+    larger than ``total`` by shifting with the maximum before forming
+    cumulative sums.
     """
     w = np.asarray(values, dtype=float)
-    if total < 0.0:
+    t = np.asarray(total, dtype=float)[..., None]
+    if (t < 0.0).any():
         raise ValueError("total must be nonnegative")
     if w.size == 0:
         raise ValueError("cannot project an empty vector")
-    shift = float(w.max())
-    v = np.sort(w - shift)[::-1]
-    css = np.cumsum(v)
-    ks = np.arange(1, w.size + 1)
-    cond = ks * v - css + total > 0.0
-    k = int(ks[cond][-1]) if np.any(cond) else 1
-    theta = (css[k - 1] - total) / k
+    shift = w.max(axis=-1, keepdims=True)
+    v = np.sort(w - shift, axis=-1)[..., ::-1]
+    css = np.cumsum(v, axis=-1)
+    n = w.shape[-1]
+    cond = np.arange(1, n + 1) * v - css + t > 0.0
+    # k is the last index that meets the condition, or 1 if none does.
+    k = np.where(cond.any(axis=-1), n - np.argmax(cond[..., ::-1], axis=-1), 1)[..., None]
+    theta = (np.take_along_axis(css, k - 1, axis=-1) - t) / k
     return np.clip(w - shift - theta, 0.0, None)
 
 
-def project_psd_trace(matrix: np.ndarray, max_trace: float) -> np.ndarray:
+def project_psd_trace(matrix: np.ndarray, max_trace: float | np.ndarray) -> np.ndarray:
     """Project a Hermitian matrix onto {X >= 0, tr(X) <= max_trace}.
 
     Eigenvalues are clipped at zero; if their sum still exceeds the
-    bound they are projected onto the simplex of that total.
+    bound they are projected onto the simplex of that total. A stack of
+    matrices is projected matrix by matrix, with a scalar bound or one
+    bound per matrix.
     """
-    if max_trace < 0.0:
+    bound = np.asarray(max_trace, dtype=float)
+    if (bound < 0.0).any():
         raise ValueError("trace bound must be nonnegative")
-    sym = hermitize(np.asarray(matrix))
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh(hermitize(np.asarray(matrix)))
     w = np.clip(w, 0.0, None)
-    if float(w.sum()) > max_trace:
-        w = simplex_project(w, max_trace)
-    return (v * w) @ v.conj().T
+    over = w.sum(axis=-1) > bound
+    if over.any():
+        w[over] = simplex_project(w[over], np.broadcast_to(bound, over.shape)[over])
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)

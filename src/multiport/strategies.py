@@ -8,13 +8,15 @@ capacity via sum-power iterative water-filling and a greedy
 zero-forcing linear precoder with rate evaluation under residual
 interference.
 
-Every strategy splits into work done once per channel realization and
-an evaluation that covers a whole grid of power budgets at once. The
-single-user designs (``BeamDesign``, ``ModeDesign``) hold a beamformer
-or eigenbasis; the greedy zero-forcing design (``ZfDesign``) holds the
-greedy stream order and every prefix's beams; sum capacity
-(``mac_sum_capacity_grid``) iterates one stack of covariances, one per
-budget. The per-power functions run the same code at a one-point grid.
+Every strategy splits into a power-independent design and an
+evaluation that covers a whole grid of power budgets at once; both
+take a stack of channel realizations along leading axes and return
+(..., P) outputs. The single-user designs (``BeamDesign``,
+``ModeDesign``) hold beamformers or eigenbases; the greedy zero-forcing
+design (``ZfDesign``) holds each realization's greedy stream order and
+every prefix's beams; sum capacity (``mac_sum_capacity_grid``) iterates
+one stack of covariances, one per realization and budget. The
+per-power functions run the same code on one realization at one budget.
 
 Rates are in bits per channel use throughout. The scalar noise level
 is the per-port standard deviation of the whitened receive noise.
@@ -121,8 +123,9 @@ def _count_active(powers: np.ndarray, total_power: float | np.ndarray) -> np.nda
 class SuGrid(NamedTuple):
     """Single-user outcome at every point of a power grid.
 
-    ``rates``, ``streams`` and ``alpha`` have one entry per budget;
-    ``mode_powers`` (P, k) holds the watts given to each transmit mode.
+    ``rates``, ``streams`` and ``alpha`` (..., P) have one entry per
+    realization and budget; ``mode_powers`` (..., P, k) holds the watts
+    given to each transmit mode.
     """
 
     rates: np.ndarray
@@ -134,27 +137,27 @@ class SuGrid(NamedTuple):
 class BeamDesign(NamedTuple):
     """Power-independent part of a single-receiver strategy: one beam.
 
-    ``beam`` is the unit-norm beamformer (zeros when the designer sees a
-    zero channel), ``gain`` the power gain |h f|^2 it achieves on the
-    true channel and ``alpha`` its ratio of radiated to intended power.
-    The whole budget goes to the beam.
+    ``beam`` (..., n_tx) is the unit-norm beamformer (zeros when the
+    designer sees a zero channel), ``gain`` (...) the power gain |h f|^2
+    it achieves on the true channel and ``alpha`` its ratio of radiated
+    to intended power. The whole budget goes to the beam.
     """
 
     beam: np.ndarray
-    gain: float
-    alpha: float = 1.0
+    gain: np.ndarray
+    alpha: np.ndarray | float = 1.0
 
     def evaluate(self, powers_w: np.ndarray, noise_std: float) -> SuGrid:
         """Rates log2(1 + P gain / sigma^2) over the budgets ``powers_w``."""
         p = np.asarray(powers_w, dtype=float)
         if not (p >= 0.0).all():
             raise ValueError("power budget must be nonnegative")
-        streams = (p > 0.0) & bool(self.beam.any())
+        streams = (p > 0.0) & self.beam.any(axis=-1)[..., None]
         return SuGrid(
-            np.log2(1.0 + p * self.gain / noise_std**2),
+            np.log2(1.0 + p * np.expand_dims(self.gain, -1) / noise_std**2),
             streams.astype(int),
-            np.full(p.shape, self.alpha),
-            p[:, None],
+            np.broadcast_to(np.expand_dims(self.alpha, -1), streams.shape),
+            np.broadcast_to(p[:, None], streams.shape + (1,)),
         )
 
     def covariance(self, mode_powers: np.ndarray) -> np.ndarray:
@@ -164,12 +167,13 @@ class BeamDesign(NamedTuple):
 class ModeDesign(NamedTuple):
     """Power-independent part of an eigenmode strategy.
 
-    The transmitter water-fills the design ``gains`` (k,) over the
-    unit-norm transmit modes ``basis`` (n_tx, k). ``forward`` (m, k) is
-    the true channel times the basis, or None when the modes diagonalize
-    the true channel and the rate follows from the gains alone.
-    ``radiated`` (k,) holds v_i^H M v_i, so that alpha = radiated . p / P,
-    or None for strategies designed against the true power model.
+    The transmitter water-fills the design ``gains`` (..., k) over the
+    unit-norm transmit modes ``basis`` (..., n_tx, k). ``forward``
+    (..., m, k) is the true channel times the basis, or None when the
+    modes diagonalize the true channel and the rate follows from the
+    gains alone. ``radiated`` (..., k) holds v_i^H M v_i, so that
+    alpha = radiated . p / P, or None for strategies designed against
+    the true power model.
     """
 
     basis: np.ndarray
@@ -180,22 +184,31 @@ class ModeDesign(NamedTuple):
     def evaluate(self, powers_w: np.ndarray, noise_std: float) -> SuGrid:
         """Water-fill every budget of ``powers_w`` at once and rate the result."""
         budgets = np.asarray(powers_w, dtype=float)
-        gains = self.gains / noise_std**2
-        powers = waterfill(gains, budgets)
+        gains = self.gains[..., None, :] / noise_std**2
+        powers = _waterfill_rows(gains, budgets)
         if self.forward is None:
-            rates = np.log2(1.0 + powers * gains).sum(axis=1)
+            rates = np.log2(1.0 + powers * gains).sum(axis=-1)
         else:
-            a = self.forward
-            received = (a * powers[:, None, :]) @ a.conj().T
-            _, logdet = np.linalg.slogdet(np.eye(a.shape[0]) + received / noise_std**2)
-            rates = logdet / LN2
-        alpha = np.ones_like(budgets)
+            a = self.forward[..., None, :, :]
+            received = (a * powers[..., None, :]) @ a.conj().swapaxes(-1, -2)
+            received /= noise_std**2
+            received += np.eye(a.shape[-2])
+            rates = np.linalg.slogdet(received)[1] / LN2
+        alpha = np.ones(powers.shape[:-1])
         if self.radiated is not None:
-            np.divide(powers @ self.radiated, budgets, out=alpha, where=budgets > 0.0)
+            radiated = (powers @ self.radiated[..., :, None])[..., 0]
+            np.divide(radiated, budgets, out=alpha, where=budgets > 0.0)
         return SuGrid(rates, _count_active(powers, budgets), alpha, powers)
 
     def covariance(self, mode_powers: np.ndarray) -> np.ndarray:
         return (self.basis * mode_powers) @ self.basis.conj().T
+
+
+def _waterfill_rows(gains: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`waterfill` of gains (..., 1, k) at budgets (P,): (..., P, k)."""
+    shape = np.broadcast_shapes(gains.shape, budgets.shape + (1,))
+    rows = np.broadcast_to(gains, shape).reshape(-1, shape[-1])
+    return waterfill(rows, np.broadcast_to(budgets, shape[:-1]).reshape(-1)).reshape(shape)
 
 
 def _at_power(
@@ -209,50 +222,49 @@ def _at_power(
     )
 
 
-def _matched_beam(h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit-norm conj(h)/|h| (zeros for a zero channel) and |h|^2."""
-    h = np.asarray(h).reshape(-1)
-    norm2 = float(np.vdot(h, h).real)
-    if norm2 == 0.0:
-        return np.zeros(h.size, dtype=complex), 0.0
-    return h.conj() / math.sqrt(norm2), norm2
+def _matched_beam(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm conj(h)/|h| (zeros for a zero channel) and |h|^2, per row."""
+    h = np.asarray(h)
+    norm2 = (h.real**2 + h.imag**2).sum(axis=-1)
+    return h.conj() / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))[..., None], norm2
 
 
 def miso_capacity_design(h: np.ndarray) -> BeamDesign:
-    """Matched filter on the true channel row."""
+    """Matched filter on the true channel rows (..., n_tx)."""
     beam, gain = _matched_beam(h)
     return BeamDesign(beam, gain)
 
 
 def miso_reciprocal_design(h_forward: np.ndarray, h_reverse: np.ndarray) -> BeamDesign:
     """Matched filter on the reverse-link vector, rated on the forward one."""
-    hf = np.asarray(h_forward).reshape(-1)
-    hr = np.asarray(h_reverse).reshape(-1)
-    if hf.size != hr.size:
+    hf, hr = np.asarray(h_forward), np.asarray(h_reverse)
+    if hf.shape != hr.shape:
         raise ValueError("forward and reverse channels must have equal length")
     beam, _ = _matched_beam(hr)
-    return BeamDesign(beam, float(abs(hf @ beam) ** 2))
+    return BeamDesign(beam, np.abs((hf * beam).sum(axis=-1)) ** 2)
 
 
 def miso_naive_design(
     h_mismatched: np.ndarray, mismatch_power: np.ndarray
 ) -> BeamDesign:
-    """Matched filter on the mismatched channel, with its power ratio f^H M f."""
+    """Matched filter on the mismatched channel, with its power ratio f^H M f.
+
+    A zero channel gets a zero beam and alpha 1.
+    """
     beam, gain = _matched_beam(h_mismatched)
-    if gain == 0.0:
-        return BeamDesign(beam, 0.0)
-    return BeamDesign(beam, gain, float(np.vdot(beam, mismatch_power @ beam).real))
+    radiated = _radiated(beam[..., None], mismatch_power)[..., 0]
+    return BeamDesign(beam, gain, np.where(gain > 0.0, radiated, 1.0))
 
 
 def _radiated(beams: np.ndarray, mismatch_power: np.ndarray) -> np.ndarray:
     """Radiated power b^H M b of every unit-power column b of ``beams``."""
-    return np.sum(beams.conj() * (mismatch_power @ beams), axis=0).real
+    return np.sum(beams.conj() * (mismatch_power @ beams), axis=-2).real
 
 
 def _modes(design_channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right singular vectors (n_tx, k) and squared singular values (k,)."""
+    """Right singular vectors (..., n_tx, k) and squared singular values (..., k)."""
     _, s, vh = np.linalg.svd(design_channel, full_matrices=False)
-    return vh.conj().T, s * s
+    return vh.conj().swapaxes(-1, -2), s * s
 
 
 def mimo_capacity_design(channel: np.ndarray) -> ModeDesign:
@@ -267,11 +279,11 @@ def mimo_reciprocal_design(
     """Eigenmodes of the conjugated reverse Gram, rated on the forward channel."""
     hf = np.asarray(channel_forward)
     hr = np.asarray(channel_reverse)
-    if hr.shape != (hf.shape[1], hf.shape[0]):
+    if hr.shape != hf.swapaxes(-1, -2).shape:
         raise ValueError("reverse channel must have transposed shape")
     # conj(H_r) H_r^T = (H_r^T)^H H_r^T: its eigenbasis is the right
     # singular basis of H_r^T.
-    basis, gains = _modes(hr.T)
+    basis, gains = _modes(hr.swapaxes(-1, -2))
     return ModeDesign(basis, gains, forward=hf @ basis)
 
 
@@ -295,7 +307,7 @@ def su_miso_capacity(
 
     Rate is log2(1 + P |h|^2 / sigma^2), the single-receiver capacity.
     """
-    return _at_power(miso_capacity_design(h), total_power, noise_std)
+    return _at_power(miso_capacity_design(np.ravel(h)), total_power, noise_std)
 
 
 def su_miso_reciprocal(
@@ -311,9 +323,8 @@ def su_miso_reciprocal(
     which meets the capacity gain exactly when the two directions are
     aligned and drops to zero when they are orthogonal.
     """
-    return _at_power(
-        miso_reciprocal_design(h_forward, h_reverse), total_power, noise_std
-    )
+    design = miso_reciprocal_design(np.ravel(h_forward), np.ravel(h_reverse))
+    return _at_power(design, total_power, noise_std)
 
 
 def su_miso_naive(
@@ -329,9 +340,8 @@ def su_miso_naive(
     same channel, while the truly radiated power is the quadratic form
     of the beamformer under ``mismatch_power`` times the budget.
     """
-    return _at_power(
-        miso_naive_design(h_mismatched, mismatch_power), total_power, noise_std
-    )
+    design = miso_naive_design(np.ravel(h_mismatched), mismatch_power)
+    return _at_power(design, total_power, noise_std)
 
 
 def su_mimo_capacity(
@@ -381,20 +391,24 @@ def su_mimo_naive(
 
 
 def _gram_root(channel: np.ndarray, noise_std: float) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian Gram G = H H^H / sigma^2 and a square root R with G = R R^H."""
-    gram = channel @ channel.conj().T / noise_std**2
-    gram = 0.5 * (gram + gram.conj().T)
+    """Hermitian Gram G = H H^H / sigma^2 and a square root R with G = R R^H.
+
+    ``channel`` may be a stack; so are the results.
+    """
+    gram = channel @ channel.conj().swapaxes(-1, -2) / noise_std**2
+    gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
     lam, vec = np.linalg.eigh(gram)
-    return gram, vec * np.sqrt(np.maximum(lam, 0.0))
+    return gram, vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]
 
 
 def _dpc_bits(root: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """log2 det(I + R R^H Xi) via log1p of eig(R^H Xi R); precise for tiny Xi.
 
-    ``xi`` may be a stack of covariances; the result has one value per
-    covariance.
+    ``root`` and ``xi`` may be stacks that broadcast against each other;
+    the result has one value per covariance.
     """
-    return np.log1p(np.linalg.eigvalsh(root.conj().T @ xi @ root)).sum(axis=-1) / LN2
+    product = root.conj().swapaxes(-1, -2) @ xi @ root
+    return np.log1p(np.linalg.eigvalsh(product)).sum(axis=-1) / LN2
 
 
 def dpc_sum_rate(
@@ -408,7 +422,7 @@ def dpc_sum_rate(
 
 def _check_partition(channel: np.ndarray, partition: tuple[int, ...]) -> tuple[int, ...]:
     partition = tuple(int(p) for p in partition)
-    if sum(partition) != channel.shape[0] or any(p < 1 for p in partition):
+    if sum(partition) != channel.shape[-2] or any(p < 1 for p in partition):
         raise ValueError("partition must be positive and sum to the channel rows")
     return partition
 
@@ -422,12 +436,13 @@ def _block_mask(partition: tuple[int, ...]) -> np.ndarray:
 class MacGrid(NamedTuple):
     """Sum-capacity solutions at every budget of a power grid.
 
-    Entry j of every field belongs to budget j: ``covariances`` (P, m, m)
-    holds the dual-MAC covariances, ``rates`` and ``streams`` the sum
-    rates and active streams, ``iterations``, ``kkt_residual`` and
-    ``converged`` the solver diagnostics (as in :class:`MacSolution`),
-    and ``objective_traces`` the objective after every accepted
-    iteration.
+    Entry (..., j) of every array belongs to budget j of one channel
+    realization: ``covariances`` (..., P, m, m) holds the dual-MAC
+    covariances, ``rates`` and ``streams`` the sum rates and active
+    streams, ``iterations``, ``kkt_residual`` and ``converged`` the
+    solver diagnostics (as in :class:`MacSolution`).
+    ``objective_traces`` holds the objective after every accepted
+    iteration, one tuple per entry in C order.
     """
 
     rates: np.ndarray
@@ -439,8 +454,9 @@ class MacGrid(NamedTuple):
     objective_traces: tuple[tuple[float, ...], ...]
 
     def rates_on(self, channel: np.ndarray, noise_std: float) -> np.ndarray:
-        """DPC sum rate of every covariance on another stacked channel."""
-        return _dpc_bits(_gram_root(np.asarray(channel), noise_std)[1], self.covariances)
+        """DPC sum rate of every covariance on another channel (or stack)."""
+        root = _gram_root(np.asarray(channel), noise_std)[1]
+        return _dpc_bits(root[..., None, :, :], self.covariances)
 
 
 def _solve_mac(
@@ -452,15 +468,23 @@ def _solve_mac(
     rel_tol: float,
     max_iterations: int,
 ) -> MacGrid:
-    """Sum-power iterative water-filling for every budget at once.
+    """Sum-power iterative water-filling for every realization and budget.
 
-    Each iteration does one batched solve for all running budgets and
-    users, one eigh per block size, and one row-wise water-fill. A
-    budget freezes once its stopping rule fires. ``initial`` (P, m, m)
-    is the start stack; None starts every budget at P/m I.
+    Each (realization, budget) pair of ``h`` (..., m, n) and ``budgets``
+    (P,) is one row with its own Gram and root. Each iteration does one
+    batched solve for all running rows and users, one eigh per
+    multi-antenna block, and one row-wise water-fill. A row freezes once
+    its stopping rule fires. ``initial`` (rows, m, m) is the start
+    stack; None starts every row at P/m I.
     """
+    shape = h.shape[:-2] + budgets.shape
+    gram, root = (
+        np.broadcast_to(a[..., None, :, :], shape + a.shape[-2:]).reshape((-1,) + a.shape[-2:])
+        for a in _gram_root(h, noise_std)
+    )
+    budgets = np.broadcast_to(budgets, shape).reshape(-1)
     n_users = len(partition)
-    m_total = h.shape[0]
+    m_total = gram.shape[-1]
     offsets = np.cumsum((0,) + partition)
     blocks = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
     mask = _block_mask(partition)
@@ -468,7 +492,6 @@ def _solve_mac(
     users = np.arange(n_users)[:, None, None]
     # outside[k] masks out user k's rows and columns: Xi * outside[k] is Xi_-k.
     outside = (owner[None, :, None] != users) & (owner[None, None, :] != users)
-    gram, root = _gram_root(h, noise_std)
     eye = np.eye(m_total)
     if initial is None:
         xi = (budgets / m_total)[:, None, None] * np.eye(m_total, dtype=complex)
@@ -484,9 +507,9 @@ def _solve_mac(
     for iteration in range(1, max_iterations + 1):
         if not running.size:
             break
-        x = xi[running]
+        x, g = xi[running], gram[running, None]
         # An equal-rank right-hand side is a matrix stack in numpy 1.x too.
-        effective = np.linalg.solve(eye + gram @ (x[:, None] * outside), gram[None, None])
+        effective = np.linalg.solve(eye + g @ (x[:, None] * outside), g)
         gains, bases = [], []
         for k, b in enumerate(blocks):
             e_k = effective[:, k, b, b]
@@ -504,7 +527,7 @@ def _solve_mac(
                 cand[:, b, b] += (p[:, b] / n_users)[:, :, None]
             else:
                 cand[:, b, b] += (v * (p[:, None, b] / n_users)) @ v.conj().swapaxes(1, 2)
-        fc = _dpc_bits(root, cand)
+        fc = _dpc_bits(root[running], cand)
         powers[running] = p
         iterations[running] = iteration
         # A step that would lower the objective is rejected and ends its budget.
@@ -518,22 +541,21 @@ def _solve_mac(
         done = gain <= rel_tol * np.maximum(np.abs(fc[up]), 1e-12)
         running = kept[~done] if iteration > 2 else kept
 
-    core = np.linalg.solve(eye + gram @ xi, gram[None])
+    core = np.linalg.solve(eye + gram @ xi, gram)
     grad = np.where(mask, 0.5 * (core + core.conj().swapaxes(1, 2)) / LN2, 0.0)
     grad_norm = np.linalg.norm(grad, axis=(1, 2))
     kkt_residual = np.zeros(budgets.size)
-    for j in np.flatnonzero((budgets > 0.0) & (grad_norm > 0.0)):
-        probe = budgets[j] / grad_norm[j]
-        moved = project_psd_trace(np.where(mask, xi[j] + probe * grad[j], 0.0), budgets[j])
-        kkt_residual[j] = np.linalg.norm(moved - xi[j]) / budgets[j]
+    probed = (budgets > 0.0) & (grad_norm > 0.0)
+    if probed.any():
+        b = budgets[probed]
+        step = xi[probed] + (b / grad_norm[probed])[:, None, None] * grad[probed]
+        moved = project_psd_trace(np.where(mask, step, 0.0), b)
+        kkt_residual[probed] = np.linalg.norm(moved - xi[probed], axis=(1, 2)) / b
     trace_rows = np.array(traces)
+    arrays = (fx, _count_active(powers, budgets), xi, iterations, kkt_residual)
     return MacGrid(
-        rates=fx,
-        streams=_count_active(powers, budgets),
-        covariances=xi,
-        iterations=iterations,
-        kkt_residual=kkt_residual,
-        converged=kkt_residual < 1e-5,
+        *(a.reshape(shape + a.shape[1:]) for a in arrays),
+        converged=(kkt_residual < 1e-5).reshape(shape),
         objective_traces=tuple(
             tuple(trace_rows[: n + 1, j].tolist()) for j, n in enumerate(accepted)
         ),
@@ -603,10 +625,12 @@ def mac_sum_capacity_grid(
 ) -> MacGrid:
     """Sum capacity at every budget of ``powers_w`` in one batched solve.
 
-    Entry j equals :func:`mac_sum_capacity` at budget ``powers_w[j]``
-    started cold: every budget starts at P/m I, runs the same
-    iteration, stops by the same rule (with ``rel_tol`` at its default)
-    and counts its streams on its own last water-fill.
+    ``channel`` is one stacked channel (m, n) or a stack (..., m, n) of
+    realizations; all (realization, budget) pairs are solved together.
+    Entry (..., j) equals :func:`mac_sum_capacity` at budget
+    ``powers_w[j]`` started cold: every entry starts at P/m I, runs the
+    same iteration, stops by the same rule (with ``rel_tol`` at its
+    default) and counts its streams on its own last water-fill.
     """
     h = np.asarray(channel)
     partition = _check_partition(h, partition)
@@ -618,7 +642,7 @@ def mac_sum_capacity_grid(
 
 def _split_rows(channel: np.ndarray, partition: tuple[int, ...]) -> list[np.ndarray]:
     offsets = np.cumsum((0,) + tuple(partition))
-    return [channel[offsets[k] : offsets[k + 1]] for k in range(len(partition))]
+    return [channel[..., offsets[k] : offsets[k + 1], :] for k in range(len(partition))]
 
 
 def _bc_rates(
@@ -629,30 +653,27 @@ def _bc_rates(
     powers: np.ndarray,
     noise_std: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user rates (B, K) and their sum (B,) of a linear precoder.
+    """Per-user rates (N, K) and their sum (N,) of N linear precoders.
 
-    Column i of ``beams`` serves user ``owner[i]`` with power
-    ``powers[:, i]``, one row per budget. Each user decodes its own
-    streams jointly; the other users' beams act as colored
-    interference added to the thermal noise.
+    Row j holds channel ``channel[j]`` (m, n_tx) and beams ``beams[j]``
+    (n_tx, L); column i serves user ``owner[j, i]`` with power
+    ``powers[j, i]``. Each user decodes its own streams jointly; the
+    other users' beams act as colored interference added to the thermal
+    noise. A user without streams gets rate 0.
     """
     per_user = np.zeros((powers.shape[0], len(partition)))
-    total = np.zeros(powers.shape[0])
     for k, hk in enumerate(_split_rows(channel, partition)):
-        own = owner == k
-        if not own.any():
-            continue
-        m_k = hk.shape[0]
+        m_k = hk.shape[-2]
         received = hk @ beams
-        mine, theirs = received[:, own], received[:, ~own]
-        noise_cov = noise_std**2 * np.eye(m_k, dtype=complex) + (
-            theirs * powers[:, None, ~own]
-        ) @ theirs.conj().T
-        signal = (mine * powers[:, None, own]) @ mine.conj().T
+        weighted = received * powers[:, None, :]
+        own = (owner == k)[:, None, :]
+        noise_cov = noise_std**2 * np.eye(m_k, dtype=complex) + np.where(
+            own, 0.0, weighted
+        ) @ received.conj().swapaxes(1, 2)
+        signal = np.where(own, weighted, 0.0) @ received.conj().swapaxes(1, 2)
         _, logdet = np.linalg.slogdet(np.eye(m_k) + np.linalg.solve(noise_cov, signal))
         per_user[:, k] = logdet / LN2
-        total += per_user[:, k]
-    return per_user, total
+    return per_user, per_user.sum(axis=1)
 
 
 class ZfGrid(NamedTuple):
@@ -664,15 +685,18 @@ class ZfGrid(NamedTuple):
 
 
 class ZfDesign(NamedTuple):
-    """Power-independent part of greedy zero-forcing.
+    """Power-independent part of greedy zero-forcing, per realization.
 
     The greedy stream order depends only on the design channel, so every
     prefix of it is designed once. Stream i belongs to user
-    ``owners[i]``; prefix l holds the first l streams, with unit-norm
-    zero-forcing beams ``beams[l]`` (n_tx, l) and pseudo-inverse column
-    norms ``norms[l]``, so stream gains are 1 / (norm^2 sigma^2).
-    ``radiated[l]`` holds b^H M b of those beams, or ``radiated`` is None
-    for designs against the true power model. Prefix 0 is empty.
+    ``owners[..., i]``; prefix l holds the first l streams, with
+    unit-norm zero-forcing beams ``beams[l]`` (..., n_tx, l) and
+    pseudo-inverse column norms ``norms[l]`` (..., l), so stream gains
+    are 1 / (norm^2 sigma^2). ``radiated[l]`` holds b^H M b of those
+    beams, or ``radiated`` is None for designs against the true power
+    model. Prefix 0 is empty. A realization with fewer streams than the
+    longest has owner -1, zero beams and infinite norms past its last
+    stream.
     """
 
     partition: tuple[int, ...]
@@ -688,17 +712,20 @@ class ZfDesign(NamedTuple):
 
         Every prefix is water-filled over all budgets; a budget moves to
         the next prefix while the predicted rate still rises by more
-        than 1e-12 bits. Stream powers (P, L) follow the greedy order
-        and are zero beyond the chosen prefix.
+        than 1e-12 bits. Stream powers (..., P, L) follow the greedy
+        order and are zero beyond the chosen prefix.
         """
         budgets = np.asarray(powers_w, dtype=float)
-        chosen = np.zeros(budgets.size, dtype=int)
-        best = np.zeros(budgets.size)
-        powers = np.zeros((budgets.size, self.owners.size))
-        for l in range(1, self.owners.size + 1):
-            gains = 1.0 / (self.norms[l] ** 2 * noise_std**2)
-            p = waterfill(gains, budgets)
-            rate = np.log2(1.0 + p * gains).sum(axis=1)
+        shape = self.owners.shape[:-1] + budgets.shape
+        n_max = self.owners.shape[-1]
+        chosen = np.zeros(shape, dtype=int)
+        best = np.zeros(shape)
+        powers = np.zeros(shape + (n_max,))
+        for l in range(1, n_max + 1):
+            # A missing prefix has zero gains, hence zero rate.
+            gains = 1.0 / (self.norms[l][..., None, :] ** 2 * noise_std**2)
+            p = _waterfill_rows(gains, budgets)
+            rate = np.log2(1.0 + p * gains).sum(axis=-1)
             better = (chosen == l - 1) & (rate > best + 1e-12)
             if not better.any():
                 break
@@ -711,28 +738,26 @@ class ZfDesign(NamedTuple):
         self, channel_true: np.ndarray, powers_w: np.ndarray, noise_std: float
     ) -> ZfGrid:
         """Rates on ``channel_true``, streams and alpha over the budgets."""
-        h = np.asarray(channel_true)
         chosen, _, powers = self.allocate(powers_w, noise_std)
-        rates = np.zeros(chosen.size)
-        streams = np.zeros(chosen.size, dtype=int)
-        alpha = np.ones(chosen.size)
+        shape, n_max = chosen.shape, self.owners.shape[-1]
+        chosen, powers = chosen.reshape(-1, shape[-1]), powers.reshape(-1, shape[-1], n_max)
+        h = np.reshape(channel_true, (chosen.shape[0],) + np.shape(channel_true)[-2:])
+        owners = self.owners.reshape(-1, n_max)
+        rates = np.zeros(chosen.shape)
+        streams = np.zeros(chosen.shape, dtype=int)
+        alpha = np.ones(chosen.shape)
         for l in np.unique(chosen[chosen > 0]):
-            rows = chosen == l
-            # Group streams by user, as PrecodingSolution.stacked() does.
-            # take() gives C order like stacked(); BLAS rounds
-            # differently on other layouts.
-            order = np.argsort(self.owners[:l], kind="stable")
-            p = powers[rows, :l][:, order]
-            beams = self.beams[l].take(order, axis=1)
-            _, rates[rows] = _bc_rates(
-                h, self.partition, beams, self.owners[order], p, noise_std
-            )
+            # One row per (realization r, budget j) that chose prefix l.
+            r, j = np.nonzero(chosen == l)
+            p = powers[r, j, :l]
+            beams = self.beams[l].reshape((-1,) + self.beams[l].shape[-2:])[r]
+            _, rates[r, j] = _bc_rates(h[r], self.partition, beams, owners[r, :l], p, noise_std)
             # A chosen prefix raised the rate, so it carries power.
             used = p.sum(axis=1)
-            streams[rows] = _count_active(p, used)
+            streams[r, j] = _count_active(p, used)
             if self.radiated is not None:
-                alpha[rows] = p @ self.radiated[l][order] / used
-        return ZfGrid(rates, streams, alpha)
+                alpha[r, j] = (p * self.radiated[l].reshape(-1, l)[r]).sum(axis=1) / used
+        return ZfGrid(rates.reshape(shape), streams.reshape(shape), alpha.reshape(shape))
 
 
 def greedy_zf_design(
@@ -748,45 +773,58 @@ def greedy_zf_design(
     prefix's precoder zero-forces its stacked virtual rows via
     pseudo-inverse. Selection stops when no user has a direction left.
     With ``mismatch_power`` the design also records each beam's
-    radiated power.
+    radiated power. ``channel_assumed`` may be a stack (..., m, n_tx) of
+    realizations, each with its own greedy order.
     """
     h = np.asarray(channel_assumed)
     partition = _check_partition(h, partition)
-    users = _split_rows(h, partition)
-    n_tx = h.shape[1]
-    max_streams = min(n_tx, h.shape[0])
-
-    basis = np.zeros((n_tx, 0), dtype=complex)
-    rows = np.zeros((0, n_tx), dtype=complex)
-    owners: list[int] = []
-    per_user = [0] * len(partition)
-    beams = [np.zeros((n_tx, 0), dtype=complex)]
-    norms = [np.zeros(0)]
-    while len(owners) < max_streams:
-        proj = np.eye(n_tx) - basis @ basis.conj().T
-        candidate = None
+    batch, (m_total, n_tx) = h.shape[:-2], h.shape[-2:]
+    users = _split_rows(h.reshape(-1, m_total, n_tx), partition)
+    n = len(users[0])
+    live = np.arange(n)  # realizations still adding streams
+    basis = np.zeros((n, n_tx, 0), dtype=complex)
+    rows = np.zeros((n, 0, n_tx), dtype=complex)
+    per_user = np.zeros((n, len(partition)), dtype=int)
+    owners = np.full((n, min(n_tx, m_total)), -1)
+    beams = [np.zeros((n, n_tx, 0), dtype=complex)]
+    norms = [np.zeros((n, 0))]
+    for l in range(1, owners.shape[1] + 1):
+        proj = np.eye(n_tx) - basis @ basis.conj().swapaxes(1, 2)
+        best = np.full(live.size, -1.0)
+        pick = np.zeros(live.size, dtype=int)
+        row, direction = np.zeros((2, live.size, n_tx), dtype=complex)
         for k, hk in enumerate(users):
-            if per_user[k] >= hk.shape[0]:
-                continue
-            u, s, vh = np.linalg.svd(hk @ proj)
-            if candidate is None or s[0] > candidate[0]:
-                candidate = (float(s[0]), k, u[:, 0], vh[0].conj())
-        if candidate is None or candidate[0] ** 2 <= 1e-28:
+            u, s, vh = np.linalg.svd(hk[live] @ proj, full_matrices=False)
+            # Only a strictly stronger user replaces the current pick.
+            better = (per_user[live, k] < hk.shape[1]) & (s[:, 0] > best)
+            best[better], pick[better] = s[better, 0], k
+            left = u[better, :, 0].conj()[:, None, :]
+            row[better] = (left @ hk[live[better]])[:, 0]
+            direction[better] = vh[better, 0].conj()
+        found = (best >= 0.0) & (best**2 > 1e-28)
+        if not found.any():
             break
-        _, k, left, direction = candidate
-        rows = np.vstack([rows, (left.conj() @ users[k])[None, :]])
+        live, pick = live[found], pick[found]
+        rows = np.concatenate([rows[found], row[found, None, :]], axis=1)
+        basis = np.concatenate([basis[found], direction[found, :, None]], axis=2)
         inverse = np.linalg.pinv(rows)
-        col_norms = np.linalg.norm(inverse, axis=0)
-        basis = np.hstack([basis, direction[:, None]])
-        owners.append(k)
-        per_user[k] += 1
-        beams.append(inverse / col_norms[None, :])
-        norms.append(col_norms)
+        col_norms = np.linalg.norm(inverse, axis=1)
+        owners[live, l - 1] = pick
+        per_user[live, pick] += 1
+        beams.append(np.zeros((n, n_tx, l), dtype=complex))
+        beams[l][live] = inverse / col_norms[:, None, :]
+        norms.append(np.full((n, l), np.inf))
+        norms[l][live] = col_norms
     radiated = None
     if mismatch_power is not None:
-        radiated = tuple(_radiated(b, mismatch_power) for b in beams)
+        radiated = [_radiated(b, mismatch_power) for b in beams]
+
+    def shaped(arrays):
+        return tuple(a.reshape(batch + a.shape[1:]) for a in arrays)
+
+    (owners,) = shaped([owners[:, : len(beams) - 1]])
     return ZfDesign(
-        partition, np.array(owners, dtype=int), tuple(beams), tuple(norms), radiated
+        partition, owners, shaped(beams), shaped(norms), radiated and shaped(radiated)
     )
 
 
@@ -847,7 +885,12 @@ def evaluate_bc_rates(
         np.arange(len(solution.precoders)), [f.shape[1] for f in solution.precoders]
     )
     per_user, total = _bc_rates(
-        np.asarray(channel_true), solution.partition, stacked, owner, powers[None], noise_std
+        np.asarray(channel_true)[None],
+        solution.partition,
+        stacked[None],
+        owner[None],
+        powers[None],
+        noise_std,
     )
     total_power = float(powers.sum())
     active = int(_count_active(powers, total_power if total_power > 0 else 1.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -222,6 +223,69 @@ class TestRun:
         config = write_run_config(tmp_path / "dead.json", scenario=scenario)
         assert main(["run", config, "--output-dir", str(tmp_path / "o")]) == 3
         assert "aborted" in capsys.readouterr().err
+
+
+def reference_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+class TestCsvWriters:
+    """Each one-pass writer against a csv.writer reference built here."""
+
+    @pytest.fixture
+    def result(self):
+        scenario = mp.config_from_dict(scenario_dict(power_grid_dbw=[-70.0, -55.5, -50.0]))
+        result = mp.run_scenario(scenario)
+        nan = np.full(mp.montecarlo.KDE_GRID_POINTS, np.nan)
+        # A degenerate power point writes nan KDE rows.
+        kde = (result.alpha_kde[0], (nan, nan.copy()), result.alpha_kde[2])
+        return dataclasses.replace(result, alpha_kde=kde)
+
+    def reference_rows(self, result, target):
+        powers = [repr(float(p)) for p in result.power_grid_dbw]
+        strategies = result.config.strategies
+        if target == "rates_csv":
+            header = ["P_dBW"] + [cli.RATE_COLUMNS[s] for s in strategies]
+            rows = [
+                [p] + [repr(float(result.ergodic_rates[s][j])) for s in strategies]
+                for j, p in enumerate(powers)
+            ]
+        elif target == "alpha_csv":
+            header = ["P_dBW", "realization", "alpha"]
+            rows = [
+                [p, r, repr(float(result.alpha_samples[r, j]))]
+                for j, p in enumerate(powers)
+                for r in range(result.alpha_samples.shape[0])
+            ]
+        elif target == "streams_csv":
+            header = ["P_dBW", "strategy", "mean_active_streams"]
+            rows = [
+                [p, s, repr(float(result.mean_active_streams[s][j]))]
+                for j, p in enumerate(powers)
+                for s in strategies
+            ]
+        else:
+            header = ["P_dBW", "alpha", "density"]
+            rows = [
+                [p, repr(float(g)), repr(float(d))]
+                for p, (grid, density) in zip(powers, result.alpha_kde)
+                for g, d in zip(grid, density)
+            ]
+        return header, rows
+
+    @pytest.mark.parametrize("target", cli.EMIT_CHOICES)
+    def test_bytes_match_csv_writer(self, tmp_path, result, target):
+        _, writer = cli._EMIT_WRITERS[target]
+        writer(str(tmp_path / "fast.csv"), result)
+        reference_csv(tmp_path / "reference.csv", *self.reference_rows(result, target))
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "reference.csv").read_bytes()
+        assert fast.endswith(b"\r\n")
+        if target == "kde_csv":
+            assert b"-55.5,nan,nan\r\n" in fast
 
 
 class TestDumpImpedance:

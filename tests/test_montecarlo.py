@@ -338,57 +338,77 @@ def single_user_channels(kind: str, m: int, n: int, seed: int):
     return (*mats, h_up), a @ a.conj().T / n
 
 
+KINDS = ("random", "rank_one", "zero")
+
+
+def mixed_stack(first: str, m: int, n: int, seed: int):
+    """One realization of each kind, ``first`` leading, stacked (R, ...).
+
+    Returns the channel stacks (h, h_mismatched, h_assumed, h_up) and the
+    mismatch power matrix of the leading realization.
+    """
+    start = KINDS.index(first)
+    kinds = KINDS[start:] + KINDS[:start]
+    draws = [single_user_channels(kind, m, n, seed + 10 * i) for i, kind in enumerate(kinds)]
+    stacks = tuple(np.stack(mats) for mats in zip(*(channels for channels, _ in draws)))
+    return stacks, draws[0][1], kinds
+
+
 class TestSingleUserGrid:
-    """The montecarlo grid path against the public per-power functions."""
+    """The chunk evaluator, row by row, against the per-power functions."""
 
     # Zero budget, partial and full water-filling at unit noise.
     POWERS_W = np.array([0.0, 1e-10, 1e-3, 0.05, 0.3, 2.0, 1e3])
 
-    @pytest.mark.parametrize("kind", ["random", "rank_one", "zero"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_per_power_functions(self, kind, m, seed):
         n = 5
         sigma = 0.7
-        channels, mismatch = single_user_channels(kind, m, n, seed)
-        h, h_mm, h_as, h_up = channels
-        config = SimpleNamespace(strategies=("cap", "recip", "hyp"))
+        channels, mismatch, kinds = mixed_stack(kind, m, n, seed)
+        config = SimpleNamespace(strategies=("cap", "recip", "hyp"), rx_partition=(m,))
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
-        rates, streams, alphas, unconverged = montecarlo._evaluate_single_user(
+        rates, streams, alphas, unconverged = montecarlo._evaluate_chunk(
             config, down, channels, self.POWERS_W
         )
         assert unconverged == 0
-        for j, p_w in enumerate(self.POWERS_W):
-            if m == 1:
-                expected = {
-                    "cap": mp.su_miso_capacity(h[0], p_w, sigma),
-                    "recip": mp.su_miso_reciprocal(h[0], h_up[:, 0], p_w, sigma),
-                    "hyp": mp.su_miso_naive(h_mm[0], mismatch, p_w, sigma),
-                }
-            else:
-                expected = {
-                    "cap": mp.su_mimo_capacity(h, p_w, sigma),
-                    "recip": mp.su_mimo_reciprocal(h, h_up, p_w, sigma),
-                    "hyp": mp.su_mimo_naive(h_mm, h_as, mismatch, p_w, sigma),
-                }
-            for s, res in expected.items():
+        for r, row_kind in enumerate(kinds):
+            h, h_mm, h_as, h_up = (c[r] for c in channels)
+            for j, p_w in enumerate(self.POWERS_W):
+                if m == 1:
+                    expected = {
+                        "cap": mp.su_miso_capacity(h[0], p_w, sigma),
+                        "recip": mp.su_miso_reciprocal(h[0], h_up[:, 0], p_w, sigma),
+                        "hyp": mp.su_miso_naive(h_mm[0], mismatch, p_w, sigma),
+                    }
+                else:
+                    expected = {
+                        "cap": mp.su_mimo_capacity(h, p_w, sigma),
+                        "recip": mp.su_mimo_reciprocal(h, h_up, p_w, sigma),
+                        "hyp": mp.su_mimo_naive(h_mm, h_as, mismatch, p_w, sigma),
+                    }
+                for s, res in expected.items():
+                    np.testing.assert_allclose(
+                        rates[s][r, j], res.rate.rate_bits, rtol=1e-12, atol=0.0
+                    )
+                    assert streams[s][r, j] == res.rate.active_streams
                 np.testing.assert_allclose(
-                    rates[s][j], res.rate.rate_bits, rtol=1e-12, atol=0.0
+                    alphas[r, j], expected["hyp"].alpha, rtol=1e-12, atol=0.0
                 )
-                assert streams[s][j] == res.rate.active_streams
-            np.testing.assert_allclose(
-                alphas[j], expected["hyp"].alpha, rtol=1e-12, atol=0.0
-            )
-        if kind == "zero":
-            for s in config.strategies:
-                assert np.all(rates[s] == 0.0) and np.all(streams[s] == 0.0)
-        else:
-            assert streams["cap"][0] == 0 and rates["cap"][0] == 0.0
-            assert np.all(np.diff(rates["cap"]) > 0.0)
+            if row_kind == "zero":
+                for s in config.strategies:
+                    assert np.all(rates[s][r] == 0.0) and np.all(streams[s][r] == 0.0)
+                if m == 1:
+                    # A zero channel gets a zero beam and alpha 1.
+                    assert np.all(alphas[r] == 1.0)
+            else:
+                assert streams["cap"][r, 0] == 0 and rates["cap"][r, 0] == 0.0
+                assert np.all(np.diff(rates["cap"][r]) > 0.0)
 
 
 class TestMultiUserGrid:
-    """The montecarlo multi-user grid path against the per-power functions."""
+    """The chunk evaluator's multi-user rows against the per-power functions."""
 
     POWERS_W = np.array([0.0, 1e-10, 1e-3, 0.05, 0.3, 2.0, 1e3])
 
@@ -396,48 +416,104 @@ class TestMultiUserGrid:
     def test_matches_per_power_functions(self, partition):
         n = 5
         sigma = 0.7
-        rng = np.random.default_rng(7)
         m = sum(partition)
-        h, h_mm, h_as = (crandn(rng, m, n) for _ in range(3))
-        h_up = h.T + 0.3 * crandn(rng, n, m)
-        a = crandn(rng, n, n)
-        mismatch = a @ a.conj().T / n
+        channels, mismatch, kinds = mixed_stack("random", m, n, 7)
         strategies = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
         config = SimpleNamespace(strategies=strategies, rx_partition=partition)
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
-        rates, streams, alphas, unconverged = montecarlo._evaluate_multi_user(
-            config, down, (h, h_mm, h_as, h_up), self.POWERS_W
+        rates, streams, alphas, unconverged = montecarlo._evaluate_chunk(
+            config, down, channels, self.POWERS_W
         )
         assert unconverged == 0
-        for j, p_w in enumerate(self.POWERS_W):
-            cap = mp.mac_sum_capacity(h, partition, p_w, sigma)
-            hyp = mp.mac_sum_capacity(h_as, partition, p_w, sigma)
-            expected_rates = {
-                "cap": cap.rate.rate_bits,
-                "hyp": mp.dpc_sum_rate(h_mm, hyp.mac_covariance, sigma),
-            }
-            expected_streams = {
-                "cap": cap.rate.active_streams,
-                "hyp": hyp.rate.active_streams,
-            }
-            for s, assumed, true in (
-                ("cap_lin", h, h),
-                ("recip_lin", h_up.T, h),
-                ("hyp_lin", h_as, h_mm),
-            ):
-                lin = mp.greedy_zf(assumed, partition, p_w, sigma)
-                if s == "hyp_lin":
-                    lin = mp.with_true_power(lin, mismatch)
-                    expected_alpha = lin.alpha if lin.predicted_power_w > 0 else 1.0
-                res = mp.evaluate_bc_rates(true, lin, sigma)
-                expected_rates[s] = res.rate_bits
-                expected_streams[s] = res.active_streams
-            for s in strategies:
+        for r in range(len(kinds)):
+            h, h_mm, h_as, h_up = (c[r] for c in channels)
+            for j, p_w in enumerate(self.POWERS_W):
+                cap = mp.mac_sum_capacity(h, partition, p_w, sigma)
+                hyp = mp.mac_sum_capacity(h_as, partition, p_w, sigma)
+                expected_rates = {
+                    "cap": cap.rate.rate_bits,
+                    "hyp": mp.dpc_sum_rate(h_mm, hyp.mac_covariance, sigma),
+                }
+                expected_streams = {
+                    "cap": cap.rate.active_streams,
+                    "hyp": hyp.rate.active_streams,
+                }
+                for s, assumed, true in (
+                    ("cap_lin", h, h),
+                    ("recip_lin", h_up.T, h),
+                    ("hyp_lin", h_as, h_mm),
+                ):
+                    lin = mp.greedy_zf(assumed, partition, p_w, sigma)
+                    if s == "hyp_lin":
+                        lin = mp.with_true_power(lin, mismatch)
+                        expected_alpha = lin.alpha if lin.predicted_power_w > 0 else 1.0
+                    res = mp.evaluate_bc_rates(true, lin, sigma)
+                    expected_rates[s] = res.rate_bits
+                    expected_streams[s] = res.active_streams
+                for s in strategies:
+                    np.testing.assert_allclose(
+                        rates[s][r, j], expected_rates[s], rtol=1e-12, atol=0.0
+                    )
+                    assert streams[s][r, j] == expected_streams[s]
                 np.testing.assert_allclose(
-                    rates[s][j], expected_rates[s], rtol=1e-12, atol=0.0
+                    alphas[r, j], expected_alpha, rtol=1e-12, atol=0.0
                 )
-                assert streams[s][j] == expected_streams[s]
-            np.testing.assert_allclose(alphas[j], expected_alpha, rtol=1e-12, atol=0.0)
+        # The rank-one realization serves one stream; the zero one none.
+        assert streams["cap_lin"][1].max() == 1
+        assert np.all(streams["cap_lin"][2] == 0) and np.all(rates["cap"][2] == 0.0)
+
+
+class TestChunks:
+    SEED, N_RX, N_TX, STD = 5, 3, 4, 0.02
+
+    def test_counter_reset_draws_match_fresh_generators(self):
+        chunk = montecarlo.CHUNK_REALIZATIONS
+        indices = [0, 1, chunk - 1, chunk, 2**40 + 3]
+        drawn = montecarlo._draw_couplings(
+            self.SEED, 0, indices, self.N_RX, self.N_TX, self.STD
+        )
+        for r, z in zip(indices, drawn):
+            rng = np.random.Generator(
+                np.random.Philox(
+                    key=np.array([self.SEED, 0], dtype=np.uint64),
+                    counter=np.array([0, 0, 0, r], dtype=np.uint64),
+                )
+            )
+            shape = (self.N_RX, self.N_TX)
+            fresh = self.STD / np.sqrt(2.0) * (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            )
+            assert np.array_equal(z, fresh)
+            assert np.array_equal(
+                z, mp.coupling_realization(self.SEED, r, 0, self.N_RX, self.N_TX, self.STD)
+            )
+
+    @pytest.mark.parametrize("partition", [[1], [1, 1]])
+    def test_csvs_identical_across_workers_past_a_chunk_boundary(self, tmp_path, partition):
+        from multiport.cli import main
+
+        strategies = ["cap", "hyp"] if len(partition) == 1 else ["cap", "hyp", "hyp_lin"]
+        scenario = dict(
+            name="chunked",
+            n_tx=4,
+            tx_spacing=0.4,
+            rx_partition=partition,
+            strategies=strategies,
+            power_grid_dbw=[-70.0, -50.0],
+            n_realizations=montecarlo.CHUNK_REALIZATIONS + 3,
+            seed=11,
+        )
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": scenario}))
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["run", str(path), "--output-dir", str(out), "--workers", workers]) == 0
+            outputs.append(
+                {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+            )
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
 
 
 class TestRunScenario:
@@ -490,9 +566,9 @@ class TestRunScenario:
             rx_partition=(1, 1), strategies=("cap", "hyp", "cap_lin"), n_realizations=2
         )
         result = mp.run_scenario(config)
-        # One grid solve per MAC strategy and realization, each over 2 budgets.
-        assert len(grids) == 2 * 2
-        assert all(grid.converged.shape == (2,) for grid in grids)
+        # One grid solve per chunk: 2 MAC strategies x 2 realizations x 2 budgets.
+        assert len(grids) == 1
+        assert grids[0].converged.shape == (2, 2, 2)
         expected = sum(int(np.count_nonzero(~grid.converged)) for grid in grids)
         assert expected > 0
         assert result.n_unconverged == expected
@@ -565,6 +641,7 @@ class TestRunScenario:
             raise AssertionError("coupling drawn before the front end was checked")
 
         monkeypatch.setattr(montecarlo, "coupling_realization", no_draw)
+        monkeypatch.setattr(montecarlo, "_draw_couplings", no_draw)
         dead = mp.NoiseConfig(
             voltage_noise_var=0.0, current_noise_var=0.0, antenna_temperature_k=0.0
         )

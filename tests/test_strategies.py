@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import multiport as mp
+from multiport.numerics import project_psd_trace
 from multiport.strategies import greedy_zf_design, mac_sum_capacity_grid
 
 RNG = np.random.default_rng
@@ -357,6 +358,42 @@ class TestMultiUserGrid:
             )
         assert grid.rates[0] == 0.0 and grid.streams[0] == 0
         assert grid.converged.all()
+
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 2), (2, 1, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kkt_probe_matches_per_budget_projection(self, partition, seed):
+        rng = RNG(40 + seed)
+        h = crandn(rng, sum(partition), 8)
+        grid = mac_sum_capacity_grid(h, partition, self.POWERS_W, SIGMA)
+        owner = np.repeat(np.arange(len(partition)), partition)
+        mask = owner[:, None] == owner[None, :]
+        gram = h @ h.conj().T / SIGMA**2
+        gram = 0.5 * (gram + gram.conj().T)
+        # The probe as a loop over budgets, one projection per budget.
+        xi = grid.covariances
+        core = np.linalg.solve(np.eye(h.shape[0]) + gram @ xi, gram[None])
+        grad = np.where(mask, 0.5 * (core + core.conj().swapaxes(1, 2)) / np.log(2.0), 0.0)
+        grad_norm = np.linalg.norm(grad, axis=(1, 2))
+        for j, power in enumerate(self.POWERS_W):
+            expected = 0.0
+            if power > 0.0 and grad_norm[j] > 0.0:
+                step = xi[j] + power / grad_norm[j] * grad[j]
+                moved = project_psd_trace(np.where(mask, step, 0.0), power)
+                expected = np.linalg.norm(moved - xi[j]) / power
+            assert grid.kkt_residual[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_mac_grid_stacks_realizations(self):
+        rng = RNG(44)
+        stack = crandn(rng, 2, 3, 3, 6)
+        grid = mac_sum_capacity_grid(stack, (1, 2), self.POWERS_W, SIGMA)
+        assert grid.covariances.shape == (2, 3, self.POWERS_W.size, 3, 3)
+        assert len(grid.objective_traces) == 2 * 3 * self.POWERS_W.size
+        for a in range(2):
+            for b in range(3):
+                one = mac_sum_capacity_grid(stack[a, b], (1, 2), self.POWERS_W, SIGMA)
+                assert np.array_equal(grid.rates[a, b], one.rates)
+                assert np.array_equal(grid.streams[a, b], one.streams)
+                assert np.array_equal(grid.iterations[a, b], one.iterations)
 
     def test_mac_grid_validation(self):
         h = np.ones((2, 3), complex)
