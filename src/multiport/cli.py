@@ -170,9 +170,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(
             "alpha outputs need a naive strategy (hyp or hyp_lin) in the scenario"
         )
-    n_workers = int(args.workers if args.workers is not None else data.get("n_workers", 1))
-    if n_workers < 1:
-        raise ConfigError("n_workers must be at least 1")
+    n_workers = args.workers if args.workers is not None else data.get("n_workers", 1)
+    if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
+        raise ConfigError("n_workers must be an integer of at least 1")
     out_dir = (
         args.output_dir
         or data.get("output_dir")

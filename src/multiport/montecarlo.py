@@ -29,7 +29,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -195,6 +195,35 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return data
 
 
+def _noise_from_dict(data) -> NoiseConfig:
+    """Parse the optional noise block: an object of NoiseConfig fields.
+
+    ``correlation`` is a number or a ``[re, im]`` pair.
+    """
+    if data is None:
+        return NoiseConfig.default()
+    if not isinstance(data, dict):
+        raise ConfigError("noise must be a JSON object")
+    unknown = set(data) - {f.name for f in fields(NoiseConfig)}
+    if unknown:
+        raise ConfigError(f"unknown noise fields: {sorted(unknown)}")
+    corr = data.get("correlation", 0.0)
+    pair = isinstance(corr, (list, tuple)) and len(corr) == 2
+    number = isinstance(corr, (int, float, complex)) and not isinstance(corr, bool)
+    if not (pair or number):
+        raise ConfigError("noise correlation must be a number or [re, im]")
+    try:
+        return NoiseConfig(
+            voltage_noise_var=float(data["voltage_noise_var"]),
+            current_noise_var=float(data["current_noise_var"]),
+            correlation=complex(*corr) if pair else corr,
+            antenna_temperature_k=float(data.get("antenna_temperature_k", 290.0)),
+            bandwidth_hz=float(data.get("bandwidth_hz", 740e3)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid noise block: {exc}") from exc
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Parse a scenario configuration, applying defaults."""
     if not isinstance(data, dict):
@@ -221,25 +250,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     missing = required - set(data)
     if missing:
         raise ConfigError(f"missing scenario fields: {sorted(missing)}")
-    noise_data = data.get("noise")
-    if noise_data is None:
-        noise = NoiseConfig.default()
-    else:
-        try:
-            corr = noise_data.get("correlation", 0.0)
-            if isinstance(corr, (list, tuple)):
-                corr = complex(corr[0], corr[1])
-            noise = NoiseConfig(
-                voltage_noise_var=float(noise_data["voltage_noise_var"]),
-                current_noise_var=float(noise_data["current_noise_var"]),
-                correlation=corr,
-                antenna_temperature_k=float(
-                    noise_data.get("antenna_temperature_k", 290.0)
-                ),
-                bandwidth_hz=float(noise_data.get("bandwidth_hz", 740e3)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid noise block: {exc}") from exc
+    noise = _noise_from_dict(data.get("noise"))
     try:
         return ScenarioConfig(
             name=str(data["name"]),

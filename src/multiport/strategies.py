@@ -15,8 +15,9 @@ take a stack of channel realizations along leading axes and return
 ``ModeDesign``) hold beamformers or eigenbases; the greedy zero-forcing
 design (``ZfDesign``) holds each realization's greedy stream order and
 every prefix's beams; sum capacity (``mac_sum_capacity_grid``) iterates
-one stack of covariances, one per realization and budget. The
-per-power functions run the same code on one realization at one budget.
+one stack of covariances, one per realization and budget.
+``su_mimo_capacity`` and ``mac_sum_capacity`` are one-budget views of
+the same code on one channel.
 
 Rates are in bits per channel use throughout. The scalar noise level
 is the per-port standard deviation of the whitened receive noise.
@@ -25,7 +26,7 @@ is the per-port standard deviation of the whitened receive noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,59 +44,14 @@ class RateResult:
 
     rate_bits: float
     active_streams: int
-    per_user_rates: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
 class SuStrategyResult:
-    """Single-user outcome: rate, transmit covariance, power ratio.
-
-    ``alpha`` is the ratio of actually radiated to intended power and
-    equals 1 for strategies designed against the true power model.
-    """
+    """Single-user outcome at one budget: rate and transmit covariance."""
 
     rate: RateResult
     tx_covariance: np.ndarray
-    alpha: float = 1.0
-
-
-@dataclass(frozen=True)
-class PrecodingSolution:
-    """Linear precoding solution for a set of users.
-
-    ``precoders`` holds one (n_tx, streams_k) matrix of unit-norm
-    beamforming columns per user and ``stream_powers`` the matching
-    per-stream watts. ``alpha`` is true over predicted radiated power.
-    """
-
-    precoders: tuple[np.ndarray, ...]
-    stream_powers: tuple[np.ndarray, ...]
-    partition: tuple[int, ...]
-    predicted_rate_bits: float
-    predicted_power_w: float
-    true_power_w: float
-
-    @property
-    def n_streams(self) -> int:
-        return int(sum(f.shape[1] for f in self.precoders))
-
-    @property
-    def alpha(self) -> float:
-        if self.predicted_power_w <= 0.0:
-            return float("nan")
-        return self.true_power_w / self.predicted_power_w
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All beamformers as columns plus the flat power vector."""
-        n_tx = self.precoders[0].shape[0]
-        cols = [f for f in self.precoders if f.shape[1]]
-        stacked = np.hstack(cols) if cols else np.zeros((n_tx, 0), dtype=complex)
-        powers = (
-            np.concatenate([p for p in self.stream_powers])
-            if self.stream_powers
-            else np.zeros(0)
-        )
-        return stacked, powers
 
 
 @dataclass(frozen=True)
@@ -154,14 +110,11 @@ class BeamDesign(NamedTuple):
             raise ValueError("power budget must be nonnegative")
         streams = (p > 0.0) & self.beam.any(axis=-1)[..., None]
         return SuGrid(
-            np.log2(1.0 + p * np.expand_dims(self.gain, -1) / noise_std**2),
+            np.log1p(p * np.expand_dims(self.gain, -1) / noise_std**2) / LN2,
             streams.astype(int),
             np.broadcast_to(np.expand_dims(self.alpha, -1), streams.shape),
             np.broadcast_to(p[:, None], streams.shape + (1,)),
         )
-
-    def covariance(self, mode_powers: np.ndarray) -> np.ndarray:
-        return mode_powers[0] * np.outer(self.beam, self.beam.conj())
 
 
 class ModeDesign(NamedTuple):
@@ -187,7 +140,7 @@ class ModeDesign(NamedTuple):
         gains = self.gains[..., None, :] / noise_std**2
         powers = _waterfill_rows(gains, budgets)
         if self.forward is None:
-            rates = np.log2(1.0 + powers * gains).sum(axis=-1)
+            rates = np.log1p(powers * gains).sum(axis=-1) / LN2
         else:
             a = self.forward[..., None, :, :]
             received = (a * powers[..., None, :]) @ a.conj().swapaxes(-1, -2)
@@ -200,26 +153,12 @@ class ModeDesign(NamedTuple):
             np.divide(radiated, budgets, out=alpha, where=budgets > 0.0)
         return SuGrid(rates, _count_active(powers, budgets), alpha, powers)
 
-    def covariance(self, mode_powers: np.ndarray) -> np.ndarray:
-        return (self.basis * mode_powers) @ self.basis.conj().T
-
 
 def _waterfill_rows(gains: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Row-wise :func:`waterfill` of gains (..., 1, k) at budgets (P,): (..., P, k)."""
     shape = np.broadcast_shapes(gains.shape, budgets.shape + (1,))
     rows = np.broadcast_to(gains, shape).reshape(-1, shape[-1])
     return waterfill(rows, np.broadcast_to(budgets, shape[:-1]).reshape(-1)).reshape(shape)
-
-
-def _at_power(
-    design: BeamDesign | ModeDesign, total_power: float, noise_std: float
-) -> SuStrategyResult:
-    grid = design.evaluate(np.array([total_power], dtype=float), noise_std)
-    return SuStrategyResult(
-        RateResult(float(grid.rates[0]), int(grid.streams[0])),
-        design.covariance(grid.mode_powers[0]),
-        float(grid.alpha[0]),
-    )
 
 
 def _matched_beam(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,93 +239,15 @@ def mimo_naive_design(
     )
 
 
-def su_miso_capacity(
-    h: np.ndarray, total_power: float, noise_std: float
-) -> SuStrategyResult:
-    """Matched-filter beamforming on the true channel row.
-
-    Rate is log2(1 + P |h|^2 / sigma^2), the single-receiver capacity.
-    """
-    return _at_power(miso_capacity_design(np.ravel(h)), total_power, noise_std)
-
-
-def su_miso_reciprocal(
-    h_forward: np.ndarray,
-    h_reverse: np.ndarray,
-    total_power: float,
-    noise_std: float,
-) -> SuStrategyResult:
-    """Beamform with the conjugated reverse-link channel.
-
-    The transmitter only knows the reverse-direction vector; the
-    achieved gain is |h_forward . conj(h_reverse)|^2 / |h_reverse|^2,
-    which meets the capacity gain exactly when the two directions are
-    aligned and drops to zero when they are orthogonal.
-    """
-    design = miso_reciprocal_design(np.ravel(h_forward), np.ravel(h_reverse))
-    return _at_power(design, total_power, noise_std)
-
-
-def su_miso_naive(
-    h_mismatched: np.ndarray,
-    mismatch_power: np.ndarray,
-    total_power: float,
-    noise_std: float,
-) -> SuStrategyResult:
-    """Matched filter against the coupling-unaware channel estimate.
-
-    The designer believes the transmit ports are uncoupled, so the
-    beamformer matches the mismatched channel; the rate follows that
-    same channel, while the truly radiated power is the quadratic form
-    of the beamformer under ``mismatch_power`` times the budget.
-    """
-    design = miso_naive_design(np.ravel(h_mismatched), mismatch_power)
-    return _at_power(design, total_power, noise_std)
-
-
 def su_mimo_capacity(
     channel: np.ndarray, total_power: float, noise_std: float
 ) -> SuStrategyResult:
-    """Water-filling over the eigenmodes of the true channel."""
-    return _at_power(mimo_capacity_design(channel), total_power, noise_std)
-
-
-def su_mimo_reciprocal(
-    channel_forward: np.ndarray,
-    channel_reverse: np.ndarray,
-    total_power: float,
-    noise_std: float,
-) -> SuStrategyResult:
-    """Eigenmode transmission inferred from the reverse-link channel.
-
-    The transmit eigenbasis and water-filling gains come from the
-    conjugated reverse channel Gram matrix; the achieved rate is then
-    evaluated on the true forward channel.
-    """
-    return _at_power(
-        mimo_reciprocal_design(channel_forward, channel_reverse), total_power, noise_std
-    )
-
-
-def su_mimo_naive(
-    h_mismatched: np.ndarray,
-    h_assumed: np.ndarray,
-    mismatch_power: np.ndarray,
-    total_power: float,
-    noise_std: float,
-) -> SuStrategyResult:
-    """Water-filling against the fully coupling-unaware channel.
-
-    Precoding modes and powers are designed on ``h_assumed`` (transmit
-    coupling and noise correlation both ignored); the rate is evaluated
-    on ``h_mismatched``, the channel actually seen through the true
-    whitened front end, and ``alpha`` is the truly radiated fraction of
-    the intended power.
-    """
-    return _at_power(
-        mimo_naive_design(h_mismatched, h_assumed, mismatch_power),
-        total_power,
-        noise_std,
+    """Water-filling over the eigenmodes of the true channel at one budget."""
+    design = mimo_capacity_design(channel)
+    grid = design.evaluate(np.array([total_power], dtype=float), noise_std)
+    return SuStrategyResult(
+        RateResult(float(grid.rates[0]), int(grid.streams[0])),
+        (design.basis * grid.mode_powers[0]) @ design.basis.conj().T,
     )
 
 
@@ -411,26 +272,11 @@ def _dpc_bits(root: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.log1p(np.linalg.eigvalsh(product)).sum(axis=-1) / LN2
 
 
-def dpc_sum_rate(
-    channel: np.ndarray, mac_covariance: np.ndarray, noise_std: float
-) -> float:
-    """Sum rate log2 det(I + H^H Xi H / sigma^2) for a stacked channel."""
-    return float(
-        _dpc_bits(_gram_root(np.asarray(channel), noise_std)[1], mac_covariance)
-    )
-
-
 def _check_partition(channel: np.ndarray, partition: tuple[int, ...]) -> tuple[int, ...]:
     partition = tuple(int(p) for p in partition)
     if sum(partition) != channel.shape[-2] or any(p < 1 for p in partition):
         raise ValueError("partition must be positive and sum to the channel rows")
     return partition
-
-
-def _block_mask(partition: tuple[int, ...]) -> np.ndarray:
-    """True on the diagonal blocks of the users' covariances."""
-    owner = np.repeat(np.arange(len(partition)), partition)
-    return owner[:, None] == owner[None, :]
 
 
 class MacGrid(NamedTuple):
@@ -464,7 +310,6 @@ def _solve_mac(
     partition: tuple[int, ...],
     budgets: np.ndarray,
     noise_std: float,
-    initial: np.ndarray | None,
     rel_tol: float,
     max_iterations: int,
 ) -> MacGrid:
@@ -473,9 +318,8 @@ def _solve_mac(
     Each (realization, budget) pair of ``h`` (..., m, n) and ``budgets``
     (P,) is one row with its own Gram and root. Each iteration does one
     batched solve for all running rows and users, one eigh per
-    multi-antenna block, and one row-wise water-fill. A row freezes once
-    its stopping rule fires. ``initial`` (rows, m, m) is the start
-    stack; None starts every row at P/m I.
+    multi-antenna block, and one row-wise water-fill. Every row starts
+    at P/m I and freezes once its stopping rule fires.
     """
     shape = h.shape[:-2] + budgets.shape
     gram, root = (
@@ -487,16 +331,13 @@ def _solve_mac(
     m_total = gram.shape[-1]
     offsets = np.cumsum((0,) + partition)
     blocks = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-    mask = _block_mask(partition)
     owner = np.repeat(np.arange(n_users), partition)
+    mask = owner[:, None] == owner[None, :]  # the users' diagonal blocks
     users = np.arange(n_users)[:, None, None]
     # outside[k] masks out user k's rows and columns: Xi * outside[k] is Xi_-k.
     outside = (owner[None, :, None] != users) & (owner[None, None, :] != users)
     eye = np.eye(m_total)
-    if initial is None:
-        xi = (budgets / m_total)[:, None, None] * np.eye(m_total, dtype=complex)
-    else:
-        xi = np.array(initial, dtype=complex)
+    xi = (budgets / m_total)[:, None, None] * np.eye(m_total, dtype=complex)
     fx = _dpc_bits(root, xi)
     traces = [fx.copy()]
     accepted = np.zeros(budgets.size, dtype=int)
@@ -567,7 +408,6 @@ def mac_sum_capacity(
     partition: tuple[int, ...],
     total_power: float,
     noise_std: float,
-    initial: np.ndarray | None = None,
     rel_tol: float = MAC_REL_TOL,
     max_iterations: int = 5000,
 ) -> MacSolution:
@@ -593,18 +433,8 @@ def mac_sum_capacity(
     partition = _check_partition(h, partition)
     if total_power < 0.0:
         raise ValueError("power budget must be nonnegative")
-    start = None
-    if initial is not None:
-        masked = np.where(_block_mask(partition), initial, 0j)
-        start = project_psd_trace(masked, total_power)[None]
     grid = _solve_mac(
-        h,
-        partition,
-        np.array([float(total_power)]),
-        noise_std,
-        start,
-        rel_tol,
-        max_iterations,
+        h, partition, np.array([float(total_power)]), noise_std, rel_tol, max_iterations
     )
     return MacSolution(
         rate=RateResult(float(grid.rates[0]), int(grid.streams[0])),
@@ -628,7 +458,7 @@ def mac_sum_capacity_grid(
     ``channel`` is one stacked channel (m, n) or a stack (..., m, n) of
     realizations; all (realization, budget) pairs are solved together.
     Entry (..., j) equals :func:`mac_sum_capacity` at budget
-    ``powers_w[j]`` started cold: every entry starts at P/m I, runs the
+    ``powers_w[j]``: every entry starts at P/m I, runs the
     same iteration, stops by the same rule (with ``rel_tol`` at its
     default) and counts its streams on its own last water-fill.
     """
@@ -637,7 +467,7 @@ def mac_sum_capacity_grid(
     budgets = np.asarray(powers_w, dtype=float)
     if budgets.ndim != 1 or not (budgets >= 0.0).all():
         raise ValueError("power budgets must be a 1-D array of nonnegative values")
-    return _solve_mac(h, partition, budgets, noise_std, None, MAC_REL_TOL, max_iterations)
+    return _solve_mac(h, partition, budgets, noise_std, MAC_REL_TOL, max_iterations)
 
 
 def _split_rows(channel: np.ndarray, partition: tuple[int, ...]) -> list[np.ndarray]:
@@ -725,7 +555,7 @@ class ZfDesign(NamedTuple):
             # A missing prefix has zero gains, hence zero rate.
             gains = 1.0 / (self.norms[l][..., None, :] ** 2 * noise_std**2)
             p = _waterfill_rows(gains, budgets)
-            rate = np.log2(1.0 + p * gains).sum(axis=-1)
+            rate = np.log1p(p * gains).sum(axis=-1) / LN2
             better = (chosen == l - 1) & (rate > best + 1e-12)
             if not better.any():
                 break
@@ -740,9 +570,12 @@ class ZfDesign(NamedTuple):
         """Rates on ``channel_true``, streams and alpha over the budgets."""
         chosen, _, powers = self.allocate(powers_w, noise_std)
         shape, n_max = chosen.shape, self.owners.shape[-1]
-        chosen, powers = chosen.reshape(-1, shape[-1]), powers.reshape(-1, shape[-1], n_max)
-        h = np.reshape(channel_true, (chosen.shape[0],) + np.shape(channel_true)[-2:])
-        owners = self.owners.reshape(-1, n_max)
+        # Explicit row counts: with no streams at all, n_max is 0 and -1 is ambiguous.
+        n_rows = math.prod(shape[:-1])
+        chosen = chosen.reshape(n_rows, shape[-1])
+        powers = powers.reshape(n_rows, shape[-1], n_max)
+        h = np.reshape(channel_true, (n_rows,) + np.shape(channel_true)[-2:])
+        owners = self.owners.reshape(n_rows, n_max)
         rates = np.zeros(chosen.shape)
         streams = np.zeros(chosen.shape, dtype=int)
         alpha = np.ones(chosen.shape)
@@ -826,72 +659,3 @@ def greedy_zf_design(
     return ZfDesign(
         partition, owners, shaped(beams), shaped(norms), radiated and shaped(radiated)
     )
-
-
-def greedy_zf(
-    channel_assumed: np.ndarray,
-    partition: tuple[int, ...],
-    total_power: float,
-    noise_std: float,
-) -> PrecodingSolution:
-    """Greedy zero-forcing stream selection with exact nulling.
-
-    The prefixes of :func:`greedy_zf_design` are tried in order; powers
-    come from water-filling each prefix's stream gains, and a stream is
-    kept only while the predicted sum rate still improves.
-    """
-    if total_power < 0.0:
-        raise ValueError("power budget must be nonnegative")
-    design = greedy_zf_design(channel_assumed, partition)
-    chosen, rate, powers = design.allocate(np.array([float(total_power)]), noise_std)
-    l = int(chosen[0])
-    owners, beams, p = design.owners[:l], design.beams[l], powers[0, :l]
-    users = range(len(design.partition))
-    stream_powers = tuple(p[owners == k] for k in users)
-    used_power = float(sum(float(q.sum()) for q in stream_powers))
-    return PrecodingSolution(
-        precoders=tuple(beams[:, owners == k] for k in users),
-        stream_powers=stream_powers,
-        partition=design.partition,
-        predicted_rate_bits=float(rate[0]),
-        predicted_power_w=used_power,
-        true_power_w=used_power,
-    )
-
-
-def with_true_power(
-    solution: PrecodingSolution, mismatch_power: np.ndarray
-) -> PrecodingSolution:
-    """Recompute the truly radiated power of a naive linear solution."""
-    stacked, powers = solution.stacked()
-    if stacked.shape[1] == 0:
-        return solution
-    true_power = float(powers @ _radiated(stacked, mismatch_power))
-    return replace(solution, true_power_w=true_power)
-
-
-def evaluate_bc_rates(
-    channel_true: np.ndarray,
-    solution: PrecodingSolution,
-    noise_std: float,
-) -> RateResult:
-    """Per-user rates of a linear solution on the true channel.
-
-    Each user decodes its own streams jointly; the other users' beams
-    act as colored interference added to the thermal noise.
-    """
-    stacked, powers = solution.stacked()
-    owner = np.repeat(
-        np.arange(len(solution.precoders)), [f.shape[1] for f in solution.precoders]
-    )
-    per_user, total = _bc_rates(
-        np.asarray(channel_true)[None],
-        solution.partition,
-        stacked[None],
-        owner[None],
-        powers[None],
-        noise_std,
-    )
-    total_power = float(powers.sum())
-    active = int(_count_active(powers, total_power if total_power > 0 else 1.0))
-    return RateResult(float(total[0]), active, tuple(per_user[0].tolist()))

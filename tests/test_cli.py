@@ -15,6 +15,9 @@ from multiport import cli
 from multiport.cli import OUTPUT_DIR_ENV, main
 
 
+NOISE_VARS = {"voltage_noise_var": 1e-14, "current_noise_var": 1e-17}
+
+
 def scenario_dict(**overrides) -> dict:
     base = {
         "name": "clirun",
@@ -210,6 +213,22 @@ class TestRun:
 
         bad_workers = write_run_config(tmp_path / "bw.json", n_workers=0)
         assert main(["run", bad_workers]) == 2
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n_workers": "two"},
+            {"n_workers": 1.5},
+            {"scenario": scenario_dict(noise=[1, 2])},
+            {"scenario": scenario_dict(noise={**NOISE_VARS, "bandwith_hz": 1e6})},
+            {"scenario": scenario_dict(noise={**NOISE_VARS, "correlation": [0.1]})},
+        ],
+    )
+    def test_malformed_run_config_exits_2(self, tmp_path, capsys, fields):
+        config = write_run_config(tmp_path / "bad.json", **fields)
+        assert main(["run", config, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_simulation_abort_exits_3(self, tmp_path, capsys):
         scenario = scenario_dict(

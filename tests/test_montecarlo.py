@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import multiport as mp
-from multiport import montecarlo
+from multiport import montecarlo, strategies
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -98,6 +98,9 @@ class TestGaussianKde:
             mp.gaussian_kde(np.array([1.0, np.nan, 2.0]))
 
 
+NOISE_VARS = {"voltage_noise_var": 1e-14, "current_noise_var": 1e-17}
+
+
 class TestScenarioConfig:
     def test_roundtrip_through_dict(self):
         config = tiny_config(
@@ -162,6 +165,32 @@ class TestScenarioConfig:
     def test_rejects_invalid(self, overrides):
         with pytest.raises(mp.ConfigError):
             tiny_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            [1, 2],
+            "default",
+            {"voltage_noise_var": 1e-14},
+            {**NOISE_VARS, "bandwith_hz": 1e6},
+            {**NOISE_VARS, "correlation": [0.1]},
+            {**NOISE_VARS, "correlation": [0.1, 0.2, 0.3]},
+            {**NOISE_VARS, "correlation": "0.1"},
+            {**NOISE_VARS, "correlation": [0.1, "x"]},
+            {**NOISE_VARS, "correlation": True},
+        ],
+    )
+    def test_rejects_invalid_noise_block(self, noise):
+        data = mp.config_to_dict(tiny_config())
+        data["noise"] = noise
+        with pytest.raises(mp.ConfigError):
+            mp.config_from_dict(data)
+
+    @pytest.mark.parametrize("correlation, expected", [(0.25, 0.25), ([0.25, -0.1], 0.25 - 0.1j)])
+    def test_noise_correlation_forms(self, correlation, expected):
+        data = mp.config_to_dict(tiny_config())
+        data["noise"]["correlation"] = correlation
+        assert mp.config_from_dict(data).noise.correlation == expected
 
     def test_rejects_reciprocal_dpc_for_multi_user(self):
         with pytest.raises(mp.ConfigError):
@@ -355,7 +384,7 @@ def mixed_stack(first: str, m: int, n: int, seed: int):
 
 
 class TestSingleUserGrid:
-    """The chunk evaluator, row by row, against the per-power functions."""
+    """The chunk evaluator, row by row, against one-budget design evaluations."""
 
     # Zero budget, partial and full water-filling at unit noise.
     POWERS_W = np.array([0.0, 1e-10, 1e-3, 0.05, 0.3, 2.0, 1e3])
@@ -377,24 +406,27 @@ class TestSingleUserGrid:
             h, h_mm, h_as, h_up = (c[r] for c in channels)
             for j, p_w in enumerate(self.POWERS_W):
                 if m == 1:
-                    expected = {
-                        "cap": mp.su_miso_capacity(h[0], p_w, sigma),
-                        "recip": mp.su_miso_reciprocal(h[0], h_up[:, 0], p_w, sigma),
-                        "hyp": mp.su_miso_naive(h_mm[0], mismatch, p_w, sigma),
+                    designs = {
+                        "cap": strategies.miso_capacity_design(h[0]),
+                        "recip": strategies.miso_reciprocal_design(h[0], h_up[:, 0]),
+                        "hyp": strategies.miso_naive_design(h_mm[0], mismatch),
                     }
                 else:
-                    expected = {
-                        "cap": mp.su_mimo_capacity(h, p_w, sigma),
-                        "recip": mp.su_mimo_reciprocal(h, h_up, p_w, sigma),
-                        "hyp": mp.su_mimo_naive(h_mm, h_as, mismatch, p_w, sigma),
+                    designs = {
+                        "cap": strategies.mimo_capacity_design(h),
+                        "recip": strategies.mimo_reciprocal_design(h, h_up),
+                        "hyp": strategies.mimo_naive_design(h_mm, h_as, mismatch),
                     }
+                expected = {
+                    s: design.evaluate(np.array([p_w]), sigma) for s, design in designs.items()
+                }
                 for s, res in expected.items():
                     np.testing.assert_allclose(
-                        rates[s][r, j], res.rate.rate_bits, rtol=1e-12, atol=0.0
+                        rates[s][r, j], res.rates[0], rtol=1e-12, atol=0.0
                     )
-                    assert streams[s][r, j] == res.rate.active_streams
+                    assert streams[s][r, j] == res.streams[0]
                 np.testing.assert_allclose(
-                    alphas[r, j], expected["hyp"].alpha, rtol=1e-12, atol=0.0
+                    alphas[r, j], expected["hyp"].alpha[0], rtol=1e-12, atol=0.0
                 )
             if row_kind == "zero":
                 for s in config.strategies:
@@ -408,7 +440,7 @@ class TestSingleUserGrid:
 
 
 class TestMultiUserGrid:
-    """The chunk evaluator's multi-user rows against the per-power functions."""
+    """The chunk evaluator's multi-user rows against one-budget solves and designs."""
 
     POWERS_W = np.array([0.0, 1e-10, 1e-3, 0.05, 0.3, 2.0, 1e3])
 
@@ -418,8 +450,8 @@ class TestMultiUserGrid:
         sigma = 0.7
         m = sum(partition)
         channels, mismatch, kinds = mixed_stack("random", m, n, 7)
-        strategies = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
-        config = SimpleNamespace(strategies=strategies, rx_partition=partition)
+        tokens = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
+        config = SimpleNamespace(strategies=tokens, rx_partition=partition)
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
         rates, streams, alphas, unconverged = montecarlo._evaluate_chunk(
             config, down, channels, self.POWERS_W
@@ -428,29 +460,29 @@ class TestMultiUserGrid:
         for r in range(len(kinds)):
             h, h_mm, h_as, h_up = (c[r] for c in channels)
             for j, p_w in enumerate(self.POWERS_W):
+                budget = np.array([p_w])
                 cap = mp.mac_sum_capacity(h, partition, p_w, sigma)
                 hyp = mp.mac_sum_capacity(h_as, partition, p_w, sigma)
+                hyp_grid = strategies.mac_sum_capacity_grid(h_as, partition, budget, sigma)
                 expected_rates = {
                     "cap": cap.rate.rate_bits,
-                    "hyp": mp.dpc_sum_rate(h_mm, hyp.mac_covariance, sigma),
+                    "hyp": hyp_grid.rates_on(h_mm, sigma)[0],
                 }
                 expected_streams = {
                     "cap": cap.rate.active_streams,
                     "hyp": hyp.rate.active_streams,
                 }
-                for s, assumed, true in (
-                    ("cap_lin", h, h),
-                    ("recip_lin", h_up.T, h),
-                    ("hyp_lin", h_as, h_mm),
+                for s, assumed, true, power_model in (
+                    ("cap_lin", h, h, None),
+                    ("recip_lin", h_up.T, h, None),
+                    ("hyp_lin", h_as, h_mm, mismatch),
                 ):
-                    lin = mp.greedy_zf(assumed, partition, p_w, sigma)
-                    if s == "hyp_lin":
-                        lin = mp.with_true_power(lin, mismatch)
-                        expected_alpha = lin.alpha if lin.predicted_power_w > 0 else 1.0
-                    res = mp.evaluate_bc_rates(true, lin, sigma)
-                    expected_rates[s] = res.rate_bits
-                    expected_streams[s] = res.active_streams
-                for s in strategies:
+                    design = strategies.greedy_zf_design(assumed, partition, power_model)
+                    res = design.evaluate(true, budget, sigma)
+                    expected_rates[s] = res.rates[0]
+                    expected_streams[s] = res.streams[0]
+                expected_alpha = res.alpha[0]
+                for s in tokens:
                     np.testing.assert_allclose(
                         rates[s][r, j], expected_rates[s], rtol=1e-12, atol=0.0
                     )

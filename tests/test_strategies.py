@@ -6,8 +6,18 @@ import numpy as np
 import pytest
 
 import multiport as mp
+from multiport import strategies
 from multiport.numerics import project_psd_trace
-from multiport.strategies import greedy_zf_design, mac_sum_capacity_grid
+from multiport.strategies import (
+    greedy_zf_design,
+    mac_sum_capacity_grid,
+    mimo_capacity_design,
+    mimo_naive_design,
+    mimo_reciprocal_design,
+    miso_capacity_design,
+    miso_naive_design,
+    miso_reciprocal_design,
+)
 
 RNG = np.random.default_rng
 SIGMA = 1.0
@@ -28,12 +38,17 @@ def orthogonal_rows_channel(rng, scales, n_tx):
     return np.diag(scales) @ q.conj().T
 
 
+def at_budget(design, power):
+    """A single-user design evaluated at one budget: the SuGrid of P = [power]."""
+    return design.evaluate(np.array([power]), SIGMA)
+
+
 class TestSuMiso:
     def test_capacity_never_beaten_by_random_beamformers(self):
         rng = RNG(0)
         h = crandn(rng, 8)
         power = 3.0
-        cap = mp.su_miso_capacity(h, power, SIGMA).rate.rate_bits
+        cap = at_budget(miso_capacity_design(h), power).rates[0]
         for _ in range(200):
             f = crandn(rng, 8)
             f /= np.linalg.norm(f)
@@ -44,64 +59,65 @@ class TestSuMiso:
         rng = RNG(1)
         h = crandn(rng, 5)
         power = 2.5
-        result = mp.su_miso_capacity(h, power, SIGMA)
+        design = miso_capacity_design(h)
+        result = at_budget(design, power)
         expected = np.log2(1.0 + power * np.vdot(h, h).real / SIGMA**2)
-        assert result.rate.rate_bits == pytest.approx(expected, rel=1e-14)
-        assert np.trace(result.tx_covariance).real == pytest.approx(power, rel=1e-12)
-        assert result.rate.active_streams == 1
-        assert result.alpha == 1.0
-        rate_of_cov = np.log2(
-            1.0 + float(np.real(h @ result.tx_covariance @ h.conj())) / SIGMA**2
-        )
-        assert rate_of_cov == pytest.approx(result.rate.rate_bits, rel=1e-12)
+        assert result.rates[0] == pytest.approx(expected, rel=1e-14)
+        # The covariance P b b^H has trace P and yields the same rate.
+        assert result.mode_powers[0, 0] == power
+        assert np.linalg.norm(design.beam) ** 2 == pytest.approx(1.0, rel=1e-12)
+        assert result.streams[0] == 1
+        assert result.alpha[0] == 1.0
+        rate_of_cov = np.log2(1.0 + power * abs(h @ design.beam) ** 2 / SIGMA**2)
+        assert rate_of_cov == pytest.approx(result.rates[0], rel=1e-12)
 
     def test_zero_channel(self):
-        result = mp.su_miso_capacity(np.zeros(4, complex), 1.0, SIGMA)
-        assert result.rate.rate_bits == 0.0
-        assert result.rate.active_streams == 0
+        result = at_budget(miso_capacity_design(np.zeros(4, complex)), 1.0)
+        assert result.rates[0] == 0.0
+        assert result.streams[0] == 0
 
     def test_reciprocal_aligned_meets_capacity(self):
         rng = RNG(2)
         h = crandn(rng, 6)
         aligned = (0.3 - 0.8j) * h
-        cap = mp.su_miso_capacity(h, 4.0, SIGMA).rate.rate_bits
-        got = mp.su_miso_reciprocal(h, aligned, 4.0, SIGMA).rate.rate_bits
+        cap = at_budget(miso_capacity_design(h), 4.0).rates[0]
+        got = at_budget(miso_reciprocal_design(h, aligned), 4.0).rates[0]
         assert got == pytest.approx(cap, rel=1e-12)
 
     def test_reciprocal_orthogonal_gets_nothing(self):
         h = np.array([1.0 + 0j, 0.0])
         other = np.array([0.0, 1.0 + 0j])
-        result = mp.su_miso_reciprocal(h, other, 10.0, SIGMA)
-        assert result.rate.rate_bits == 0.0
+        result = at_budget(miso_reciprocal_design(h, other), 10.0)
+        assert result.rates[0] == 0.0
 
     def test_reciprocal_never_exceeds_capacity(self):
         rng = RNG(3)
         for _ in range(50):
             h = crandn(rng, 5)
             g = crandn(rng, 5)
-            cap = mp.su_miso_capacity(h, 2.0, SIGMA).rate.rate_bits
-            got = mp.su_miso_reciprocal(h, g, 2.0, SIGMA).rate.rate_bits
+            cap = at_budget(miso_capacity_design(h), 2.0).rates[0]
+            got = at_budget(miso_reciprocal_design(h, g), 2.0).rates[0]
             assert got <= cap + 1e-12
 
     def test_reciprocal_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            mp.su_miso_reciprocal(np.ones(3, complex), np.ones(4, complex), 1.0, SIGMA)
+            miso_reciprocal_design(np.ones(3, complex), np.ones(4, complex))
 
     def test_naive_alpha_is_beamformer_quadratic_form(self):
         rng = RNG(4)
         h = crandn(rng, 6)
         k = random_psd(rng, 6, 6.0)
-        result = mp.su_miso_naive(h, k, 3.0, SIGMA)
+        result = at_budget(miso_naive_design(h, k), 3.0)
         f = h.conj() / np.linalg.norm(h)
-        assert result.alpha == pytest.approx(
+        assert result.alpha[0] == pytest.approx(
             float(np.real(f.conj() @ k @ f)), rel=1e-12
         )
 
     def test_naive_identity_mismatch_gives_unit_alpha(self):
         rng = RNG(5)
         h = crandn(rng, 4)
-        result = mp.su_miso_naive(h, np.eye(4, dtype=complex), 1.0, SIGMA)
-        assert result.alpha == pytest.approx(1.0, rel=1e-12)
+        result = at_budget(miso_naive_design(h, np.eye(4, dtype=complex)), 1.0)
+        assert result.alpha[0] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestSuMimo:
@@ -140,7 +156,7 @@ class TestSuMimo:
         rng = RNG(8)
         h = crandn(rng, 3, 5)
         cap = mp.su_mimo_capacity(h, 3.0, SIGMA).rate.rate_bits
-        got = mp.su_mimo_reciprocal(h, h.T, 3.0, SIGMA).rate.rate_bits
+        got = at_budget(mimo_reciprocal_design(h, h.T), 3.0).rates[0]
         assert got == pytest.approx(cap, rel=1e-12)
 
     def test_reciprocal_bounded_by_capacity(self):
@@ -149,33 +165,63 @@ class TestSuMimo:
             h = crandn(rng, 3, 4)
             g = crandn(rng, 4, 3)
             cap = mp.su_mimo_capacity(h, 2.0, SIGMA).rate.rate_bits
-            got = mp.su_mimo_reciprocal(h, g, 2.0, SIGMA).rate.rate_bits
+            got = at_budget(mimo_reciprocal_design(h, g), 2.0).rates[0]
             assert got <= cap + 1e-9
 
     def test_reciprocal_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            mp.su_mimo_reciprocal(
-                np.ones((3, 4), complex), np.ones((3, 4), complex), 1.0, SIGMA
-            )
+            mimo_reciprocal_design(np.ones((3, 4), complex), np.ones((3, 4), complex))
 
     def test_naive_collapses_when_nothing_is_mismatched(self):
         rng = RNG(10)
         h = crandn(rng, 4, 6)
         cap = mp.su_mimo_capacity(h, 5.0, SIGMA)
-        naive = mp.su_mimo_naive(h, h, np.eye(6, dtype=complex), 5.0, SIGMA)
-        assert naive.rate.rate_bits == pytest.approx(cap.rate.rate_bits, rel=1e-9)
-        assert naive.alpha == pytest.approx(1.0, rel=1e-9)
+        naive = at_budget(mimo_naive_design(h, h, np.eye(6, dtype=complex)), 5.0)
+        assert naive.rates[0] == pytest.approx(cap.rate.rate_bits, rel=1e-9)
+        assert naive.alpha[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_naive_alpha_traces_covariance(self):
         rng = RNG(11)
         hh = crandn(rng, 3, 5)
         ha = crandn(rng, 3, 5)
         k = random_psd(rng, 5, 5.0)
-        result = mp.su_mimo_naive(hh, ha, k, 2.0, SIGMA)
-        expected = float(np.trace(k @ result.tx_covariance).real) / 2.0
-        assert result.alpha == pytest.approx(expected, rel=1e-12)
+        design = mimo_naive_design(hh, ha, k)
+        result = at_budget(design, 2.0)
+        cov = (design.basis * result.mode_powers[0]) @ design.basis.conj().T
+        expected = float(np.trace(k @ cov).real) / 2.0
+        assert result.alpha[0] == pytest.approx(expected, rel=1e-12)
         cap = mp.su_mimo_capacity(hh, 2.0, SIGMA).rate.rate_bits
-        assert result.rate.rate_bits <= cap + 1e-9
+        assert result.rates[0] <= cap + 1e-9
+
+
+class TestLog1pRates:
+    """Rates against log1p closed forms, down to budgets far below the noise."""
+
+    BUDGETS = np.logspace(-12.0, 3.0, 16)
+
+    def test_beam_rates(self):
+        h = crandn(RNG(60), 6)
+        grid = miso_capacity_design(h).evaluate(self.BUDGETS, SIGMA)
+        expected = np.log1p(self.BUDGETS * np.vdot(h, h).real / SIGMA**2) / np.log(2.0)
+        np.testing.assert_allclose(grid.rates, expected, rtol=1e-12, atol=0.0)
+
+    def test_mode_rates(self):
+        scales = np.array([1.5, 1.0, 0.7])
+        h = orthogonal_rows_channel(RNG(61), scales, 5)
+        grid = mimo_capacity_design(h).evaluate(self.BUDGETS, SIGMA)
+        gains = scales**2 / SIGMA**2
+        for j, power in enumerate(self.BUDGETS):
+            expected = np.log1p(mp.waterfill(gains, power) * gains).sum() / np.log(2.0)
+            assert grid.rates[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_zero_forcing_predicted_rates(self):
+        scales = np.array([1.4, 1.0, 0.8])
+        h = orthogonal_rows_channel(RNG(62), scales, 6)
+        _, rates, _ = greedy_zf_design(h, (1, 1, 1)).allocate(self.BUDGETS, SIGMA)
+        gains = scales**2 / SIGMA**2
+        for j, power in enumerate(self.BUDGETS):
+            expected = np.log1p(mp.waterfill(gains, power) * gains).sum() / np.log(2.0)
+            assert rates[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestMacSumCapacity:
@@ -231,18 +277,8 @@ class TestMacSumCapacity:
         rng = RNG(16)
         h = crandn(rng, 3, 5)
         mac = mp.mac_sum_capacity(h, (1, 2), 2.0, SIGMA)
-        assert mp.dpc_sum_rate(h, mac.mac_covariance, SIGMA) == pytest.approx(
-            mac.rate.rate_bits, rel=1e-12
-        )
-
-    def test_warm_start_reaches_same_value(self):
-        rng = RNG(17)
-        h = crandn(rng, 3, 5)
-        cold = mp.mac_sum_capacity(h, (1, 1, 1), 2.0, SIGMA)
-        warm = mp.mac_sum_capacity(
-            h, (1, 1, 1), 2.0, SIGMA, initial=cold.mac_covariance
-        )
-        assert warm.rate.rate_bits == pytest.approx(cold.rate.rate_bits, abs=1e-8)
+        grid = mac_sum_capacity_grid(h, (1, 2), np.array([2.0]), SIGMA)
+        assert grid.rates_on(h, SIGMA)[0] == pytest.approx(mac.rate.rate_bits, rel=1e-12)
 
     def test_zero_power(self):
         rng = RNG(18)
@@ -269,9 +305,8 @@ class TestMacSumCapacity:
             best = np.log1p(g11 * p + g22 * (budget - p) + d * p * (budget - p)) / np.log(2.0)
             mac = mp.mac_sum_capacity(h, (1, 1), budget, SIGMA)
             assert mac.rate.rate_bits == pytest.approx(best, rel=1e-10, abs=0.0)
-            assert mp.dpc_sum_rate(h, mac.mac_covariance, SIGMA) == pytest.approx(
-                best, rel=1e-10, abs=0.0
-            )
+            grid = mac_sum_capacity_grid(h, (1, 1), np.array([budget]), SIGMA)
+            assert grid.rates_on(h, SIGMA)[0] == pytest.approx(best, rel=1e-10, abs=0.0)
             assert mac.rate.active_streams == (1 if corner else 2)
             assert mac.converged
         assert 0 < corners < 20
@@ -285,8 +320,8 @@ class TestMacSumCapacity:
             assert mac.converged
             assert mac.iterations <= 200
             assert np.all(np.diff(mac.objective_trace) >= 0.0)
-            linear = mp.greedy_zf(h, partition, power, SIGMA).predicted_rate_bits
-            assert mac.rate.rate_bits >= linear - 1e-9
+            _, linear, _ = greedy_zf_design(h, partition).allocate(np.array([power]), SIGMA)
+            assert mac.rate.rate_bits >= linear[0] - 1e-9
 
     def test_validation(self):
         h = np.ones((3, 4), complex)
@@ -325,7 +360,7 @@ def greedy_zf_reference(h, partition, total_power, noise_std):
         _, k, left, direction = candidate
         rows_next = np.vstack([rows, (left.conj() @ users[k])[None, :]])
         gains = 1.0 / (np.linalg.norm(np.linalg.pinv(rows_next), axis=0) ** 2 * noise_std**2)
-        rate = float(np.sum(np.log2(1.0 + mp.waterfill(gains, total_power) * gains)))
+        rate = float(np.sum(np.log1p(mp.waterfill(gains, total_power) * gains)) / np.log(2.0))
         if rate <= best_rate + 1e-12:
             break
         rows, basis = rows_next, np.hstack([basis, direction[:, None]])
@@ -335,7 +370,7 @@ def greedy_zf_reference(h, partition, total_power, noise_std):
 
 
 class TestMultiUserGrid:
-    """Grid entries against the per-power public functions at each budget."""
+    """Grid entries against one-budget solves and evaluations."""
 
     # Zero budget, one-stream and all-stream regimes at unit noise.
     POWERS_W = np.array([0.0, 1e-10, 1e-4, 0.01, 0.3, 2.0, 50.0, 1e3])
@@ -350,11 +385,12 @@ class TestMultiUserGrid:
         on_other = grid.rates_on(other, SIGMA)
         for j, power in enumerate(self.POWERS_W):
             sol = mp.mac_sum_capacity(h, partition, power, SIGMA)
+            one = mac_sum_capacity_grid(h, partition, np.array([power]), SIGMA)
             assert grid.rates[j] == pytest.approx(sol.rate.rate_bits, rel=1e-12, abs=0.0)
             assert grid.streams[j] == sol.rate.active_streams
             assert grid.converged[j] == sol.converged
             assert on_other[j] == pytest.approx(
-                mp.dpc_sum_rate(other, sol.mac_covariance, SIGMA), rel=1e-12, abs=0.0
+                one.rates_on(other, SIGMA)[0], rel=1e-12, abs=0.0
             )
         assert grid.rates[0] == 0.0 and grid.streams[0] == 0
         assert grid.converged.all()
@@ -413,13 +449,21 @@ class TestMultiUserGrid:
         grid = design.evaluate(h_true, self.POWERS_W, SIGMA)
         assert len(set(grid.streams.tolist())) > 2
         for j, power in enumerate(self.POWERS_W):
-            sol = mp.greedy_zf(h_design, partition, power, SIGMA)
-            if naive:
-                sol = mp.with_true_power(sol, mismatch)
-            res = mp.evaluate_bc_rates(h_true, sol, SIGMA)
-            assert grid.rates[j] == pytest.approx(res.rate_bits, rel=1e-12, abs=0.0)
-            assert grid.streams[j] == res.active_streams
-            alpha = sol.alpha if sol.predicted_power_w > 0 else 1.0
+            one = design.evaluate(h_true, np.array([power]), SIGMA)
+            assert grid.rates[j] == pytest.approx(one.rates[0], rel=1e-12, abs=0.0)
+            assert grid.streams[j] == one.streams[0]
+            assert grid.alpha[j] == pytest.approx(one.alpha[0], rel=1e-12)
+            # The same entry from the chosen prefix's beams, owners and powers.
+            chosen, _, p = design.allocate(np.array([power]), SIGMA)
+            l = int(chosen[0])
+            p = p[0, :l]
+            _, rate = strategies._bc_rates(
+                h_true[None], partition, design.beams[l][None], design.owners[None, :l],
+                p[None], SIGMA,
+            )
+            assert grid.rates[j] == pytest.approx(rate[0], rel=1e-12, abs=0.0)
+            assert grid.streams[j] == np.count_nonzero(p > 1e-12 * power)
+            alpha = (p @ design.radiated[l]) / p.sum() if naive and l else 1.0
             assert grid.alpha[j] == pytest.approx(alpha, rel=1e-12)
 
     @pytest.mark.parametrize("partition", [(1, 1), (1, 2), (2, 1, 3)])
@@ -442,16 +486,23 @@ class TestMultiUserGrid:
         grid = design.evaluate(h, self.POWERS_W, SIGMA)
         assert grid.streams.tolist() == [0] + [1] * (self.POWERS_W.size - 1)
 
+    def test_zf_grid_without_streams(self):
+        zero = np.zeros((2, 2, 5), complex)
+        grid = greedy_zf_design(zero, (1, 1), np.eye(5)).evaluate(zero, self.POWERS_W, SIGMA)
+        assert not grid.rates.any() and not grid.streams.any() and (grid.alpha == 1.0).all()
+
 
 class TestGreedyZf:
     def test_single_user_is_matched_filter(self):
         rng = RNG(19)
         h = crandn(rng, 1, 7)
         power = 2.0
-        sol = mp.greedy_zf(h, (1,), power, SIGMA)
-        cap = mp.su_miso_capacity(h[0], power, SIGMA).rate.rate_bits
-        assert sol.predicted_rate_bits == pytest.approx(cap, rel=1e-12)
-        beam = sol.precoders[0][:, 0]
+        design = greedy_zf_design(h, (1,))
+        chosen, rate, _ = design.allocate(np.array([power]), SIGMA)
+        cap = at_budget(miso_capacity_design(h[0]), power).rates[0]
+        assert rate[0] == pytest.approx(cap, rel=1e-12)
+        assert chosen[0] == 1
+        beam = design.beams[1][:, 0]
         matched = h[0].conj() / np.linalg.norm(h[0])
         assert abs(np.vdot(matched, beam)) == pytest.approx(1.0, rel=1e-10)
 
@@ -460,83 +511,81 @@ class TestGreedyZf:
         scales = np.array([1.4, 1.0, 0.8])
         h = orthogonal_rows_channel(rng, scales, 6)
         power = 3.0
-        sol = mp.greedy_zf(h, (1, 1, 1), power, SIGMA)
+        design = greedy_zf_design(h, (1, 1, 1))
+        chosen, rate, _ = design.allocate(np.array([power]), SIGMA)
         gains = scales**2 / SIGMA**2
         powers = mp.waterfill(gains, power)
         expected = float(np.sum(np.log2(1.0 + powers * gains)))
-        assert sol.predicted_rate_bits == pytest.approx(expected, rel=1e-10)
-        for k in range(3):
-            if sol.precoders[k].shape[1] == 0:
-                continue
+        assert rate[0] == pytest.approx(expected, rel=1e-10)
+        l = int(chosen[0])
+        for k, beam in zip(design.owners[:l], design.beams[l].T):
             matched = h[k].conj() / np.linalg.norm(h[k])
-            overlap = abs(np.vdot(matched, sol.precoders[k][:, 0]))
-            assert overlap == pytest.approx(1.0, abs=1e-10)
+            assert abs(np.vdot(matched, beam)) == pytest.approx(1.0, abs=1e-10)
 
     def test_colinear_users_share_one_stream(self):
         rng = RNG(21)
         row = crandn(rng, 5)
         h = np.vstack([row, (0.3 - 0.8j) * row])
-        sol = mp.greedy_zf(h, (1, 1), 2.0, SIGMA)
-        assert sol.n_streams == 1
+        chosen, _, _ = greedy_zf_design(h, (1, 1)).allocate(np.array([2.0]), SIGMA)
+        assert chosen[0] == 1
 
     def test_nulling_between_selected_users(self):
         rng = RNG(22)
         h = crandn(rng, 3, 6)
-        sol = mp.greedy_zf(h, (1, 1, 1), 4.0, SIGMA)
-        stacked, _ = sol.stacked()
-        owners = [
-            k
-            for k, f in enumerate(sol.precoders)
-            for _ in range(f.shape[1])
-        ]
+        design = greedy_zf_design(h, (1, 1, 1))
+        chosen, _, _ = design.allocate(np.array([4.0]), SIGMA)
+        l = int(chosen[0])
+        stacked, owners = design.beams[l], design.owners[:l]
         scale = np.linalg.norm(h)
         for j, owner in enumerate(owners):
-            for i in set(owners):
+            for i in set(owners.tolist()):
                 if i != owner:
                     assert abs(h[i] @ stacked[:, j]) < 1e-10 * scale
 
     def test_predicted_rate_is_achieved_without_interference(self):
         rng = RNG(23)
         h = crandn(rng, 3, 8)
-        sol = mp.greedy_zf(h, (1, 1, 1), 3.0, SIGMA)
-        achieved = mp.evaluate_bc_rates(h, sol, SIGMA)
-        assert achieved.rate_bits == pytest.approx(sol.predicted_rate_bits, rel=1e-10)
-        assert achieved.active_streams == sol.n_streams
+        design = greedy_zf_design(h, (1, 1, 1))
+        chosen, rate, _ = design.allocate(np.array([3.0]), SIGMA)
+        achieved = design.evaluate(h, np.array([3.0]), SIGMA)
+        assert achieved.rates[0] == pytest.approx(rate[0], rel=1e-10)
+        assert achieved.streams[0] == chosen[0]
 
     def test_budget_and_unit_norm_beams(self):
         rng = RNG(24)
         h = crandn(rng, 4, 6)
         power = 2.5
-        sol = mp.greedy_zf(h, (2, 2), power, SIGMA)
-        stacked, powers = sol.stacked()
-        assert powers.sum() == pytest.approx(power, rel=1e-12)
-        assert np.allclose(np.linalg.norm(stacked, axis=0), 1.0, rtol=1e-10)
-        assert sol.predicted_power_w == pytest.approx(power, rel=1e-12)
-        assert sol.alpha == pytest.approx(1.0, rel=1e-12)
+        design = greedy_zf_design(h, (2, 2))
+        chosen, _, powers = design.allocate(np.array([power]), SIGMA)
+        l = int(chosen[0])
+        assert powers[0].sum() == pytest.approx(power, rel=1e-12)
+        assert np.all(powers[0, l:] == 0.0)
+        assert np.allclose(np.linalg.norm(design.beams[l], axis=0), 1.0, rtol=1e-10)
+        alpha = design.evaluate(h, np.array([power]), SIGMA).alpha[0]
+        assert alpha == pytest.approx(1.0, rel=1e-12)
 
     def test_validation(self):
         h = np.ones((2, 3), complex)
         with pytest.raises(ValueError):
-            mp.greedy_zf(h, (1,), 1.0, SIGMA)
+            greedy_zf_design(h, (1,))
         with pytest.raises(ValueError):
-            mp.greedy_zf(h, (1, 1), -1.0, SIGMA)
+            greedy_zf_design(h, (1, 1)).allocate(np.array([-1.0]), SIGMA)
 
     def test_with_true_power_traces_the_beam_covariance(self):
         rng = RNG(25)
         h = crandn(rng, 3, 6)
         k = random_psd(rng, 6, 6.0)
-        sol = mp.greedy_zf(h, (1, 1, 1), 2.0, SIGMA)
-        adjusted = mp.with_true_power(sol, k)
-        stacked, powers = sol.stacked()
-        cov = (stacked * powers) @ stacked.conj().T
-        assert adjusted.true_power_w == pytest.approx(
-            float(np.trace(k @ cov).real), rel=1e-12
+        design = greedy_zf_design(h, (1, 1, 1), k)
+        chosen, _, powers = design.allocate(np.array([2.0]), SIGMA)
+        l = int(chosen[0])
+        stacked, p = design.beams[l], powers[0, :l]
+        cov = (stacked * p) @ stacked.conj().T
+        alpha = design.evaluate(h, np.array([2.0]), SIGMA).alpha[0]
+        assert alpha == pytest.approx(float(np.trace(k @ cov).real) / p.sum(), rel=1e-12)
+        ident = greedy_zf_design(h, (1, 1, 1), np.eye(6, dtype=complex))
+        assert ident.evaluate(h, np.array([2.0]), SIGMA).alpha[0] == pytest.approx(
+            1.0, rel=1e-10
         )
-        assert adjusted.alpha == pytest.approx(
-            adjusted.true_power_w / sol.predicted_power_w, rel=1e-12
-        )
-        ident = mp.with_true_power(sol, np.eye(6, dtype=complex))
-        assert ident.alpha == pytest.approx(1.0, rel=1e-10)
 
 
 def montecarlo_user_rate(rng, own, others, p_own, p_others, noise_std, n_samp):
@@ -568,6 +617,14 @@ def montecarlo_user_rate(rng, own, others, p_own, p_others, noise_std, n_samp):
     return float(np.mean(llr)) / np.log(2.0)
 
 
+def bc_rates(h, partition, beams, owner, powers):
+    """Per-user rates (K,) and sum rate of one linear precoder on ``h``."""
+    per_user, total = strategies._bc_rates(
+        h[None], partition, beams[None], np.asarray(owner)[None], powers[None], SIGMA
+    )
+    return per_user[0], total[0]
+
+
 class TestEvaluateBcRates:
     def test_matches_montecarlo_mutual_information(self):
         rng = RNG(26)
@@ -579,15 +636,9 @@ class TestEvaluateBcRates:
         f2 = crandn(rng, n_tx, 1)
         f2 /= np.linalg.norm(f2, axis=0)
         powers = (np.array([0.8, 0.5]), np.array([0.7]))
-        sol = mp.PrecodingSolution(
-            precoders=(f1, f2),
-            stream_powers=powers,
-            partition=partition,
-            predicted_rate_bits=0.0,
-            predicted_power_w=2.0,
-            true_power_w=2.0,
+        per_user, total = bc_rates(
+            h, partition, np.hstack([f1, f2]), [0, 0, 1], np.concatenate(powers)
         )
-        result = mp.evaluate_bc_rates(h, sol, SIGMA)
 
         n_samp = 200_000
         rate1 = montecarlo_user_rate(
@@ -596,39 +647,23 @@ class TestEvaluateBcRates:
         rate2 = montecarlo_user_rate(
             RNG(101), h[2:] @ f2, h[2:] @ f1, powers[1], powers[0], SIGMA, n_samp
         )
-        assert result.per_user_rates[0] == pytest.approx(rate1, rel=0.02)
-        assert result.per_user_rates[1] == pytest.approx(rate2, rel=0.02)
-        assert result.rate_bits == pytest.approx(sum(result.per_user_rates), rel=1e-12)
+        assert per_user[0] == pytest.approx(rate1, rel=0.02)
+        assert per_user[1] == pytest.approx(rate2, rel=0.02)
+        assert total == pytest.approx(per_user.sum(), rel=1e-12)
 
     def test_interference_free_closed_form(self):
         rng = RNG(27)
         h = crandn(rng, 1, 3)
         f = h[0].conj()[:, None] / np.linalg.norm(h[0])
-        sol = mp.PrecodingSolution(
-            precoders=(f,),
-            stream_powers=(np.array([1.5]),),
-            partition=(1,),
-            predicted_rate_bits=0.0,
-            predicted_power_w=1.5,
-            true_power_w=1.5,
-        )
-        result = mp.evaluate_bc_rates(h, sol, SIGMA)
+        _, total = bc_rates(h, (1,), f, [0], np.array([1.5]))
         expected = np.log2(1.0 + 1.5 * np.vdot(h[0], h[0]).real / SIGMA**2)
-        assert result.rate_bits == pytest.approx(expected, rel=1e-12)
+        assert total == pytest.approx(expected, rel=1e-12)
 
     def test_user_without_streams_gets_zero(self):
         rng = RNG(28)
         h = crandn(rng, 2, 3)
         f = crandn(rng, 3, 1)
         f /= np.linalg.norm(f)
-        sol = mp.PrecodingSolution(
-            precoders=(f, np.zeros((3, 0), complex)),
-            stream_powers=(np.array([1.0]), np.zeros(0)),
-            partition=(1, 1),
-            predicted_rate_bits=0.0,
-            predicted_power_w=1.0,
-            true_power_w=1.0,
-        )
-        result = mp.evaluate_bc_rates(h, sol, SIGMA)
-        assert result.per_user_rates[1] == 0.0
-        assert result.per_user_rates[0] > 0.0
+        per_user, _ = bc_rates(h, (1, 1), f, [0], np.array([1.0]))
+        assert per_user[1] == 0.0
+        assert per_user[0] > 0.0
