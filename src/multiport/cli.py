@@ -55,11 +55,10 @@ RATE_COLUMNS = {
     "recip_lin": "R_erg_recip_lin",
     "hyp_lin": "R_erg_hyp_lin",
 }
-EMIT_CHOICES = ("rates_csv", "alpha_csv", "streams_csv", "kde_csv")
 
 
 def _write_csv(path: str, header: list[str], rows: list[str]) -> None:
-    """Write a header and preformatted rows with csv.writer's "\r\n" endings."""
+    """Write a header and preformatted rows, each line ending in CRLF."""
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *rows, ""]))
 
@@ -130,6 +129,7 @@ _EMIT_WRITERS = {
     "streams_csv": ("streams.csv", _write_streams_csv),
     "kde_csv": ("kde.csv", _write_kde_csv),
 }
+EMIT_CHOICES = tuple(_EMIT_WRITERS)
 
 
 def _load_run_config(path: str) -> dict:
@@ -238,11 +238,8 @@ def cmd_kde(args: argparse.Namespace) -> int:
         grid, density = gaussian_kde(np.array(samples))
     except ValueError as exc:
         raise ConfigError(f"cannot estimate density: {exc}") from exc
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "density"])
-        for g, d in zip(grid, density):
-            writer.writerow([repr(float(g)), repr(float(d))])
+    rows = [f"{g!r},{d!r}" for g, d in zip(grid.tolist(), density.tolist())]
+    _write_csv(args.output, ["value", "density"], rows)
     print(args.output)
     return 0
 

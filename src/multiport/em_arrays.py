@@ -5,13 +5,19 @@ infinitely thin, perfectly conducting lambda/2 dipoles with sinusoidal
 current, arranged side by side. Distances are in wavelengths,
 impedances in ohm. Arrays are uniform circular arrays (UCA) whose
 radius is chosen so that adjacent elements sit a given spacing apart.
+
+This module also owns the impedance CSV format, the one file format
+for impedance data: a header naming the index columns (``i,j`` for a
+matrix, ``realization,i,j`` for a stack such as coupling realizations),
+then ``re_ohm,im_ohm``, with one row per entry. It is written by
+:func:`write_impedance_csv` and read, strictly, by
+:func:`read_impedance_csv`.
 """
 
 from __future__ import annotations
 
-import cmath
-import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -185,62 +191,79 @@ def array_impedance_matrix(geometry: ArrayGeometry) -> np.ndarray:
     return np.array(first, dtype=complex)[np.minimum(offset, n - offset)]
 
 
+def _csv_header(ndim: int) -> list[str]:
+    """Header of the impedance CSV of a 2-D matrix or a 3-D stack."""
+    return ["realization", "i", "j"][3 - ndim :] + ["re_ohm", "im_ohm"]
+
+
 def write_impedance_csv(path: str, matrix: np.ndarray) -> None:
-    """Write a complex matrix as rows of (i, j, re_ohm, im_ohm)."""
+    """Write a complex matrix (or stack) as rows of its indices, re_ohm, im_ohm."""
     with open(path, "w", newline="") as fh:
         write_impedance_rows(fh, matrix)
 
 
 def write_impedance_rows(stream: TextIO, matrix: np.ndarray) -> None:
-    """Write the impedance CSV of a complex matrix to a text stream."""
-    m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    writer = csv.writer(stream)
-    writer.writerow(["i", "j", "re_ohm", "im_ohm"])
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            writer.writerow([i, j, repr(float(m[i, j].real)), repr(float(m[i, j].imag))])
+    """Write the impedance CSV of a complex 2-D matrix or 3-D stack to a text stream.
+
+    One CRLF-terminated row per entry, indices in row-major order; the
+    values are the ``repr`` of each float, so reading them back is exact.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim not in (2, 3):
+        raise ValueError("matrix must be 2-D or 3-D")
+    stream.write(",".join(_csv_header(m.ndim)) + "\r\n")
+    for index in np.ndindex(m.shape[:-1]):
+        prefix = "".join(f"{k}," for k in index)
+        stream.writelines(
+            f"{prefix}{j},{z.real!r},{z.imag!r}\r\n" for j, z in enumerate(m[index].tolist())
+        )
 
 
 def read_impedance_csv(path: str) -> np.ndarray:
-    """Read a matrix written by :func:`write_impedance_csv`.
+    """Read a matrix or stack written by :func:`write_impedance_csv`.
 
-    Raises ValueError unless the file has the header and exactly one
-    finite value for every (i, j) of a complete grid with nonnegative
-    indices.
+    The header picks the rank: ``i,j,re_ohm,im_ohm`` gives an (n, m)
+    matrix, ``realization,i,j,re_ohm,im_ohm`` an (r, n, m) stack.
+    Raises ValueError unless every row has integer, nonnegative indices
+    and every index tuple of a complete grid appears exactly once with
+    a finite value. Blank lines are skipped.
     """
-    entries: dict[tuple[int, int], complex] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:4] != ["i", "j", "re_ohm", "im_ohm"]:
+        header = fh.readline().rstrip("\r\n").split(",")
+        ndim = 3 if header[:5] == _csv_header(3) else 2
+        if header[: ndim + 2] != _csv_header(ndim):
             raise ValueError("unrecognized impedance CSV header")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                key = (int(row[0]), int(row[1]))
-                value = complex(float(row[2]), float(row[3]))
-            except IndexError as exc:
-                raise ValueError(f"short impedance CSV row {row!r}") from exc
-            if min(key) < 0:
-                raise ValueError(f"negative index in impedance CSV row {row!r}")
-            if key in entries:
-                raise ValueError(f"duplicate impedance CSV entry {key}")
-            if not cmath.isfinite(value):
-                raise ValueError(f"non-finite impedance CSV value in row {row!r}")
-            entries[key] = value
-    if not entries:
-        raise ValueError("empty impedance CSV")
-    n_rows = max(k[0] for k in entries) + 1
-    n_cols = max(k[1] for k in entries) + 1
-    if len(entries) != n_rows * n_cols:
+        dtype = [(f"k{a}", np.int64) for a in range(ndim)] + [("re", float), ("im", float)]
+        try:
+            with warnings.catch_warnings():
+                # A file without rows is reported below.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=range(ndim + 2), ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"invalid or short CSV row: {exc}") from exc
+    if not rows.size:
+        raise ValueError("CSV holds no entries (no matrix entries, no realizations)")
+    index = np.stack([rows[f"k{a}"] for a in range(ndim)])
+    if index.min() < 0:
+        bad = int(np.argmin(index.min(axis=0)))
+        raise ValueError(f"negative index in CSV entry {tuple(index[:, bad].tolist())}")
+    order = np.lexsort(index[::-1])
+    repeated = (np.diff(index[:, order], axis=1) == 0).all(axis=0)
+    if repeated.any():
+        key = tuple(index[:, order[np.argmax(repeated)]].tolist())
+        raise ValueError(f"duplicate CSV entry {key}")
+    shape = tuple(int(v) + 1 for v in index.max(axis=1))
+    if rows.size != math.prod(shape):
         raise ValueError(
-            f"impedance CSV holds {len(entries)} entries, not the complete "
-            f"{n_rows} x {n_cols} grid"
+            f"CSV holds {rows.size} entries, not the complete "
+            f"{' x '.join(map(str, shape))} grid"
         )
-    out = np.zeros((n_rows, n_cols), dtype=complex)
-    for (i, j), v in entries.items():
-        out[i, j] = v
+    values = np.empty(rows.size, dtype=complex)
+    values.real, values.imag = rows["re"], rows["im"]
+    finite = np.isfinite(values)
+    if not finite.all():
+        key = tuple(index[:, np.argmin(finite)].tolist())
+        raise ValueError(f"non-finite value (NaN or infinite) in CSV entry {key}")
+    out = np.empty(shape, dtype=complex)
+    out[tuple(index)] = values
     return out

@@ -2,7 +2,8 @@
 
 A scenario fixes both array geometries and terminations, draws the
 trans-impedance coupling matrix i.i.d. complex Gaussian per
-realization (or imports externally generated realizations), builds the
+realization (or imports externally generated realizations, as JSON or
+as a three-index impedance CSV of :mod:`multiport.em_arrays`), builds the
 physically consistent forward and reverse channels, and evaluates the
 configured transmit strategies over a transmit power grid. Results are
 ergodic averages plus per-realization samples of rates, active stream
@@ -28,8 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -48,7 +48,9 @@ from .em_arrays import (
     array_impedance_matrix,
     dipole_mutual_impedance,
     dipole_self_impedance,
+    read_impedance_csv,
     uniform_circular_array,
+    write_impedance_csv,
 )
 from .numerics import FactorizationError
 from .strategies import (
@@ -135,6 +137,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("scenario name must be nonempty")
+        for name in ("tx_spacing", "rx_spacing", "coupling_std_ohm"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if self.n_tx < 1:
             raise ConfigError("n_tx must be at least 1")
         if not self.tx_spacing > 0.0:
@@ -224,29 +230,26 @@ def _noise_from_dict(data) -> NoiseConfig:
         raise ConfigError(f"invalid noise block: {exc}") from exc
 
 
+def _json_int(name: str, value) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Parse a scenario configuration, applying defaults."""
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
-    known = {
-        "name",
-        "n_tx",
-        "tx_spacing",
-        "rx_partition",
-        "strategies",
-        "power_grid_dbw",
-        "n_realizations",
-        "seed",
-        "rx_spacing",
-        "coupling_std_ohm",
-        "coupling_file",
-        "noise",
-    }
-    unknown = set(data) - known
+    config_fields = fields(ScenarioConfig)
+    unknown = set(data) - {f.name for f in config_fields}
     if unknown:
         raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    required = {"name", "n_tx", "tx_spacing", "rx_partition", "strategies",
-                "power_grid_dbw", "n_realizations"}
+    required = {
+        f.name
+        for f in config_fields
+        if f.default is MISSING and f.default_factory is MISSING
+    }
     missing = required - set(data)
     if missing:
         raise ConfigError(f"missing scenario fields: {sorted(missing)}")
@@ -254,13 +257,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     try:
         return ScenarioConfig(
             name=str(data["name"]),
-            n_tx=int(data["n_tx"]),
+            n_tx=_json_int("n_tx", data["n_tx"]),
             tx_spacing=float(data["tx_spacing"]),
-            rx_partition=tuple(int(m) for m in data["rx_partition"]),
+            rx_partition=tuple(_json_int("rx_partition", m) for m in data["rx_partition"]),
             strategies=tuple(str(s) for s in data["strategies"]),
             power_grid_dbw=tuple(float(p) for p in data["power_grid_dbw"]),
-            n_realizations=int(data["n_realizations"]),
-            seed=int(data.get("seed", 0)),
+            n_realizations=_json_int("n_realizations", data["n_realizations"]),
+            seed=_json_int("seed", data.get("seed", 0)),
             rx_spacing=(
                 float(data["rx_spacing"]) if data.get("rx_spacing") is not None else None
             ),
@@ -341,14 +344,23 @@ def read_coupling_file(path: str) -> np.ndarray:
     """Load externally generated coupling realizations.
 
     JSON files carry {"n_rx", "n_tx", "realizations": [[[re, im], ...]]};
-    CSV files carry rows (realization, i, j, re_ohm, im_ohm) after a
-    matching header. Returns an (n_realizations, n_rx, n_tx) array.
-    Raises ConfigError unless the file holds exactly one finite value
-    for every (realization, i, j) of a complete grid.
+    CSV files are impedance CSVs (:func:`~multiport.em_arrays.read_impedance_csv`)
+    with the header ``realization,i,j,re_ohm,im_ohm``. Returns an
+    (n_realizations, n_rx, n_tx) array. Raises ConfigError unless the
+    file holds exactly one finite value for every (realization, i, j) of
+    a complete grid.
     """
-    out = _read_coupling_json(path) if path.endswith(".json") else _read_coupling_csv(path)
-    if not np.all(np.isfinite(out)):
-        raise ConfigError("coupling file holds a NaN or infinite value")
+    if path.endswith(".json"):
+        out = _read_coupling_json(path)
+        if not np.all(np.isfinite(out)):
+            raise ConfigError("coupling file holds a NaN or infinite value")
+        return out
+    try:
+        out = read_impedance_csv(path)
+    except ValueError as exc:
+        raise ConfigError(f"coupling CSV: {exc}") from exc
+    if out.ndim != 3:
+        raise ConfigError("coupling CSV header must be realization,i,j,re_ohm,im_ohm")
     return out
 
 
@@ -370,65 +382,11 @@ def _read_coupling_json(path: str) -> np.ndarray:
     return parts.view(complex)[..., 0]
 
 
-_COUPLING_CSV_ROW = np.dtype(
-    [("r", np.int64), ("i", np.int64), ("j", np.int64), ("re", float), ("im", float)]
-)
-
-
-def _read_coupling_csv(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if header[:5] != ["realization", "i", "j", "re_ohm", "im_ohm"]:
-            raise ConfigError("unrecognized coupling CSV header")
-        try:
-            with warnings.catch_warnings():
-                # A file without rows is reported below.
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(
-                    fh, dtype=_COUPLING_CSV_ROW, delimiter=",", usecols=range(5), ndmin=1
-                )
-        except ValueError as exc:
-            raise ConfigError(f"invalid coupling CSV row: {exc}") from exc
-    if not rows.size:
-        raise ConfigError("coupling file holds no realizations")
-    index = np.stack([rows["r"], rows["i"], rows["j"]])
-    if index.min() < 0:
-        bad = int(np.argmin(index.min(axis=0)))
-        raise ConfigError(f"negative index in coupling CSV entry {tuple(index[:, bad])}")
-    order = np.lexsort(index[::-1])
-    repeated = (np.diff(index[:, order], axis=1) == 0).all(axis=0)
-    if repeated.any():
-        key = tuple(int(v) for v in index[:, order[np.argmax(repeated)]])
-        raise ConfigError(f"duplicate coupling CSV entry {key}")
-    shape = tuple(int(v) + 1 for v in index.max(axis=1))
-    if rows.size != math.prod(shape):
-        raise ConfigError(
-            f"coupling CSV holds {rows.size} entries, not the complete "
-            f"{shape[0]} x {shape[1]} x {shape[2]} grid"
-        )
-    values = np.empty(rows.size, dtype=complex)
-    values.real, values.imag = rows["re"], rows["im"]
-    out = np.empty(shape, dtype=complex)
-    out[rows["r"], rows["i"], rows["j"]] = values
-    return out
-
-
 def write_coupling_file(path: str, realizations: np.ndarray) -> None:
     """Write coupling realizations in the CSV import format."""
-    arr = np.asarray(realizations)
-    if arr.ndim != 3:
+    if np.ndim(realizations) != 3:
         raise ValueError("realizations must be (n_realizations, n_rx, n_tx)")
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["realization", "i", "j", "re_ohm", "im_ohm"])
-        for r in range(arr.shape[0]):
-            for i in range(arr.shape[1]):
-                for j in range(arr.shape[2]):
-                    writer.writerow(
-                        [r, i, j, repr(float(arr[r, i, j].real)), repr(float(arr[r, i, j].imag))]
-                    )
+    write_impedance_csv(path, realizations)
 
 
 def _receive_impedance(config: ScenarioConfig) -> np.ndarray:

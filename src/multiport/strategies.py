@@ -36,6 +36,7 @@ from .numerics import project_psd_trace, waterfill
 LN2 = math.log(2.0)
 STREAM_POWER_REL_TOL = 1e-12
 MAC_REL_TOL = 1e-12
+MAC_MAX_ITERATIONS = 5000
 
 
 @dataclass(frozen=True)
@@ -310,7 +311,6 @@ def _solve_mac(
     partition: tuple[int, ...],
     budgets: np.ndarray,
     noise_std: float,
-    rel_tol: float,
     max_iterations: int,
 ) -> MacGrid:
     """Sum-power iterative water-filling for every realization and budget.
@@ -379,7 +379,7 @@ def _solve_mac(
         fx[kept] = fc[up]
         accepted[kept] += 1
         traces.append(fx.copy())
-        done = gain <= rel_tol * np.maximum(np.abs(fc[up]), 1e-12)
+        done = gain <= MAC_REL_TOL * np.maximum(np.abs(fc[up]), 1e-12)
         running = kept[~done] if iteration > 2 else kept
 
     core = np.linalg.solve(eye + gram @ xi, gram)
@@ -408,8 +408,6 @@ def mac_sum_capacity(
     partition: tuple[int, ...],
     total_power: float,
     noise_std: float,
-    rel_tol: float = MAC_REL_TOL,
-    max_iterations: int = 5000,
 ) -> MacSolution:
     """Broadcast sum capacity via its dual multiple-access problem.
 
@@ -421,7 +419,7 @@ def mac_sum_capacity(
     Gram [(I + G Xi_-k)^-1 G]_kk (Xi_-k: Xi without block k) jointly
     over the full budget and average the result into Xi with weight
     1/K. Iterates are monotone nondecreasing. Iteration stops once a
-    step gains at most ``rel_tol`` times the objective (after step 2),
+    step gains at most MAC_REL_TOL times the objective (after step 2),
     or before a step that would lower it by roundoff.
 
     ``kkt_residual`` measures the normalized fixed-point gap of the
@@ -434,7 +432,7 @@ def mac_sum_capacity(
     if total_power < 0.0:
         raise ValueError("power budget must be nonnegative")
     grid = _solve_mac(
-        h, partition, np.array([float(total_power)]), noise_std, rel_tol, max_iterations
+        h, partition, np.array([float(total_power)]), noise_std, MAC_MAX_ITERATIONS
     )
     return MacSolution(
         rate=RateResult(float(grid.rates[0]), int(grid.streams[0])),
@@ -451,7 +449,7 @@ def mac_sum_capacity_grid(
     partition: tuple[int, ...],
     powers_w: np.ndarray,
     noise_std: float,
-    max_iterations: int = 5000,
+    max_iterations: int = MAC_MAX_ITERATIONS,
 ) -> MacGrid:
     """Sum capacity at every budget of ``powers_w`` in one batched solve.
 
@@ -459,15 +457,15 @@ def mac_sum_capacity_grid(
     realizations; all (realization, budget) pairs are solved together.
     Entry (..., j) equals :func:`mac_sum_capacity` at budget
     ``powers_w[j]``: every entry starts at P/m I, runs the
-    same iteration, stops by the same rule (with ``rel_tol`` at its
-    default) and counts its streams on its own last water-fill.
+    same iteration, stops by the same rule and counts its streams on
+    its own last water-fill.
     """
     h = np.asarray(channel)
     partition = _check_partition(h, partition)
     budgets = np.asarray(powers_w, dtype=float)
     if budgets.ndim != 1 or not (budgets >= 0.0).all():
         raise ValueError("power budgets must be a 1-D array of nonnegative values")
-    return _solve_mac(h, partition, budgets, noise_std, MAC_REL_TOL, max_iterations)
+    return _solve_mac(h, partition, budgets, noise_std, max_iterations)
 
 
 def _split_rows(channel: np.ndarray, partition: tuple[int, ...]) -> list[np.ndarray]:

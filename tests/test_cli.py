@@ -230,6 +230,19 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["coupling_std_ohm", "tx_spacing", "rx_spacing"])
+    def test_non_finite_scenario_number_exits_2(self, tmp_path, capsys, field):
+        # json.dumps writes Infinity, which Python's JSON reader accepts.
+        config = write_run_config(
+            tmp_path / "inf.json", scenario=scenario_dict(**{field: float("inf")})
+        )
+        assert main(["run", config, "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_emit_choices_follow_writers(self):
+        assert cli.EMIT_CHOICES == ("rates_csv", "alpha_csv", "streams_csv", "kde_csv")
+
     def test_simulation_abort_exits_3(self, tmp_path, capsys):
         scenario = scenario_dict(
             noise={
@@ -328,6 +341,55 @@ class TestDumpImpedance:
         assert main(["dump-impedance", "--n", "0"]) == 2
         assert main(["dump-impedance", "--n", "3", "--d", "0.0"]) == 2
         assert main(["dump-impedance", "--n", "3", "--d", "-1.0"]) == 2
+
+
+class TestImpedanceCsvBytes:
+    """The impedance CSV writers against csv.writer references built here."""
+
+    @staticmethod
+    def reference(path, matrix) -> bytes:
+        m = np.asarray(matrix)
+        columns = ["realization", "i", "j"][3 - m.ndim :]
+        rows = [
+            [*index, repr(float(m[index].real)), repr(float(m[index].imag))]
+            for index in np.ndindex(m.shape)
+        ]
+        reference_csv(path, columns + ["re_ohm", "im_ohm"], rows)
+        return path.read_bytes()
+
+    def test_write_impedance_csv(self, tmp_path):
+        z = mp.array_impedance_matrix(mp.uniform_circular_array(6, 0.3))
+        mp.write_impedance_csv(str(tmp_path / "z.csv"), z)
+        assert (tmp_path / "z.csv").read_bytes() == self.reference(tmp_path / "ref.csv", z)
+
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_dump_impedance_file_and_stdout(self, tmp_path, capsys, n):
+        z = mp.array_impedance_matrix(mp.uniform_circular_array(n, 0.35))
+        expected = self.reference(tmp_path / "ref.csv", z)
+        out = tmp_path / "z.csv"
+        assert main(["dump-impedance", "--n", str(n), "--d", "0.35", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+        capsys.readouterr()
+        assert main(["dump-impedance", "--n", str(n), "--d", "0.35"]) == 0
+        assert capsys.readouterr().out.encode() == expected
+
+    def test_write_coupling_file(self, tmp_path):
+        rng = np.random.default_rng(8)
+        reals = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        reals[0, 0, 0] = complex(-0.0, 1e-300)
+        mp.write_coupling_file(str(tmp_path / "c.csv"), reals)
+        expected = self.reference(tmp_path / "ref.csv", reals)
+        assert (tmp_path / "c.csv").read_bytes() == expected
+
+    def test_kde_output(self, tmp_path):
+        samples = np.random.default_rng(2).standard_normal(40)
+        src = tmp_path / "samples.csv"
+        src.write_text("".join(f"{v!r}\n" for v in samples.tolist()))
+        assert main(["kde", str(src), str(tmp_path / "kde.csv")]) == 0
+        grid, density = mp.gaussian_kde(samples)
+        rows = [[repr(float(g)), repr(float(d))] for g, d in zip(grid, density)]
+        reference_csv(tmp_path / "ref.csv", ["value", "density"], rows)
+        assert (tmp_path / "kde.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestKde:

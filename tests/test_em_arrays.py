@@ -21,6 +21,7 @@ from multiport.em_arrays import (
     uniform_circular_array,
     write_impedance_csv,
 )
+from multiport.montecarlo import ConfigError, read_coupling_file
 
 # Frozen from the adaptive-quadrature oracle below.
 SELF_IMPEDANCE_FROZEN = 73.07901024566654 + 42.51511468253748j
@@ -246,3 +247,63 @@ class TestImpedanceCsv:
 
     def test_rejects_short_row(self, tmp_path):
         self._rejects(tmp_path, "i,j,re_ohm,im_ohm\n0,0,5.0\n", "short")
+
+
+# Malformed bodies of a one-realization coupling CSV, each with the match
+# both readers' messages satisfy. The 2-D form drops the leading "0,".
+MALFORMED_CSV = {
+    "bad header": ("realization,i,j,real,imag", ["0,0,0,1.0,0.5"], "header"),
+    "header only": (None, [], "no realizations"),
+    "short row": (None, ["0,0,0,1.0,0.5", "0,0,1,2.0"], "invalid or short"),
+    "non-integer index": (None, ["0,0,0,1.0,0.5", "0,0,1.5,2.0,0.0"], "invalid"),
+    "negative index": (None, ["0,0,0,1.0,0.5", "0,-1,0,2.0,0.0"], "negative"),
+    "duplicate": (None, ["0,0,0,1.0,0.5", "0,0,0,2.0,0.0"], "duplicate"),
+    "incomplete grid": (None, ["0,0,0,1.0,0.5", "0,1,1,2.0,0.0"], "complete"),
+    "nan": (None, ["0,0,0,1.0,nan"], "non-finite value \\(NaN or infinite\\)"),
+    "inf": (None, ["0,0,0,inf,0.5"], "non-finite value \\(NaN or infinite\\)"),
+    "-inf": (None, ["0,0,0,1.0,-inf"], "non-finite value \\(NaN or infinite\\)"),
+}
+
+
+class TestImpedanceCsvFormat:
+    """One format at rank 2 and 3: the same rules in both readers."""
+
+    @staticmethod
+    def _write(path, header, rows) -> str:
+        path.write_text("\n".join([header, *rows, ""]))
+        return str(path)
+
+    @pytest.mark.parametrize("case", MALFORMED_CSV.values(), ids=MALFORMED_CSV.keys())
+    def test_both_readers_reject(self, tmp_path, case):
+        header, rows, match = case
+        path = self._write(tmp_path / "c.csv", header or "realization,i,j,re_ohm,im_ohm", rows)
+        with pytest.raises(ValueError, match=match):
+            read_impedance_csv(path)
+        with pytest.raises(ConfigError, match=match):
+            read_coupling_file(path)
+        header_2d = header[len("realization,") :] if header else "i,j,re_ohm,im_ohm"
+        path_2d = self._write(tmp_path / "z.csv", header_2d, [r[2:] for r in rows])
+        with pytest.raises(ValueError, match=match):
+            read_impedance_csv(path_2d)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (1, 1), (1, 1, 1)])
+    def test_round_trip_exact_at_any_rank(self, tmp_path, shape):
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z.flat[0] = complex(-0.0, 5e-324)
+        path = str(tmp_path / "z.csv")
+        write_impedance_csv(path, z)
+        back = read_impedance_csv(path)
+        assert back.shape == shape and np.array_equal(back, z)
+        assert np.signbit(back.flat[0].real)
+
+    def test_writer_rejects_other_ranks(self, tmp_path):
+        for bad in (np.zeros(3), np.zeros((1, 1, 1, 1))):
+            with pytest.raises(ValueError, match="2-D or 3-D"):
+                write_impedance_csv(str(tmp_path / "z.csv"), bad)
+
+    def test_coupling_reader_requires_rank_3(self, tmp_path):
+        path = str(tmp_path / "z.csv")
+        write_impedance_csv(path, np.eye(2))
+        with pytest.raises(ConfigError, match="header"):
+            read_coupling_file(path)

@@ -167,6 +167,53 @@ class TestScenarioConfig:
             tiny_config(**overrides)
 
     @pytest.mark.parametrize(
+        "field", ["name", "n_tx", "tx_spacing", "rx_partition", "strategies",
+                  "power_grid_dbw", "n_realizations"],
+    )
+    def test_missing_required_field_is_named(self, field):
+        data = mp.config_to_dict(tiny_config())
+        del data[field]
+        with pytest.raises(mp.ConfigError, match=rf"missing scenario fields: \['{field}'\]"):
+            mp.config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coupling_std_ohm", float("inf")),
+            ("coupling_std_ohm", float("nan")),
+            ("tx_spacing", float("inf")),
+            ("rx_spacing", float("inf")),
+            ("rx_spacing", float("-inf")),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, field, value):
+        data = mp.config_to_dict(tiny_config())
+        data[field] = value
+        with pytest.raises(mp.ConfigError):
+            mp.config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_tx", 3.9),
+            ("n_tx", 4.0),
+            ("n_tx", True),
+            ("n_tx", "4"),
+            ("n_realizations", 2.5),
+            ("n_realizations", True),
+            ("rx_partition", [1.7]),
+            ("rx_partition", [True]),
+            ("seed", 1.5),
+            ("seed", False),
+        ],
+    )
+    def test_integer_fields_must_be_json_integers(self, field, value):
+        data = mp.config_to_dict(tiny_config())
+        data[field] = value
+        with pytest.raises(mp.ConfigError, match=f"{field} must be an integer"):
+            mp.config_from_dict(data)
+
+    @pytest.mark.parametrize(
         "noise",
         [
             [1, 2],
