@@ -43,6 +43,7 @@ from .montecarlo import (
     config_from_dict,
     config_to_dict,
     gaussian_kde,
+    reports_alpha,
     run_scenario,
 )
 
@@ -151,9 +152,7 @@ def _load_run_config(path: str) -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     data = _load_run_config(args.config)
     config = config_from_dict(data["scenario"])
-    has_alpha = ("hyp" in config.strategies and config.is_single_user) or (
-        "hyp_lin" in config.strategies
-    )
+    has_alpha = any(reports_alpha(s, config.is_single_user) for s in config.strategies)
     emit = data.get("emit")
     if emit is None:
         emit = ["rates_csv", "streams_csv"] + (
@@ -167,9 +166,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if len(set(emit)) != len(emit):
         raise ConfigError("emit targets must be unique")
     if not has_alpha and ("alpha_csv" in emit or "kde_csv" in emit):
-        raise ConfigError(
-            "alpha outputs need a naive strategy (hyp or hyp_lin) in the scenario"
-        )
+        raise ConfigError("alpha outputs need a strategy that reports alpha")
     n_workers = args.workers if args.workers is not None else data.get("n_workers", 1)
     if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
         raise ConfigError("n_workers must be an integer of at least 1")

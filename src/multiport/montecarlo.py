@@ -53,16 +53,7 @@ from .em_arrays import (
     write_impedance_csv,
 )
 from .numerics import FactorizationError
-from .strategies import (
-    greedy_zf_design,
-    mac_sum_capacity_grid,
-    mimo_capacity_design,
-    mimo_naive_design,
-    mimo_reciprocal_design,
-    miso_capacity_design,
-    miso_naive_design,
-    miso_reciprocal_design,
-)
+from .strategies import beam_design, greedy_zf_design, mac_sum_capacity_grid, mode_design
 
 FAR_FIELD_DISTANCE_WAVELENGTHS = 1000.0
 SINGLE_USER_STRATEGIES = ("cap", "recip", "hyp")
@@ -214,17 +205,19 @@ def _noise_from_dict(data) -> NoiseConfig:
     if unknown:
         raise ConfigError(f"unknown noise fields: {sorted(unknown)}")
     corr = data.get("correlation", 0.0)
-    pair = isinstance(corr, (list, tuple)) and len(corr) == 2
-    number = isinstance(corr, (int, float, complex)) and not isinstance(corr, bool)
-    if not (pair or number):
+    if isinstance(corr, (list, tuple)) and len(corr) == 2:
+        corr = complex(*(_json_number("correlation", c) for c in corr))
+    elif isinstance(corr, bool) or not isinstance(corr, (int, float, complex)):
         raise ConfigError("noise correlation must be a number or [re, im]")
     try:
         return NoiseConfig(
-            voltage_noise_var=float(data["voltage_noise_var"]),
-            current_noise_var=float(data["current_noise_var"]),
-            correlation=complex(*corr) if pair else corr,
-            antenna_temperature_k=float(data.get("antenna_temperature_k", 290.0)),
-            bandwidth_hz=float(data.get("bandwidth_hz", 740e3)),
+            voltage_noise_var=_json_number("voltage_noise_var", data["voltage_noise_var"]),
+            current_noise_var=_json_number("current_noise_var", data["current_noise_var"]),
+            correlation=corr,
+            antenna_temperature_k=_json_number(
+                "antenna_temperature_k", data.get("antenna_temperature_k", 290.0)
+            ),
+            bandwidth_hz=_json_number("bandwidth_hz", data.get("bandwidth_hz", 740e3)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid noise block: {exc}") from exc
@@ -234,6 +227,23 @@ def _json_int(name: str, value) -> int:
     """``value`` if it is a JSON integer; floats and booleans are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def _json_number(name: str, value) -> float:
+    """``value`` as a float if it is a JSON number; strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite") from None
+
+
+def _json_str(name: str, value) -> str:
+    """``value`` if it is a JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, not {value!r}")
     return value
 
 
@@ -254,29 +264,26 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if missing:
         raise ConfigError(f"missing scenario fields: {sorted(missing)}")
     noise = _noise_from_dict(data.get("noise"))
+
+    def optional(parse, name):
+        value = data.get(name)
+        return None if value is None else parse(name, value)
+
     try:
         return ScenarioConfig(
-            name=str(data["name"]),
+            name=_json_str("name", data["name"]),
             n_tx=_json_int("n_tx", data["n_tx"]),
-            tx_spacing=float(data["tx_spacing"]),
+            tx_spacing=_json_number("tx_spacing", data["tx_spacing"]),
             rx_partition=tuple(_json_int("rx_partition", m) for m in data["rx_partition"]),
-            strategies=tuple(str(s) for s in data["strategies"]),
-            power_grid_dbw=tuple(float(p) for p in data["power_grid_dbw"]),
+            strategies=tuple(_json_str("strategies", s) for s in data["strategies"]),
+            power_grid_dbw=tuple(
+                _json_number("power_grid_dbw", p) for p in data["power_grid_dbw"]
+            ),
             n_realizations=_json_int("n_realizations", data["n_realizations"]),
             seed=_json_int("seed", data.get("seed", 0)),
-            rx_spacing=(
-                float(data["rx_spacing"]) if data.get("rx_spacing") is not None else None
-            ),
-            coupling_std_ohm=(
-                float(data["coupling_std_ohm"])
-                if data.get("coupling_std_ohm") is not None
-                else None
-            ),
-            coupling_file=(
-                str(data["coupling_file"])
-                if data.get("coupling_file") is not None
-                else None
-            ),
+            rx_spacing=optional(_json_number, "rx_spacing"),
+            coupling_std_ohm=optional(_json_number, "coupling_std_ohm"),
+            coupling_file=optional(_json_str, "coupling_file"),
             noise=noise,
         )
     except (TypeError, ValueError) as exc:
@@ -452,6 +459,16 @@ def bounded_workers(requested: int, n_chunks: int, cpu_count: int | None) -> int
 Outcome = tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]
 
 
+def reports_alpha(strategy: str, single_user: bool) -> bool:
+    """Whether ``strategy`` reports its radiated-power ratio alpha.
+
+    Only the naive family designs against a mismatched power model.
+    Multi-user ``hyp`` rates a dual-MAC covariance, which fixes no
+    broadcast covariance and hence no radiated power.
+    """
+    return strategy == "hyp_lin" or (strategy == "hyp" and single_user)
+
+
 def _evaluate_chunk(
     config: ScenarioConfig,
     down: FrontEnd,
@@ -460,50 +477,51 @@ def _evaluate_chunk(
 ) -> Outcome:
     """Every strategy on a chunk of channel stacks (R, m, n), with h_up (R, n, m).
 
-    Returns (R, P) rates and stream counts per strategy, the naive
-    strategy's (R, P) alpha (or None) and the unconverged solve count.
+    Returns (R, P) rates and stream counts per strategy, the (R, P)
+    alpha of the strategy that reports it (or None) and the unconverged
+    solve count.
     """
     h, h_mismatched, h_assumed, h_up = channels
+    # Per strategy family: the channel it is designed on, the channel it
+    # is rated on (None: the design channel) and the power model it
+    # designs against (None: the true one). A _lin strategy shares its
+    # family's entry.
+    plans = {
+        "cap": (h, None, None),
+        "recip": (h_up.swapaxes(1, 2), h, None),
+        "hyp": (h_assumed, h_mismatched, down.mismatch_power),
+    }
     sigma, partition = down.noise_scale, config.rx_partition
+    single_user = len(partition) == 1
     rates, streams, alphas, unconverged = {}, {}, None, 0
-    miso = h.shape[-2] == 1
-    mac = [s for s in ("cap", "hyp") if s in config.strategies and len(partition) > 1]
+    mac = [s for s in ("cap", "hyp") if s in config.strategies and not single_user]
     if mac:
         # The cap and hyp solves of every realization share one stack.
-        designed_on = {"cap": h, "hyp": h_assumed}
         grid = mac_sum_capacity_grid(
-            np.stack([designed_on[s] for s in mac]), partition, powers_w, sigma
+            np.stack([plans[s][0] for s in mac]), partition, powers_w, sigma
         )
         unconverged = int(np.count_nonzero(~grid.converged))
         for i, s in enumerate(mac):
-            rates[s] = grid.rates_on(h_mismatched, sigma)[i] if s == "hyp" else grid.rates[i]
+            rated = plans[s][1]
+            rates[s] = grid.rates[i] if rated is None else grid.rates_on(rated, sigma)[i]
             streams[s] = grid.streams[i].astype(float)
     for s in config.strategies:
         if s in mac:
             continue
-        true = h
-        if s == "cap":
-            design = miso_capacity_design(h[:, 0]) if miso else mimo_capacity_design(h)
-        elif s == "recip" and miso:
-            design = miso_reciprocal_design(h[:, 0], h_up[:, :, 0])
-        elif s == "recip":
-            design = mimo_reciprocal_design(h, h_up)
-        elif s == "hyp" and miso:
-            design = miso_naive_design(h_mismatched[:, 0], down.mismatch_power)
-        elif s == "hyp":
-            design = mimo_naive_design(h_mismatched, h_assumed, down.mismatch_power)
-        elif s == "cap_lin":
-            design = greedy_zf_design(h, partition)
-        elif s == "recip_lin":
-            design = greedy_zf_design(h_up.swapaxes(1, 2), partition)
+        design, rated, power_model = plans[s.removesuffix("_lin")]
+        if s.endswith("_lin"):
+            true = design if rated is None else rated
+            grid = greedy_zf_design(design, partition, power_model).evaluate(
+                true, powers_w, sigma
+            )
+        elif design.shape[-2] == 1:
+            rated = None if rated is None else rated[:, 0]
+            grid = beam_design(design[:, 0], rated, power_model).evaluate(powers_w, sigma)
         else:
-            design = greedy_zf_design(h_assumed, partition, down.mismatch_power)
-            true = h_mismatched
-        args = (true, powers_w, sigma) if s.endswith("_lin") else (powers_w, sigma)
-        grid = design.evaluate(*args)
+            grid = mode_design(design, rated, power_model).evaluate(powers_w, sigma)
         rates[s] = grid.rates
         streams[s] = grid.streams.astype(float)
-        if s in ("hyp", "hyp_lin"):
+        if reports_alpha(s, single_user):
             alphas = grid.alpha
     return rates, streams, alphas, unconverged
 

@@ -1,12 +1,17 @@
 """Transmit strategies and rate evaluation.
 
-Single-user strategies cover the informed capacity benchmark, the
-reverse-link (reciprocity-based) precoder, and the naive strategy that
-optimizes against the mismatched channel a coupling-unaware designer
-would assume. Multi-user strategies cover dual-decomposition sum
-capacity via sum-power iterative water-filling and a greedy
-zero-forcing linear precoder with rate evaluation under residual
-interference.
+The transmitters differ only in the channel they design on, the
+channel they are rated on and the power model they design against:
+the informed capacity benchmark designs on the true channel, the
+reciprocity-based precoder on the reverse channel transposed, and the
+naive, coupling-unaware transmitter on the channel it assumes, rated
+on the mismatched channel under the mismatched power model. Each
+single-user algorithm therefore has one constructor that takes those
+three inputs: ``beam_design`` (matched filter, one receive antenna)
+and ``mode_design`` (eigenmodes with water-filling). Multi-user
+strategies cover dual-decomposition sum capacity via sum-power
+iterative water-filling and a greedy zero-forcing linear precoder
+with rate evaluation under residual interference.
 
 Every strategy splits into a power-independent design and an
 evaluation that covers a whole grid of power budgets at once; both
@@ -96,8 +101,8 @@ class BeamDesign(NamedTuple):
 
     ``beam`` (..., n_tx) is the unit-norm beamformer (zeros when the
     designer sees a zero channel), ``gain`` (...) the power gain |h f|^2
-    it achieves on the true channel and ``alpha`` its ratio of radiated
-    to intended power. The whole budget goes to the beam.
+    it achieves on the rated channel h and ``alpha`` its ratio of
+    radiated to intended power. The whole budget goes to the beam.
     """
 
     beam: np.ndarray
@@ -123,11 +128,11 @@ class ModeDesign(NamedTuple):
 
     The transmitter water-fills the design ``gains`` (..., k) over the
     unit-norm transmit modes ``basis`` (..., n_tx, k). ``forward``
-    (..., m, k) is the true channel times the basis, or None when the
-    modes diagonalize the true channel and the rate follows from the
+    (..., m, k) is the rated channel times the basis, or None when the
+    modes diagonalize the rated channel and the rate follows from the
     gains alone. ``radiated`` (..., k) holds v_i^H M v_i, so that
     alpha = radiated . p / P, or None for strategies designed against
-    the true power model.
+    the true power model. A row that allocates no power keeps alpha 1.
     """
 
     basis: np.ndarray
@@ -151,7 +156,8 @@ class ModeDesign(NamedTuple):
         alpha = np.ones(powers.shape[:-1])
         if self.radiated is not None:
             radiated = (powers @ self.radiated[..., :, None])[..., 0]
-            np.divide(radiated, budgets, out=alpha, where=budgets > 0.0)
+            used = (budgets > 0.0) & powers.any(axis=-1)
+            np.divide(radiated, budgets, out=alpha, where=used)
         return SuGrid(rates, _count_active(powers, budgets), alpha, powers)
 
 
@@ -162,38 +168,29 @@ def _waterfill_rows(gains: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     return waterfill(rows, np.broadcast_to(budgets, shape[:-1]).reshape(-1)).reshape(shape)
 
 
-def _matched_beam(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm conj(h)/|h| (zeros for a zero channel) and |h|^2, per row."""
-    h = np.asarray(h)
-    norm2 = (h.real**2 + h.imag**2).sum(axis=-1)
-    return h.conj() / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))[..., None], norm2
-
-
-def miso_capacity_design(h: np.ndarray) -> BeamDesign:
-    """Matched filter on the true channel rows (..., n_tx)."""
-    beam, gain = _matched_beam(h)
-    return BeamDesign(beam, gain)
-
-
-def miso_reciprocal_design(h_forward: np.ndarray, h_reverse: np.ndarray) -> BeamDesign:
-    """Matched filter on the reverse-link vector, rated on the forward one."""
-    hf, hr = np.asarray(h_forward), np.asarray(h_reverse)
-    if hf.shape != hr.shape:
-        raise ValueError("forward and reverse channels must have equal length")
-    beam, _ = _matched_beam(hr)
-    return BeamDesign(beam, np.abs((hf * beam).sum(axis=-1)) ** 2)
-
-
-def miso_naive_design(
-    h_mismatched: np.ndarray, mismatch_power: np.ndarray
+def beam_design(
+    design: np.ndarray,
+    rated: np.ndarray | None = None,
+    mismatch_power: np.ndarray | None = None,
 ) -> BeamDesign:
-    """Matched filter on the mismatched channel, with its power ratio f^H M f.
+    """Matched filter conj(h)/|h| on the ``design`` rows h (..., n_tx).
 
-    A zero channel gets a zero beam and alpha 1.
+    ``rated`` None rates the beam on the design channel, where its gain
+    is |h|^2. With ``mismatch_power`` M the design records its power
+    ratio f^H M f; a zero design channel gets a zero beam and alpha 1.
     """
-    beam, gain = _matched_beam(h_mismatched)
-    radiated = _radiated(beam[..., None], mismatch_power)[..., 0]
-    return BeamDesign(beam, gain, np.where(gain > 0.0, radiated, 1.0))
+    h = np.asarray(design)
+    gain = (h.real**2 + h.imag**2).sum(axis=-1)
+    beam = h.conj() / np.sqrt(np.where(gain > 0.0, gain, 1.0))[..., None]
+    alpha = 1.0
+    if mismatch_power is not None:
+        radiated = _radiated(beam[..., None], mismatch_power)[..., 0]
+        alpha = np.where(gain > 0.0, radiated, 1.0)
+    if rated is not None:
+        if np.shape(rated) != h.shape:
+            raise ValueError("rated and design channels must have equal shapes")
+        gain = np.abs((rated * beam).sum(axis=-1)) ** 2
+    return BeamDesign(beam, gain, alpha)
 
 
 def _radiated(beams: np.ndarray, mismatch_power: np.ndarray) -> np.ndarray:
@@ -201,50 +198,35 @@ def _radiated(beams: np.ndarray, mismatch_power: np.ndarray) -> np.ndarray:
     return np.sum(beams.conj() * (mismatch_power @ beams), axis=-2).real
 
 
-def _modes(design_channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right singular vectors (..., n_tx, k) and squared singular values (..., k)."""
-    _, s, vh = np.linalg.svd(design_channel, full_matrices=False)
-    return vh.conj().swapaxes(-1, -2), s * s
-
-
-def mimo_capacity_design(channel: np.ndarray) -> ModeDesign:
-    """Eigenmodes of the true channel."""
-    basis, gains = _modes(np.asarray(channel))
-    return ModeDesign(basis, gains)
-
-
-def mimo_reciprocal_design(
-    channel_forward: np.ndarray, channel_reverse: np.ndarray
+def mode_design(
+    design: np.ndarray,
+    rated: np.ndarray | None = None,
+    mismatch_power: np.ndarray | None = None,
 ) -> ModeDesign:
-    """Eigenmodes of the conjugated reverse Gram, rated on the forward channel."""
-    hf = np.asarray(channel_forward)
-    hr = np.asarray(channel_reverse)
-    if hr.shape != hf.swapaxes(-1, -2).shape:
-        raise ValueError("reverse channel must have transposed shape")
-    # conj(H_r) H_r^T = (H_r^T)^H H_r^T: its eigenbasis is the right
-    # singular basis of H_r^T.
-    basis, gains = _modes(hr.swapaxes(-1, -2))
-    return ModeDesign(basis, gains, forward=hf @ basis)
+    """Eigenmodes of the ``design`` channel (..., m, n_tx), rated on ``rated``.
 
-
-def mimo_naive_design(
-    h_mismatched: np.ndarray, h_assumed: np.ndarray, mismatch_power: np.ndarray
-) -> ModeDesign:
-    """Eigenmodes of the assumed channel, rated on the mismatched one."""
-    basis, gains = _modes(np.asarray(h_assumed))
-    return ModeDesign(
-        basis,
-        gains,
-        forward=np.asarray(h_mismatched) @ basis,
-        radiated=_radiated(basis, mismatch_power),
-    )
+    ``rated`` None rates the modes on the design channel from their
+    gains alone. With ``mismatch_power`` M the design records each
+    mode's radiated power v^H M v.
+    """
+    design = np.asarray(design)
+    _, s, vh = np.linalg.svd(design, full_matrices=False)
+    basis = vh.conj().swapaxes(-1, -2)
+    forward = radiated = None
+    if rated is not None:
+        if np.shape(rated) != design.shape:
+            raise ValueError("rated and design channels must have equal shapes")
+        forward = rated @ basis
+    if mismatch_power is not None:
+        radiated = _radiated(basis, mismatch_power)
+    return ModeDesign(basis, s * s, forward, radiated)
 
 
 def su_mimo_capacity(
     channel: np.ndarray, total_power: float, noise_std: float
 ) -> SuStrategyResult:
     """Water-filling over the eigenmodes of the true channel at one budget."""
-    design = mimo_capacity_design(channel)
+    design = mode_design(channel)
     grid = design.evaluate(np.array([total_power], dtype=float), noise_std)
     return SuStrategyResult(
         RateResult(float(grid.rates[0]), int(grid.streams[0])),

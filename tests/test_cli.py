@@ -6,12 +6,13 @@ import csv
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import multiport as mp
-from multiport import cli
+from multiport import cli, montecarlo
 from multiport.cli import OUTPUT_DIR_ENV, main
 
 
@@ -219,6 +220,7 @@ class TestRun:
         [
             {"n_workers": "two"},
             {"n_workers": 1.5},
+            {"scenario": scenario_dict(tx_spacing=True)},
             {"scenario": scenario_dict(noise=[1, 2])},
             {"scenario": scenario_dict(noise={**NOISE_VARS, "bandwith_hz": 1e6})},
             {"scenario": scenario_dict(noise={**NOISE_VARS, "correlation": [0.1]})},
@@ -239,6 +241,34 @@ class TestRun:
         assert main(["run", config, "--output-dir", str(tmp_path / "out")]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "partition, strategy",
+        [((1,), s) for s in montecarlo.SINGLE_USER_STRATEGIES]
+        + [((2,), s) for s in montecarlo.SINGLE_USER_STRATEGIES]
+        + [((1, 1), s) for s in montecarlo.MULTI_USER_STRATEGIES],
+    )
+    def test_alpha_follows_the_montecarlo_rule(self, tmp_path, partition, strategy):
+        single_user = len(partition) == 1
+        expected = montecarlo.reports_alpha(strategy, single_user)
+        rng = np.random.default_rng(3)
+        shape = (4, 2, sum(partition), 4)  # four channel stacks of two realizations
+        h, h_mm, h_as, g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        root = rng.standard_normal((4, 4))
+        down = SimpleNamespace(noise_scale=0.5, mismatch_power=root @ root.T / 4)
+        config = SimpleNamespace(strategies=(strategy,), rx_partition=partition)
+        channels = (h, h_mm, h_as, g.swapaxes(1, 2))
+        outcome = montecarlo._evaluate_chunk(config, down, channels, np.array([0.0, 1.0]))
+        assert (outcome[2] is not None) == expected
+
+        scenario = scenario_dict(
+            rx_partition=list(partition), rx_spacing=0.4, strategies=[strategy]
+        )
+        config_path = write_run_config(tmp_path / "run.json", scenario)
+        out = tmp_path / "out"
+        assert main(["run", config_path, "--output-dir", str(out)]) == 0
+        for suffix in ("alpha", "kde"):
+            assert (out / f"clirun_{suffix}.csv").exists() == expected
 
     def test_emit_choices_follow_writers(self):
         assert cli.EMIT_CHOICES == ("rates_csv", "alpha_csv", "streams_csv", "kde_csv")

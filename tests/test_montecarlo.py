@@ -184,6 +184,7 @@ class TestScenarioConfig:
             ("tx_spacing", float("inf")),
             ("rx_spacing", float("inf")),
             ("rx_spacing", float("-inf")),
+            ("tx_spacing", 10**400),  # a JSON integer beyond the float range
         ],
     )
     def test_rejects_non_finite_numbers(self, field, value):
@@ -214,6 +215,29 @@ class TestScenarioConfig:
             mp.config_from_dict(data)
 
     @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("tx_spacing", True, "number"),
+            ("power_grid_dbw", [True], "number"),
+            ("power_grid_dbw", ["-60"], "number"),
+            ("coupling_std_ohm", "0.01", "number"),
+            ("rx_spacing", "0.4", "number"),
+            ("name", 5, "string"),
+            ("coupling_file", 7, "string"),
+            ("strategies", ["cap", 1], "string"),
+            ("noise.voltage_noise_var", "1e-18", "number"),
+            ("noise.current_noise_var", True, "number"),
+            ("noise.bandwidth_hz", "740e3", "number"),
+        ],
+    )
+    def test_number_and_string_fields_must_have_json_types(self, field, value, kind):
+        data = mp.config_to_dict(tiny_config())
+        block, _, key = field.rpartition(".")
+        (data[block] if block else data)[key] = value
+        with pytest.raises(mp.ConfigError, match=f"{key} must be a {kind}"):
+            mp.config_from_dict(data)
+
+    @pytest.mark.parametrize(
         "noise",
         [
             [1, 2],
@@ -225,6 +249,8 @@ class TestScenarioConfig:
             {**NOISE_VARS, "correlation": "0.1"},
             {**NOISE_VARS, "correlation": [0.1, "x"]},
             {**NOISE_VARS, "correlation": True},
+            {**NOISE_VARS, "correlation": [True, False]},
+            {**NOISE_VARS, "correlation": ["0.1", 0.0]},
         ],
     )
     def test_rejects_invalid_noise_block(self, noise):
@@ -454,15 +480,15 @@ class TestSingleUserGrid:
             for j, p_w in enumerate(self.POWERS_W):
                 if m == 1:
                     designs = {
-                        "cap": strategies.miso_capacity_design(h[0]),
-                        "recip": strategies.miso_reciprocal_design(h[0], h_up[:, 0]),
-                        "hyp": strategies.miso_naive_design(h_mm[0], mismatch),
+                        "cap": strategies.beam_design(h[0]),
+                        "recip": strategies.beam_design(h_up[:, 0], h[0]),
+                        "hyp": strategies.beam_design(h_as[0], h_mm[0], mismatch),
                     }
                 else:
                     designs = {
-                        "cap": strategies.mimo_capacity_design(h),
-                        "recip": strategies.mimo_reciprocal_design(h, h_up),
-                        "hyp": strategies.mimo_naive_design(h_mm, h_as, mismatch),
+                        "cap": strategies.mode_design(h),
+                        "recip": strategies.mode_design(h_up.T, h),
+                        "hyp": strategies.mode_design(h_as, h_mm, mismatch),
                     }
                 expected = {
                     s: design.evaluate(np.array([p_w]), sigma) for s, design in designs.items()
@@ -478,9 +504,8 @@ class TestSingleUserGrid:
             if row_kind == "zero":
                 for s in config.strategies:
                     assert np.all(rates[s][r] == 0.0) and np.all(streams[s][r] == 0.0)
-                if m == 1:
-                    # A zero channel gets a zero beam and alpha 1.
-                    assert np.all(alphas[r] == 1.0)
+                # A zero channel allocates no power and keeps alpha 1.
+                assert np.all(alphas[r] == 1.0)
             else:
                 assert streams["cap"][r, 0] == 0 and rates["cap"][r, 0] == 0.0
                 assert np.all(np.diff(rates["cap"][r]) > 0.0)
