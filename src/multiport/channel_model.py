@@ -229,7 +229,9 @@ class FrontEnd:
       root of the diagonal of its covariance, as a designer ignoring
       noise correlation would.
 
-    ``mismatch_power`` is :func:`mismatch_power_matrix` of the direction.
+    ``mismatch_power`` K gives the true radiated power tr(K R) of a
+    transmit covariance R designed under the decoupled power model: the
+    power coupling conjugated by the inverse decoupled root.
     """
 
     power_coupling: np.ndarray = field(repr=False)
@@ -287,12 +289,14 @@ def front_end(system: ImpedanceSystem, noise: NoiseConfig) -> FrontEnd:
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(str(exc)) from exc
     diag_out_root = np.sqrt(np.diag(r_out).real)
+    inv_root = 1.0 / b_diag_root
+    mismatch = (inv_root[:, None] * b) * np.conj(inv_root)[None, :]
 
     return FrontEnd(
         power_coupling=b,
         power_coupling_root=b_root,
         decoupled_power_root=b_diag_root,
-        mismatch_power=_mismatch_power(b, b_diag_root),
+        mismatch_power=hermitize(mismatch, tol=1e-6),
         port_noise_covariance=q,
         output_noise_covariance=hermitize(r_out, tol=1e-6),
         output_noise_root=noise_root,
@@ -321,18 +325,11 @@ def naive_channels(front: FrontEnd, z21: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 @dataclass(frozen=True)
-class ChannelBundle:
-    """All derived matrices of one link direction for one realization."""
+class ChannelBundle(FrontEnd):
+    """The front end of one link direction plus one realization's channels."""
 
     system: ImpedanceSystem = field(repr=False)
     voltage_transfer: np.ndarray = field(repr=False)
-    power_coupling: np.ndarray = field(repr=False)
-    power_coupling_root: np.ndarray = field(repr=False)
-    decoupled_power_root: np.ndarray = field(repr=False)
-    port_noise_covariance: np.ndarray = field(repr=False)
-    output_noise_covariance: np.ndarray = field(repr=False)
-    output_noise_root: np.ndarray = field(repr=False)
-    noise_scale: float
     channel: np.ndarray = field(repr=False)
     channel_mismatched: np.ndarray = field(repr=False)
     channel_assumed: np.ndarray = field(repr=False)
@@ -355,15 +352,9 @@ def build_bundle(system: ImpedanceSystem, noise: NoiseConfig) -> ChannelBundle:
     front = front_end(system, noise)
     channel_mismatched, channel_assumed = naive_channels(front, system.z_coupling)
     return ChannelBundle(
+        **vars(front),
         system=system,
         voltage_transfer=voltage_transfer(system),
-        power_coupling=front.power_coupling,
-        power_coupling_root=front.power_coupling_root,
-        decoupled_power_root=front.decoupled_power_root,
-        port_noise_covariance=front.port_noise_covariance,
-        output_noise_covariance=front.output_noise_covariance,
-        output_noise_root=front.output_noise_root,
-        noise_scale=front.noise_scale,
         channel=link_channel(front, system.z_coupling),
         channel_mismatched=channel_mismatched,
         channel_assumed=channel_assumed,
@@ -386,19 +377,3 @@ def reciprocal_channel(forward: ChannelBundle, reverse: ChannelBundle) -> np.nda
     )
     out = np.linalg.solve(forward.output_noise_root, core)
     return ratio * out @ np.linalg.inv(forward.power_coupling_root.conj().T)
-
-
-def mismatch_power_matrix(bundle: ChannelBundle) -> np.ndarray:
-    """Hermitian matrix giving true radiated power of naive precoding.
-
-    For a transmit covariance R designed under the decoupled power
-    model, the actually radiated power is tr(K @ R) with this K; it is
-    the true power coupling conjugated by the inverse diagonal root.
-    """
-    return _mismatch_power(bundle.power_coupling, bundle.decoupled_power_root)
-
-
-def _mismatch_power(power_coupling: np.ndarray, decoupled_root: np.ndarray) -> np.ndarray:
-    inv_root = 1.0 / decoupled_root
-    k = (inv_root[:, None] * power_coupling) * np.conj(inv_root)[None, :]
-    return hermitize(k, tol=1e-6)

@@ -376,9 +376,12 @@ def _read_coupling_json(path: str) -> np.ndarray:
         with open(path) as fh:
             data = json.load(fh)
         reals = data["realizations"]
-        shape = (len(reals), int(data["n_rx"]), int(data["n_tx"]), 2)
-        parts = np.array(reals, dtype=float)
+        n_rx, n_tx = (_json_int(name, data[name]) for name in ("n_rx", "n_tx"))
+        shape = (len(reals), n_rx, n_tx, 2)
+        parts = np.array(reals, dtype=object)
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(f"invalid coupling JSON: {exc}") from exc
     if not reals:
         raise ConfigError("coupling file holds no realizations")
@@ -386,7 +389,13 @@ def _read_coupling_json(path: str) -> np.ndarray:
         raise ConfigError(
             f"coupling JSON realizations have shape {parts.shape}, expected {shape}"
         )
-    return parts.view(complex)[..., 0]
+    # Booleans and strings would convert to floats silently.
+    if not {type(v) for v in parts.flat} <= {int, float}:
+        raise ConfigError("coupling JSON values must be JSON numbers")
+    try:
+        return parts.astype(float).view(complex)[..., 0]
+    except OverflowError:
+        raise ConfigError("coupling file holds a NaN or infinite value") from None
 
 
 def write_coupling_file(path: str, realizations: np.ndarray) -> None:
@@ -492,7 +501,7 @@ def _evaluate_chunk(
         "hyp": (h_assumed, h_mismatched, down.mismatch_power),
     }
     sigma, partition = down.noise_scale, config.rx_partition
-    single_user = len(partition) == 1
+    single_user = config.is_single_user
     rates, streams, alphas, unconverged = {}, {}, None, 0
     mac = [s for s in ("cap", "hyp") if s in config.strategies and not single_user]
     if mac:
@@ -510,15 +519,13 @@ def _evaluate_chunk(
             continue
         design, rated, power_model = plans[s.removesuffix("_lin")]
         if s.endswith("_lin"):
-            true = design if rated is None else rated
-            grid = greedy_zf_design(design, partition, power_model).evaluate(
-                true, powers_w, sigma
-            )
+            built = greedy_zf_design(design, partition, rated, power_model)
         elif design.shape[-2] == 1:
             rated = None if rated is None else rated[:, 0]
-            grid = beam_design(design[:, 0], rated, power_model).evaluate(powers_w, sigma)
+            built = beam_design(design[:, 0], rated, power_model)
         else:
-            grid = mode_design(design, rated, power_model).evaluate(powers_w, sigma)
+            built = mode_design(design, rated, power_model)
+        grid = built.evaluate(powers_w, sigma)
         rates[s] = grid.rates
         streams[s] = grid.streams.astype(float)
         if reports_alpha(s, single_user):

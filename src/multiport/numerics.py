@@ -1,6 +1,7 @@
 """Shared numerical building blocks.
 
-Water-filling power allocation, Euclidean projections onto the
+Water-filling power allocation over any stack of gain rows and
+budgets (leading axes broadcast), Euclidean projections onto the
 simplex and the trace-bounded PSD cone, and guarded matrix
 factorizations used by the channel construction.
 """
@@ -63,77 +64,71 @@ def waterfill(gains: np.ndarray, budgets: float | np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    gains : array of nonnegative floats
-        Per-channel power gains (1/W units cancel against watts), shape
-        ``(n,)``, or ``(P, n)`` for one set of gains per budget.
-    budgets : float or 1-D array of floats
-        Power budget in watts, or a grid of budgets; nonnegative. With
-        2-D gains, one budget per gains row (shape ``(P,)``).
+    gains : array of nonnegative floats, shape (..., n)
+        Per-channel power gains (1/W units cancel against watts), one
+        row of n channels along the last axis.
+    budgets : float or array of nonnegative floats, shape (...)
+        Power budgets in watts. The leading axes of ``gains`` and the
+        axes of ``budgets`` broadcast against each other, so a scalar
+        budget serves every row, (P,) budgets against (n,) gains give a
+        (P, n) grid and (N,) budgets against (N, n) gains one budget per
+        row; shapes that do not broadcast raise ValueError.
 
     Returns
     -------
-    array of floats
-        For a scalar budget, the allocation p (shape ``(n,)``) with
-        p >= 0 and sum(p) == budget whenever a positive gain exists and
-        the budget is positive. For P budgets, one such row per budget
-        (shape ``(P, n)``), from the shared gains or, with 2-D gains,
-        from gains row i for budget i.
+    array of floats, shape (broadcast leading shape, n)
+        Each budget's allocation p of its own gains row, with p >= 0 and
+        sum(p) == budget whenever a positive gain exists and the budget
+        is positive.
 
-    Each gains row is sorted once. With shifted inverse gains inv
-    (inv[0] = 0, nondecreasing) and csum their cumulative sum, the m
-    strongest channels are all active exactly when the budget reaches
-    the breakpoint m * inv[m] - csum[m - 1], so each budget's active
-    count is the number of breakpoints it reaches.
+    The gains rows are sorted as given, not once per budget. With
+    shifted inverse gains inv (inv[0] = 0, nondecreasing) and csum their
+    cumulative sum, the m strongest channels are all active exactly when
+    the budget reaches the breakpoint m * inv[m] - csum[m - 1], so each
+    budget's active count is the number of breakpoints it reaches.
     """
     g = np.asarray(gains, dtype=float)
     b = np.asarray(budgets, dtype=float)
-    if g.ndim == 2:
-        if b.shape != g.shape[:1]:
-            raise ValueError("2-D gains need one budget per row")
-        rows, level_budgets = g, b[:, None]
-    elif g.ndim == 1:
-        if b.ndim > 1:
-            raise ValueError("budgets must be a scalar or 1-D")
-        rows, level_budgets = g[None], b.reshape(1, -1)
-    else:
-        raise ValueError("gains must be 1-D or 2-D")
-    if not (level_budgets >= 0.0).all():
+    if g.ndim == 0:
+        raise ValueError("gains need a last axis of channels")
+    if not (b >= 0.0).all():
         raise ValueError("power budget must be nonnegative")
-    r = np.arange(rows.shape[0])[:, None]
-    order = np.argsort(rows, axis=1)[:, ::-1]
-    gs = rows[r, order]
+    order = np.argsort(g, axis=-1)[..., ::-1]
+    gs = np.sort(g, axis=-1)[..., ::-1]
     # Sorting puts NaN first here, so the extremes validate every gain.
-    if gs.size and not (gs[:, 0].max() < np.inf and gs[:, -1].min() >= 0.0):
+    if gs.size and not (gs[..., 0].max() < np.inf and gs[..., -1].min() >= 0.0):
         raise ValueError("gains must be finite and nonnegative")
     # The active gains of a row are its sorted prefix.
     active = gs > _MIN_GAIN
-    n_active = active.sum(axis=1)
+    n_active = active.sum(axis=-1)
     width = int(n_active.max()) if gs.size else 0
-    powers = np.zeros((rows.shape[0], level_budgets.shape[1], g.shape[-1]))
-    if width:
-        gs, order, active = gs[:, :width], order[:, :width], active[:, :width]
-        # Work with inverse gains shifted by their minimum so the water
-        # level stays resolvable when 1/g dwarfs the budget. The cap
-        # keeps every breakpoint finite; a capped channel would need a
-        # budget beyond 1e300 W to turn on. Inactive entries are masked.
-        inv = 1.0 / np.where(active, gs, np.inf)
-        inv -= inv[:, :1]
-        np.minimum(inv, _MAX_INV / width, out=inv)
-        csum = np.cumsum(inv, axis=1)
-        breaks = np.arange(1, width) * inv[:, 1:] - csum[:, :-1]
-        breaks[~active[:, 1:]] = np.inf
-        used = (breaks[:, None, :] <= level_budgets[:, :, None]).sum(axis=2) + 1
-        level = (level_budgets + csum[r, used - 1]) / used
-        alloc = np.maximum(level[:, :, None] - inv[:, None, :], 0.0)
-        alloc[np.arange(width) >= np.minimum(used, n_active[:, None])[:, :, None]] = 0.0
-        # Exact budget despite clipping roundoff.
-        s = alloc.sum(axis=2)
-        alloc *= (level_budgets / np.where(s > 0.0, s, 1.0))[:, :, None]
-        columns = np.arange(level_budgets.shape[1])[:, None]
-        powers[r[:, :, None], columns, order[:, None, :]] = alloc
-    if g.ndim == 2:
-        return powers[:, 0]
-    return powers[0, 0] if b.ndim == 0 else powers[0]
+    if not width:
+        return np.zeros(np.broadcast_shapes(g.shape[:-1], b.shape) + g.shape[-1:])
+    gs, order, active = gs[..., :width], order[..., :width], active[..., :width]
+    # Work with inverse gains shifted by their minimum so the water
+    # level stays resolvable when 1/g dwarfs the budget. The cap keeps
+    # every breakpoint finite; a capped channel would need a budget
+    # beyond 1e300 W to turn on. Inactive entries are masked.
+    inv = 1.0 / np.where(active, gs, np.inf)
+    inv -= inv[..., :1]
+    np.minimum(inv, _MAX_INV / width, out=inv)
+    csum = np.cumsum(inv, axis=-1)
+    breaks = np.arange(1, width) * inv[..., 1:] - csum[..., :-1]
+    breaks[~active[..., 1:]] = np.inf
+    # Broadcasting the gain rows against the budgets starts here.
+    used = (breaks <= b[..., None]).sum(axis=-1) + 1
+    # Per-row entries are picked by flat index: row offset plus column.
+    starts = np.arange(0, csum.size, width).reshape(csum.shape[:-1])
+    level = (b + csum.reshape(-1)[starts + used - 1]) / used
+    alloc = np.maximum(level[..., None] - inv, 0.0)
+    alloc[np.arange(width) >= np.minimum(used, n_active)[..., None]] = 0.0
+    # Exact budget despite clipping roundoff.
+    s = alloc.sum(axis=-1)
+    alloc *= (b / np.where(s > 0.0, s, 1.0))[..., None]
+    powers = np.zeros(alloc.shape[:-1] + g.shape[-1:])
+    starts = np.arange(0, powers.size, g.shape[-1]).reshape(alloc.shape[:-1])
+    powers.reshape(-1)[starts[..., None] + order] = alloc
+    return powers
 
 
 def simplex_project(values: np.ndarray, total: float | np.ndarray) -> np.ndarray:

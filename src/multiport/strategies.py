@@ -6,23 +6,27 @@ the informed capacity benchmark designs on the true channel, the
 reciprocity-based precoder on the reverse channel transposed, and the
 naive, coupling-unaware transmitter on the channel it assumes, rated
 on the mismatched channel under the mismatched power model. Each
-single-user algorithm therefore has one constructor that takes those
-three inputs: ``beam_design`` (matched filter, one receive antenna)
-and ``mode_design`` (eigenmodes with water-filling). Multi-user
-strategies cover dual-decomposition sum capacity via sum-power
-iterative water-filling and a greedy zero-forcing linear precoder
-with rate evaluation under residual interference.
+precoder algorithm therefore has one constructor that takes those
+three inputs as ``(design, rated=None, mismatch_power=None)``:
+``beam_design`` (matched filter, one receive antenna), ``mode_design``
+(eigenmodes with water-filling) and ``greedy_zf_design`` (greedy
+zero-forcing for several users, with rate evaluation under residual
+interference; the user partition follows the design channel).
+Multi-user sum capacity uses the dual multiple-access problem, solved
+by sum-power iterative water-filling.
 
 Every strategy splits into a power-independent design and an
 evaluation that covers a whole grid of power budgets at once; both
-take a stack of channel realizations along leading axes and return
-(..., P) outputs. The single-user designs (``BeamDesign``,
-``ModeDesign``) hold beamformers or eigenbases; the greedy zero-forcing
-design (``ZfDesign``) holds each realization's greedy stream order and
-every prefix's beams; sum capacity (``mac_sum_capacity_grid``) iterates
-one stack of covariances, one per realization and budget.
-``su_mimo_capacity`` and ``mac_sum_capacity`` are one-budget views of
-the same code on one channel.
+take a stack of channel realizations along leading axes. A design
+(``BeamDesign``, ``ModeDesign``, ``ZfDesign``) holds its beams or
+eigenbasis, ready to rate on its rated channel, and its
+``evaluate(powers_w, noise_std)`` returns one :class:`Grid`: (..., P)
+rates, streams and alpha and (..., P, k) stream powers. The
+water-filling over the budgets is one broadcasting
+:func:`~multiport.numerics.waterfill` call. Sum capacity
+(``mac_sum_capacity_grid``) iterates one stack of covariances, one per
+realization and budget. ``su_mimo_capacity`` and ``mac_sum_capacity``
+are one-budget views of the same code on one channel.
 
 Rates are in bits per channel use throughout. The scalar noise level
 is the per-port standard deviation of the whitened receive noise.
@@ -82,18 +86,19 @@ def _count_active(powers: np.ndarray, total_power: float | np.ndarray) -> np.nda
     return np.count_nonzero(powers > np.expand_dims(floor, -1), axis=-1)
 
 
-class SuGrid(NamedTuple):
-    """Single-user outcome at every point of a power grid.
+class Grid(NamedTuple):
+    """Outcome of one strategy design at every point of a power grid.
 
     ``rates``, ``streams`` and ``alpha`` (..., P) have one entry per
-    realization and budget; ``mode_powers`` (..., P, k) holds the watts
-    given to each transmit mode.
+    realization and budget; ``powers`` (..., P, k) holds the watts given
+    to each stream: the beam (k = 1), each transmit mode, or each greedy
+    zero-forcing stream in greedy order (zero past the chosen prefix).
     """
 
     rates: np.ndarray
     streams: np.ndarray
     alpha: np.ndarray
-    mode_powers: np.ndarray
+    powers: np.ndarray
 
 
 class BeamDesign(NamedTuple):
@@ -109,13 +114,13 @@ class BeamDesign(NamedTuple):
     gain: np.ndarray
     alpha: np.ndarray | float = 1.0
 
-    def evaluate(self, powers_w: np.ndarray, noise_std: float) -> SuGrid:
+    def evaluate(self, powers_w: np.ndarray, noise_std: float) -> Grid:
         """Rates log2(1 + P gain / sigma^2) over the budgets ``powers_w``."""
         p = np.asarray(powers_w, dtype=float)
         if not (p >= 0.0).all():
             raise ValueError("power budget must be nonnegative")
         streams = (p > 0.0) & self.beam.any(axis=-1)[..., None]
-        return SuGrid(
+        return Grid(
             np.log1p(p * np.expand_dims(self.gain, -1) / noise_std**2) / LN2,
             streams.astype(int),
             np.broadcast_to(np.expand_dims(self.alpha, -1), streams.shape),
@@ -140,11 +145,11 @@ class ModeDesign(NamedTuple):
     forward: np.ndarray | None = None
     radiated: np.ndarray | None = None
 
-    def evaluate(self, powers_w: np.ndarray, noise_std: float) -> SuGrid:
+    def evaluate(self, powers_w: np.ndarray, noise_std: float) -> Grid:
         """Water-fill every budget of ``powers_w`` at once and rate the result."""
         budgets = np.asarray(powers_w, dtype=float)
         gains = self.gains[..., None, :] / noise_std**2
-        powers = _waterfill_rows(gains, budgets)
+        powers = waterfill(gains, budgets)
         if self.forward is None:
             rates = np.log1p(powers * gains).sum(axis=-1) / LN2
         else:
@@ -158,14 +163,7 @@ class ModeDesign(NamedTuple):
             radiated = (powers @ self.radiated[..., :, None])[..., 0]
             used = (budgets > 0.0) & powers.any(axis=-1)
             np.divide(radiated, budgets, out=alpha, where=used)
-        return SuGrid(rates, _count_active(powers, budgets), alpha, powers)
-
-
-def _waterfill_rows(gains: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`waterfill` of gains (..., 1, k) at budgets (P,): (..., P, k)."""
-    shape = np.broadcast_shapes(gains.shape, budgets.shape + (1,))
-    rows = np.broadcast_to(gains, shape).reshape(-1, shape[-1])
-    return waterfill(rows, np.broadcast_to(budgets, shape[:-1]).reshape(-1)).reshape(shape)
+        return Grid(rates, _count_active(powers, budgets), alpha, powers)
 
 
 def beam_design(
@@ -230,7 +228,7 @@ def su_mimo_capacity(
     grid = design.evaluate(np.array([total_power], dtype=float), noise_std)
     return SuStrategyResult(
         RateResult(float(grid.rates[0]), int(grid.streams[0])),
-        (design.basis * grid.mode_powers[0]) @ design.basis.conj().T,
+        (design.basis * grid.powers[0]) @ design.basis.conj().T,
     )
 
 
@@ -486,19 +484,12 @@ def _bc_rates(
     return per_user, per_user.sum(axis=1)
 
 
-class ZfGrid(NamedTuple):
-    """Greedy zero-forcing outcome at every point of a power grid."""
-
-    rates: np.ndarray
-    streams: np.ndarray
-    alpha: np.ndarray
-
-
 class ZfDesign(NamedTuple):
     """Power-independent part of greedy zero-forcing, per realization.
 
     The greedy stream order depends only on the design channel, so every
-    prefix of it is designed once. Stream i belongs to user
+    prefix of it is designed once; ``rated`` (..., m, n_tx) is the
+    channel the chosen beams are rated on. Stream i belongs to user
     ``owners[..., i]``; prefix l holds the first l streams, with
     unit-norm zero-forcing beams ``beams[l]`` (..., n_tx, l) and
     pseudo-inverse column norms ``norms[l]`` (..., l), so stream gains
@@ -510,6 +501,7 @@ class ZfDesign(NamedTuple):
     """
 
     partition: tuple[int, ...]
+    rated: np.ndarray
     owners: np.ndarray
     beams: tuple[np.ndarray, ...]
     norms: tuple[np.ndarray, ...]
@@ -534,7 +526,7 @@ class ZfDesign(NamedTuple):
         for l in range(1, n_max + 1):
             # A missing prefix has zero gains, hence zero rate.
             gains = 1.0 / (self.norms[l][..., None, :] ** 2 * noise_std**2)
-            p = _waterfill_rows(gains, budgets)
+            p = waterfill(gains, budgets)
             rate = np.log1p(p * gains).sum(axis=-1) / LN2
             better = (chosen == l - 1) & (rate > best + 1e-12)
             if not better.any():
@@ -544,17 +536,15 @@ class ZfDesign(NamedTuple):
             powers[better, :l] = p[better]
         return chosen, best, powers
 
-    def evaluate(
-        self, channel_true: np.ndarray, powers_w: np.ndarray, noise_std: float
-    ) -> ZfGrid:
-        """Rates on ``channel_true``, streams and alpha over the budgets."""
-        chosen, _, powers = self.allocate(powers_w, noise_std)
+    def evaluate(self, powers_w: np.ndarray, noise_std: float) -> Grid:
+        """Rates on ``rated``, streams, alpha and stream powers over the budgets."""
+        chosen, _, grid_powers = self.allocate(powers_w, noise_std)
         shape, n_max = chosen.shape, self.owners.shape[-1]
         # Explicit row counts: with no streams at all, n_max is 0 and -1 is ambiguous.
         n_rows = math.prod(shape[:-1])
         chosen = chosen.reshape(n_rows, shape[-1])
-        powers = powers.reshape(n_rows, shape[-1], n_max)
-        h = np.reshape(channel_true, (n_rows,) + np.shape(channel_true)[-2:])
+        powers = grid_powers.reshape(n_rows, shape[-1], n_max)
+        h = self.rated.reshape((n_rows,) + self.rated.shape[-2:])
         owners = self.owners.reshape(n_rows, n_max)
         rates = np.zeros(chosen.shape)
         streams = np.zeros(chosen.shape, dtype=int)
@@ -570,12 +560,15 @@ class ZfDesign(NamedTuple):
             streams[r, j] = _count_active(p, used)
             if self.radiated is not None:
                 alpha[r, j] = (p * self.radiated[l].reshape(-1, l)[r]).sum(axis=1) / used
-        return ZfGrid(rates.reshape(shape), streams.reshape(shape), alpha.reshape(shape))
+        return Grid(
+            rates.reshape(shape), streams.reshape(shape), alpha.reshape(shape), grid_powers
+        )
 
 
 def greedy_zf_design(
-    channel_assumed: np.ndarray,
+    design: np.ndarray,
     partition: tuple[int, ...],
+    rated: np.ndarray | None = None,
     mismatch_power: np.ndarray | None = None,
 ) -> ZfDesign:
     """Greedy zero-forcing stream order and every prefix's beams.
@@ -585,12 +578,16 @@ def greedy_zf_design(
     orthogonal complement of the already selected virtual streams. Each
     prefix's precoder zero-forces its stacked virtual rows via
     pseudo-inverse. Selection stops when no user has a direction left.
-    With ``mismatch_power`` the design also records each beam's
-    radiated power. ``channel_assumed`` may be a stack (..., m, n_tx) of
-    realizations, each with its own greedy order.
+    ``design`` may be a stack (..., m, n_tx) of realizations, each with
+    its own greedy order. ``rated`` None rates the beams on the design
+    channel. With ``mismatch_power`` the design also records each beam's
+    radiated power.
     """
-    h = np.asarray(channel_assumed)
+    h = np.asarray(design)
     partition = _check_partition(h, partition)
+    rated = h if rated is None else np.asarray(rated)
+    if rated.shape != h.shape:
+        raise ValueError("rated and design channels must have equal shapes")
     batch, (m_total, n_tx) = h.shape[:-2], h.shape[-2:]
     users = _split_rows(h.reshape(-1, m_total, n_tx), partition)
     n = len(users[0])
@@ -637,5 +634,5 @@ def greedy_zf_design(
 
     (owners,) = shaped([owners[:, : len(beams) - 1]])
     return ZfDesign(
-        partition, owners, shaped(beams), shaped(norms), radiated and shaped(radiated)
+        partition, rated, owners, shaped(beams), shaped(norms), radiated and shaped(radiated)
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -237,7 +239,9 @@ class TestFrontEnd:
         system = make_system(5, (2,), seed=31)
         front = mp.front_end(system, default_noise)
         bundle = mp.build_bundle(system, default_noise)
-        assert np.array_equal(front.mismatch_power, mp.mismatch_power_matrix(bundle))
+        assert isinstance(bundle, mp.FrontEnd)
+        for f in fields(mp.FrontEnd):
+            assert np.array_equal(getattr(bundle, f.name), getattr(front, f.name)), f.name
 
     def test_ignores_coupling_block(self, default_noise):
         system = make_system(4, (3,), seed=32)
@@ -389,9 +393,7 @@ class TestChannelIdentities:
         down, _ = make_bundles(make_system(5, (1,), seed=26))
         inv_root = np.diag(1.0 / down.decoupled_power_root)
         expected = inv_root @ down.power_coupling @ inv_root.conj().T
-        assert np.allclose(
-            mp.mismatch_power_matrix(down), expected, rtol=1e-11, atol=1e-15
-        )
+        assert np.allclose(down.mismatch_power, expected, rtol=1e-11, atol=1e-15)
 
     def test_mismatch_power_matrix_identity_when_uncoupled(
         self, termination, default_noise
@@ -405,4 +407,4 @@ class TestChannelIdentities:
             z_load=termination,
         )
         down = mp.build_bundle(system, default_noise)
-        assert np.allclose(mp.mismatch_power_matrix(down), np.eye(3), atol=1e-12)
+        assert np.allclose(down.mismatch_power, np.eye(3), atol=1e-12)

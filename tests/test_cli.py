@@ -215,6 +215,15 @@ class TestRun:
         bad_workers = write_run_config(tmp_path / "bw.json", n_workers=0)
         assert main(["run", bad_workers]) == 2
 
+        coupling = tmp_path / "coupling.json"
+        rows = [[[[True, 0.0]] * 4]] * 3  # a boolean coupling value
+        coupling.write_text(json.dumps({"n_rx": 1, "n_tx": 4, "realizations": rows}))
+        bool_coupling = write_run_config(
+            tmp_path / "bc.json", scenario=scenario_dict(coupling_file=str(coupling))
+        )
+        assert main(["run", bool_coupling, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "JSON numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -256,7 +265,9 @@ class TestRun:
         h, h_mm, h_as, g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         root = rng.standard_normal((4, 4))
         down = SimpleNamespace(noise_scale=0.5, mismatch_power=root @ root.T / 4)
-        config = SimpleNamespace(strategies=(strategy,), rx_partition=partition)
+        config = SimpleNamespace(
+            strategies=(strategy,), rx_partition=partition, is_single_user=single_user
+        )
         channels = (h, h_mm, h_as, g.swapaxes(1, 2))
         outcome = montecarlo._evaluate_chunk(config, down, channels, np.array([0.0, 1.0]))
         assert (outcome[2] is not None) == expected

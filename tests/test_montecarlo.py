@@ -405,6 +405,24 @@ class TestCouplingFiles:
         with pytest.raises(mp.ConfigError, match="NaN or infinite"):
             mp.read_coupling_file(path)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n_rx": 1.9},
+            {"n_rx": "1"},
+            {"n_rx": True},
+            {"realizations": [[[["0.1", "0"], [2.0, 0.0]]]]},
+            {"realizations": [[[[True, 0.0], [2.0, 0.0]]]]},
+            {"realizations": [[[[1.0, None], [2.0, 0.0]]]]},
+            {"realizations": [[[[10**400, 0.0], [2.0, 0.0]]]]},
+        ],
+    )
+    def test_json_values_must_have_json_types(self, tmp_path, fields):
+        data = {"realizations": [[[[1.0, 0.0], [2.0, 0.0]]]], **fields}
+        path = self.write_json(tmp_path / "c.json", **data)
+        with pytest.raises(mp.ConfigError):
+            mp.read_coupling_file(path)
+
 
 class TestBoundedWorkers:
     @pytest.mark.parametrize(
@@ -469,7 +487,9 @@ class TestSingleUserGrid:
         n = 5
         sigma = 0.7
         channels, mismatch, kinds = mixed_stack(kind, m, n, seed)
-        config = SimpleNamespace(strategies=("cap", "recip", "hyp"), rx_partition=(m,))
+        config = SimpleNamespace(
+            strategies=("cap", "recip", "hyp"), rx_partition=(m,), is_single_user=True
+        )
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
         rates, streams, alphas, unconverged = montecarlo._evaluate_chunk(
             config, down, channels, self.POWERS_W
@@ -523,7 +543,7 @@ class TestMultiUserGrid:
         m = sum(partition)
         channels, mismatch, kinds = mixed_stack("random", m, n, 7)
         tokens = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
-        config = SimpleNamespace(strategies=tokens, rx_partition=partition)
+        config = SimpleNamespace(strategies=tokens, rx_partition=partition, is_single_user=False)
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
         rates, streams, alphas, unconverged = montecarlo._evaluate_chunk(
             config, down, channels, self.POWERS_W
@@ -549,8 +569,8 @@ class TestMultiUserGrid:
                     ("recip_lin", h_up.T, h, None),
                     ("hyp_lin", h_as, h_mm, mismatch),
                 ):
-                    design = strategies.greedy_zf_design(assumed, partition, power_model)
-                    res = design.evaluate(true, budget, sigma)
+                    design = strategies.greedy_zf_design(assumed, partition, true, power_model)
+                    res = design.evaluate(budget, sigma)
                     expected_rates[s] = res.rates[0]
                     expected_streams[s] = res.streams[0]
                 expected_alpha = res.alpha[0]

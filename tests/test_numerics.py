@@ -75,7 +75,11 @@ class TestWaterfill:
         with pytest.raises(ValueError):
             waterfill(np.array([1.0, 1.0]), -0.5)
         with pytest.raises(ValueError):
-            waterfill(np.array([[1.0]]), 1.0)
+            waterfill(np.array([1.0, np.nan]), 1.0)
+        with pytest.raises(ValueError):
+            waterfill(np.array(1.0), 1.0)
+        with pytest.raises(ValueError):
+            waterfill(np.zeros((2, 3)), np.ones(3))
 
     @given(
         arrays(
@@ -164,7 +168,7 @@ class TestWaterfillBudgetGrid:
 
     @pytest.mark.parametrize(
         "budgets",
-        [np.array([1.0, -0.5]), np.array([[1.0]]), np.array([1.0, np.nan])],
+        [np.array([1.0, -0.5]), np.array([[1.0], [-0.5]]), np.array([1.0, np.nan])],
     )
     def test_rejects_negative_and_2d_budgets(self, budgets):
         with pytest.raises(ValueError):
@@ -196,16 +200,29 @@ class TestWaterfillGainRows:
         for row, g, budget in zip(rows, gains, budgets):
             assert np.all(np.abs(row - waterfill(g, budget)) <= 1e-15 * budget)
 
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.just(1), st.integers(1, 7)),
+            elements=st.floats(0.0, 1e4),
+        ),
+        BUDGETS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_rows_match_scalar_calls(self, gains, budgets):
+        # Up to seven gains, numpy sums a row sequentially, so padding it
+        # with zeros to the widest row of the stack changes no bit.
+        grid = waterfill(gains, budgets)
+        assert grid.shape == (gains.shape[0], budgets.size, gains.shape[2])
+        for r, j in np.ndindex(grid.shape[:2]):
+            assert np.array_equal(grid[r, j], waterfill(gains[r, 0], budgets[j]))
+
     @pytest.mark.parametrize(
-        "budgets", [np.array([1.0]), np.array([1.0, 2.0, 3.0]), np.array(1.0)]
+        "budgets", [np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 2.0, 3.0]), np.ones((2, 3))]
     )
     def test_rejects_budget_count_mismatch(self, budgets):
         with pytest.raises(ValueError):
             waterfill(np.ones((2, 3)), budgets)
-
-    def test_rejects_3d_gains(self):
-        with pytest.raises(ValueError):
-            waterfill(np.ones((2, 2, 2)), np.ones(2))
 
 
 class TestSimplexProject:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import re
 from pathlib import Path
 
 import multiport as mp
+from multiport import strategies
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +47,13 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(code, str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and lines[1].startswith("radiated/intended power:")
+
+
+def test_every_design_shares_one_contract():
+    for build in (strategies.beam_design, strategies.mode_design, strategies.greedy_zf_design):
+        params = inspect.signature(build).parameters
+        for name in ("rated", "mismatch_power"):
+            assert params[name].default is None, (build.__name__, name)
+    for design in (strategies.BeamDesign, strategies.ModeDesign, strategies.ZfDesign):
+        params = list(inspect.signature(design.evaluate).parameters)
+        assert params == ["self", "powers_w", "noise_std"], design.__name__

@@ -30,7 +30,7 @@ def orthogonal_rows_channel(rng, scales, n_tx):
 
 
 def at_budget(design, power):
-    """A single-user design evaluated at one budget: the SuGrid of P = [power]."""
+    """A single-user design evaluated at one budget: the Grid of P = [power]."""
     return design.evaluate(np.array([power]), SIGMA)
 
 
@@ -55,7 +55,7 @@ class TestSuMiso:
         expected = np.log2(1.0 + power * np.vdot(h, h).real / SIGMA**2)
         assert result.rates[0] == pytest.approx(expected, rel=1e-14)
         # The covariance P b b^H has trace P and yields the same rate.
-        assert result.mode_powers[0, 0] == power
+        assert result.powers[0, 0] == power
         assert np.linalg.norm(design.beam) ** 2 == pytest.approx(1.0, rel=1e-12)
         assert result.streams[0] == 1
         assert result.alpha[0] == 1.0
@@ -179,7 +179,7 @@ class TestSuMimo:
         k = random_psd(rng, 5, 5.0)
         design = mode_design(ha, hh, k)
         result = at_budget(design, 2.0)
-        cov = (design.basis * result.mode_powers[0]) @ design.basis.conj().T
+        cov = (design.basis * result.powers[0]) @ design.basis.conj().T
         expected = float(np.trace(k @ cov).real) / 2.0
         assert result.alpha[0] == pytest.approx(expected, rel=1e-12)
         cap = mp.su_mimo_capacity(hh, 2.0, SIGMA).rate.rate_bits
@@ -437,11 +437,11 @@ class TestMultiUserGrid:
         h_design = crandn(rng, sum(partition), 8)
         h_true = h_design + 0.3 * crandn(rng, *h_design.shape)
         mismatch = random_psd(rng, 8, 8.0) if naive else None
-        design = greedy_zf_design(h_design, partition, mismatch)
-        grid = design.evaluate(h_true, self.POWERS_W, SIGMA)
+        design = greedy_zf_design(h_design, partition, h_true, mismatch)
+        grid = design.evaluate(self.POWERS_W, SIGMA)
         assert len(set(grid.streams.tolist())) > 2
         for j, power in enumerate(self.POWERS_W):
-            one = design.evaluate(h_true, np.array([power]), SIGMA)
+            one = design.evaluate(np.array([power]), SIGMA)
             assert grid.rates[j] == pytest.approx(one.rates[0], rel=1e-12, abs=0.0)
             assert grid.streams[j] == one.streams[0]
             assert grid.alpha[j] == pytest.approx(one.alpha[0], rel=1e-12)
@@ -455,6 +455,9 @@ class TestMultiUserGrid:
             )
             assert grid.rates[j] == pytest.approx(rate[0], rel=1e-12, abs=0.0)
             assert grid.streams[j] == np.count_nonzero(p > 1e-12 * power)
+            # The chosen prefix carries the whole budget; no stream after it.
+            assert grid.powers[j].sum() == pytest.approx(power if l else 0.0, rel=1e-12)
+            assert not grid.powers[j, l:].any()
             alpha = (p @ design.radiated[l]) / p.sum() if naive and l else 1.0
             assert grid.alpha[j] == pytest.approx(alpha, rel=1e-12)
 
@@ -475,12 +478,14 @@ class TestMultiUserGrid:
         h = np.vstack([row, (0.3 - 0.8j) * row])
         design = greedy_zf_design(h, (1, 1))
         assert design.owners.size == 1
-        grid = design.evaluate(h, self.POWERS_W, SIGMA)
+        grid = design.evaluate(self.POWERS_W, SIGMA)
         assert grid.streams.tolist() == [0] + [1] * (self.POWERS_W.size - 1)
 
     def test_zf_grid_without_streams(self):
         zero = np.zeros((2, 2, 5), complex)
-        grid = greedy_zf_design(zero, (1, 1), np.eye(5)).evaluate(zero, self.POWERS_W, SIGMA)
+        grid = greedy_zf_design(zero, (1, 1), mismatch_power=np.eye(5)).evaluate(
+            self.POWERS_W, SIGMA
+        )
         assert not grid.rates.any() and not grid.streams.any() and (grid.alpha == 1.0).all()
 
 
@@ -539,7 +544,7 @@ class TestGreedyZf:
         h = crandn(rng, 3, 8)
         design = greedy_zf_design(h, (1, 1, 1))
         chosen, rate, _ = design.allocate(np.array([3.0]), SIGMA)
-        achieved = design.evaluate(h, np.array([3.0]), SIGMA)
+        achieved = design.evaluate(np.array([3.0]), SIGMA)
         assert achieved.rates[0] == pytest.approx(rate[0], rel=1e-10)
         assert achieved.streams[0] == chosen[0]
 
@@ -553,7 +558,7 @@ class TestGreedyZf:
         assert powers[0].sum() == pytest.approx(power, rel=1e-12)
         assert np.all(powers[0, l:] == 0.0)
         assert np.allclose(np.linalg.norm(design.beams[l], axis=0), 1.0, rtol=1e-10)
-        alpha = design.evaluate(h, np.array([power]), SIGMA).alpha[0]
+        alpha = design.evaluate(np.array([power]), SIGMA).alpha[0]
         assert alpha == pytest.approx(1.0, rel=1e-12)
 
     def test_validation(self):
@@ -562,20 +567,22 @@ class TestGreedyZf:
             greedy_zf_design(h, (1,))
         with pytest.raises(ValueError):
             greedy_zf_design(h, (1, 1)).allocate(np.array([-1.0]), SIGMA)
+        with pytest.raises(ValueError):
+            greedy_zf_design(h, (1, 1), np.ones((3, 3), complex))
 
     def test_with_true_power_traces_the_beam_covariance(self):
         rng = RNG(25)
         h = crandn(rng, 3, 6)
         k = random_psd(rng, 6, 6.0)
-        design = greedy_zf_design(h, (1, 1, 1), k)
+        design = greedy_zf_design(h, (1, 1, 1), mismatch_power=k)
         chosen, _, powers = design.allocate(np.array([2.0]), SIGMA)
         l = int(chosen[0])
         stacked, p = design.beams[l], powers[0, :l]
         cov = (stacked * p) @ stacked.conj().T
-        alpha = design.evaluate(h, np.array([2.0]), SIGMA).alpha[0]
+        alpha = design.evaluate(np.array([2.0]), SIGMA).alpha[0]
         assert alpha == pytest.approx(float(np.trace(k @ cov).real) / p.sum(), rel=1e-12)
-        ident = greedy_zf_design(h, (1, 1, 1), np.eye(6, dtype=complex))
-        assert ident.evaluate(h, np.array([2.0]), SIGMA).alpha[0] == pytest.approx(
+        ident = greedy_zf_design(h, (1, 1, 1), mismatch_power=np.eye(6, dtype=complex))
+        assert ident.evaluate(np.array([2.0]), SIGMA).alpha[0] == pytest.approx(
             1.0, rel=1e-10
         )
 
