@@ -6,9 +6,10 @@ Subcommands:
   outputs plus the resolved effective configuration. Stdout lists the
   written files and a ``failures: N`` line; stderr gets an
   ``unconverged: N`` line counting sum-capacity solves that stopped
-  short of their KKT tolerance. Each output is written to a temporary
-  file in the output directory and renamed into place, so an aborted
-  run leaves no half-written file.
+  short of their KKT tolerance and a ``mac_iterations: mean M max N``
+  line with their iteration counts (0 without any). Each output is
+  written to a temporary file in the output directory and renamed into
+  place, so an aborted run leaves no half-written file.
 - ``dump-impedance``: print or save the impedance matrix of a uniform
   circular dipole array.
 - ``kde``: compute a Gaussian kernel density estimate from a one-column
@@ -199,6 +200,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(path)
     print(f"failures: {result.n_failures}")
     print(f"unconverged: {result.n_unconverged}", file=sys.stderr)
+    print(
+        f"mac_iterations: mean {result.mac_iterations_mean:.2f} "
+        f"max {result.mac_iterations_max}",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -311,6 +311,9 @@ class ScenarioResult:
     # grid solve) that stopped without meeting their KKT tolerance.
     # Always 0 for single-user runs.
     n_unconverged: int
+    # Mean and max iteration count over those solves; 0 without any.
+    mac_iterations_mean: float
+    mac_iterations_max: int
 
 
 def coupling_realization(
@@ -465,7 +468,9 @@ def bounded_workers(requested: int, n_chunks: int, cpu_count: int | None) -> int
     return max(1, min(requested, cpu_count or 1, n_chunks))
 
 
-Outcome = tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int]
+Outcome = tuple[
+    dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int, np.ndarray
+]
 
 
 def reports_alpha(strategy: str, single_user: bool) -> bool:
@@ -487,8 +492,9 @@ def _evaluate_chunk(
     """Every strategy on a chunk of channel stacks (R, m, n), with h_up (R, n, m).
 
     Returns (R, P) rates and stream counts per strategy, the (R, P)
-    alpha of the strategy that reports it (or None) and the unconverged
-    solve count.
+    alpha of the strategy that reports it (or None), the unconverged
+    solve count and the iteration count of every sum-capacity solve
+    (empty without any).
     """
     h, h_mismatched, h_assumed, h_up = channels
     # Per strategy family: the channel it is designed on, the channel it
@@ -503,6 +509,7 @@ def _evaluate_chunk(
     sigma, partition = down.noise_scale, config.rx_partition
     single_user = config.is_single_user
     rates, streams, alphas, unconverged = {}, {}, None, 0
+    iterations = np.zeros(0, dtype=int)
     mac = [s for s in ("cap", "hyp") if s in config.strategies and not single_user]
     if mac:
         # The cap and hyp solves of every realization share one stack.
@@ -510,6 +517,7 @@ def _evaluate_chunk(
             np.stack([plans[s][0] for s in mac]), partition, powers_w, sigma
         )
         unconverged = int(np.count_nonzero(~grid.converged))
+        iterations = grid.iterations.reshape(-1)
         for i, s in enumerate(mac):
             rated = plans[s][1]
             rates[s] = grid.rates[i] if rated is None else grid.rates_on(rated, sigma)[i]
@@ -530,7 +538,7 @@ def _evaluate_chunk(
         streams[s] = grid.streams.astype(float)
         if reports_alpha(s, single_user):
             alphas = grid.alpha
-    return rates, streams, alphas, unconverged
+    return rates, streams, alphas, unconverged, iterations
 
 
 def _run_chunk(
@@ -596,6 +604,7 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     alpha_samples = np.vstack([out[2] for out in outcomes]) if has_alpha else None
     ergodic = {s: per_rates[s].mean(axis=0) for s in config.strategies}
     mean_streams = {s: per_streams[s].mean(axis=0) for s in config.strategies}
+    iterations = np.concatenate([out[4] for out in outcomes])
     alpha_kde = None
     if has_alpha:
         curves = []
@@ -617,4 +626,6 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
         alpha_kde=alpha_kde,
         n_failures=0,
         n_unconverged=sum(out[3] for out in outcomes),
+        mac_iterations_mean=float(iterations.mean()) if iterations.size else 0.0,
+        mac_iterations_max=int(iterations.max(initial=0)),
     )

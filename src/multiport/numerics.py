@@ -122,8 +122,10 @@ def waterfill(gains: np.ndarray, budgets: float | np.ndarray) -> np.ndarray:
     level = (b + csum.reshape(-1)[starts + used - 1]) / used
     alloc = np.maximum(level[..., None] - inv, 0.0)
     alloc[np.arange(width) >= np.minimum(used, n_active)[..., None]] = 0.0
-    # Exact budget despite clipping roundoff.
-    s = alloc.sum(axis=-1)
+    # Exact budget despite clipping roundoff. A sequential sum, unlike
+    # numpy's pairwise one, ignores the zeros that pad a row to the
+    # stack's width, so a row's result does not depend on its stack.
+    s = np.cumsum(alloc, axis=-1)[..., -1]
     alloc *= (b / np.where(s > 0.0, s, 1.0))[..., None]
     powers = np.zeros(alloc.shape[:-1] + g.shape[-1:])
     starts = np.arange(0, powers.size, g.shape[-1]).reshape(alloc.shape[:-1])

@@ -298,8 +298,11 @@ def _solve_mac(
     Each (realization, budget) pair of ``h`` (..., m, n) and ``budgets``
     (P,) is one row with its own Gram and root. Each iteration does one
     batched solve for all running rows and users, one eigh per
-    multi-antenna block, and one row-wise water-fill. Every row starts
-    at P/m I and freezes once its stopping rule fires.
+    multi-antenna block and one row-wise water-fill. From that
+    water-fill it forms two candidates, the averaged step and the raw
+    block-diagonal water-fill, rates both in one batched call, and each
+    row keeps the better one. Every row starts at P/m I and freezes once
+    its stopping rule fires.
     """
     shape = h.shape[:-2] + budgets.shape
     gram, root = (
@@ -342,13 +345,19 @@ def _solve_mac(
                 gains.append(w)
                 bases.append(v)
         p = waterfill(np.maximum(np.concatenate(gains, axis=1), 0.0), budgets[running])
-        cand = x * ((n_users - 1) / n_users)
+        # Candidate 0 is the averaged step, candidate 1 the raw water-fill.
+        cand = np.stack([x * ((n_users - 1) / n_users), np.zeros_like(x)])
         for b, v in zip(blocks, bases):
             if v is None:
-                cand[:, b, b] += (p[:, b] / n_users)[:, :, None]
+                fill = p[:, b, None]
             else:
-                cand[:, b, b] += (v * (p[:, None, b] / n_users)) @ v.conj().swapaxes(1, 2)
-        fc = _dpc_bits(root[running], cand)
+                fill = (v * p[:, None, b]) @ v.conj().swapaxes(1, 2)
+            cand[0, :, b, b] += fill / n_users
+            cand[1, :, b, b] = fill
+        f = _dpc_bits(root[running], cand)
+        raw = f[1] > f[0]
+        cand = np.where(raw[:, None, None], cand[1], cand[0])
+        fc = np.where(raw, f[1], f[0])
         powers[running] = p
         iterations[running] = iteration
         # A step that would lower the objective is rejected and ends its budget.
@@ -397,13 +406,21 @@ def mac_sum_capacity(
     Rhee, Vishwanath, Jafar & Goldsmith, IEEE Trans. IT 51(4), 2005,
     Algorithm 1): water-fill the eigen-gains of every user's effective
     Gram [(I + G Xi_-k)^-1 G]_kk (Xi_-k: Xi without block k) jointly
-    over the full budget and average the result into Xi with weight
-    1/K. Iterates are monotone nondecreasing. Iteration stops once a
-    step gains at most MAC_REL_TOL times the objective (after step 2),
-    or before a step that would lower it by roundoff.
+    over the full budget. Each iteration keeps the better of two
+    candidates built from that water-fill: the result averaged into Xi
+    with weight 1/K, and the raw block-diagonal water-fill covariance.
+    The averaged variant alone is the one Jindal et al. prove
+    convergent, but it closes in on a corner solution (a user switched
+    off) by only (K - 1)/K per step; the raw step usually lands there at
+    once. Iterates are monotone nondecreasing because a step that would
+    lower the objective is rejected, not by that proof. Iteration stops
+    once a step gains at most MAC_REL_TOL times the objective (after
+    step 2), or before a step that would lower it by roundoff.
 
     ``kkt_residual`` measures the normalized fixed-point gap of the
-    projected-gradient map; values below 1e-5 set ``converged``.
+    projected-gradient map; values below 1e-5 set ``converged``. A
+    monotone objective alone does not show that a solve reached the
+    optimum, so ``converged`` is the check.
     :func:`mac_sum_capacity_grid` runs the same solver over a grid of
     budgets.
     """

@@ -105,7 +105,11 @@ class TestRun:
         out_lines = captured.out.splitlines()
         assert out_lines[-1] == "failures: 0"
         assert all(Path(line).is_file() for line in out_lines[:-1])
-        assert "unconverged: 0" in captured.err.splitlines()
+        err_lines = captured.err.splitlines()
+        assert "unconverged: 0" in err_lines
+        (stats,) = [line for line in err_lines if line.startswith("mac_iterations:")]
+        _, _, mean, _, maximum = stats.split()
+        assert 1.0 <= float(mean) <= int(maximum)
 
     def test_worker_invariance_bytewise(self, tmp_path):
         config = write_run_config(tmp_path / "run.json")

@@ -491,10 +491,10 @@ class TestSingleUserGrid:
             strategies=("cap", "recip", "hyp"), rx_partition=(m,), is_single_user=True
         )
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
-        rates, streams, alphas, unconverged = montecarlo._evaluate_chunk(
+        rates, streams, alphas, unconverged, iterations = montecarlo._evaluate_chunk(
             config, down, channels, self.POWERS_W
         )
-        assert unconverged == 0
+        assert unconverged == 0 and iterations.size == 0
         for r, row_kind in enumerate(kinds):
             h, h_mm, h_as, h_up = (c[r] for c in channels)
             for j, p_w in enumerate(self.POWERS_W):
@@ -545,10 +545,12 @@ class TestMultiUserGrid:
         tokens = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
         config = SimpleNamespace(strategies=tokens, rx_partition=partition, is_single_user=False)
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
-        rates, streams, alphas, unconverged = montecarlo._evaluate_chunk(
+        rates, streams, alphas, unconverged, iterations = montecarlo._evaluate_chunk(
             config, down, channels, self.POWERS_W
         )
         assert unconverged == 0
+        # One count per (MAC strategy, realization, budget), cap before hyp.
+        iterations = iterations.reshape(2, len(kinds), self.POWERS_W.size)
         for r in range(len(kinds)):
             h, h_mm, h_as, h_up = (c[r] for c in channels)
             for j, p_w in enumerate(self.POWERS_W):
@@ -564,6 +566,7 @@ class TestMultiUserGrid:
                     "cap": cap.rate.active_streams,
                     "hyp": hyp.rate.active_streams,
                 }
+                assert iterations[:, r, j].tolist() == [cap.iterations, hyp.iterations]
                 for s, assumed, true, power_model in (
                     ("cap_lin", h, h, None),
                     ("recip_lin", h_up.T, h, None),
@@ -696,6 +699,28 @@ class TestRunScenario:
         expected = sum(int(np.count_nonzero(~grid.converged)) for grid in grids)
         assert expected > 0
         assert result.n_unconverged == expected
+
+    def test_mac_iterations_are_aggregated(self, monkeypatch):
+        solver = montecarlo.mac_sum_capacity_grid
+        grids = []
+
+        def recorded(*args, **kwargs):
+            grids.append(solver(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(montecarlo, "mac_sum_capacity_grid", recorded)
+        monkeypatch.setattr(montecarlo, "CHUNK_REALIZATIONS", 2)
+        config = tiny_config(
+            rx_partition=(1, 1), strategies=("cap", "hyp", "cap_lin"), n_realizations=3
+        )
+        result = mp.run_scenario(config)
+        assert len(grids) == 2
+        counts = np.concatenate([grid.iterations.reshape(-1) for grid in grids])
+        assert counts.size == 2 * 3 * 2
+        assert result.mac_iterations_mean == counts.mean()
+        assert result.mac_iterations_max == counts.max() > 0
+        single = mp.run_scenario(tiny_config(n_realizations=2))
+        assert (single.mac_iterations_mean, single.mac_iterations_max) == (0.0, 0)
 
     def test_rates_increase_with_power(self):
         config = tiny_config(

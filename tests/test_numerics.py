@@ -203,15 +203,15 @@ class TestWaterfillGainRows:
     @given(
         arrays(
             np.float64,
-            st.tuples(st.integers(1, 4), st.just(1), st.integers(1, 7)),
+            st.tuples(st.integers(1, 4), st.just(1), st.integers(1, 12)),
             elements=st.floats(0.0, 1e4),
         ),
         BUDGETS,
     )
     @settings(max_examples=150, deadline=None)
     def test_stacked_rows_match_scalar_calls(self, gains, budgets):
-        # Up to seven gains, numpy sums a row sequentially, so padding it
-        # with zeros to the widest row of the stack changes no bit.
+        # Padding a row with zeros to the widest row of its stack changes
+        # no bit: numpy's pairwise sum would regroup eight or more terms.
         grid = waterfill(gains, budgets)
         assert grid.shape == (gains.shape[0], budgets.size, gains.shape[2])
         for r, j in np.ndindex(grid.shape[:2]):

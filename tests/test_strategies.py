@@ -315,6 +315,20 @@ class TestMacSumCapacity:
             _, linear, _ = greedy_zf_design(h, partition).allocate(np.array([power]), SIGMA)
             assert mac.rate.rate_bits >= linear[0] - 1e-9
 
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 1, 1), (2, 2), (3, 1), (2, 2, 2)])
+    def test_random_channels_converge_in_few_iterations(self, partition):
+        # The averaged step alone closes in on a corner solution (a user
+        # switched off) by only (K - 1)/K per iteration and needs tens of
+        # iterations on average here.
+        rng = RNG(50 + len(partition))
+        h = crandn(rng, 20, sum(partition), 8)
+        grid = mac_sum_capacity_grid(h, partition, np.logspace(-10.0, 2.0, 13), SIGMA)
+        assert grid.converged.all()
+        assert grid.kkt_residual.max() < 1e-6
+        assert grid.iterations.mean() <= 6.0
+        assert grid.iterations.max() <= 30
+        assert all(np.all(np.diff(trace) >= 0.0) for trace in grid.objective_traces)
+
     def test_validation(self):
         h = np.ones((3, 4), complex)
         with pytest.raises(ValueError):
