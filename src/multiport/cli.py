@@ -5,9 +5,11 @@ Subcommands:
 - ``run``: execute a scenario described by a JSON file and write CSV
   outputs plus the resolved effective configuration. Stdout lists the
   written files and a ``failures: N`` line; stderr gets an
-  ``unconverged: N`` line counting sum-capacity solves that stopped
-  short of their KKT tolerance and a ``mac_iterations: mean M max N``
-  line with their iteration counts (0 without any). Each output is
+  ``unconverged: N`` line counting sum-capacity solves whose duality
+  gap stayed above MAC_GAP_TOL * max(1, rate) bits, a
+  ``mac_iterations: mean M max N`` line with their iteration counts
+  and a ``mac_gap_bits: max G`` line: every solve is within G bits of
+  sum capacity (both 0 without any solves). Each output is
   written to a temporary file in the output directory and renamed into
   place, so an aborted run leaves no half-written file.
 - ``dump-impedance``: print or save the impedance matrix of a uniform
@@ -171,6 +173,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     n_workers = args.workers if args.workers is not None else data.get("n_workers", 1)
     if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
         raise ConfigError("n_workers must be an integer of at least 1")
+    if not isinstance(data.get("output_dir", ""), str):
+        raise ConfigError("output_dir must be a string")
     out_dir = (
         args.output_dir
         or data.get("output_dir")
@@ -205,15 +209,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"max {result.mac_iterations_max}",
         file=sys.stderr,
     )
+    print(f"mac_gap_bits: max {result.mac_gap_bits_max:.3g}", file=sys.stderr)
     return 0
 
 
 def cmd_dump_impedance(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
-    if not args.d > 0.0:
-        raise ConfigError("--d must be positive")
-    geometry = uniform_circular_array(args.n, args.d)
+    try:
+        geometry = uniform_circular_array(args.n, args.d)
+    except ValueError as exc:
+        raise ConfigError(f"invalid array: {exc}") from exc
     matrix = array_impedance_matrix(geometry)
     if args.out:
         write_impedance_csv(args.out, matrix)

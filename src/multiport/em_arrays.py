@@ -147,8 +147,8 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.n_elements < 1:
             raise ValueError("need at least one element")
-        if not self.spacing_wavelengths > 0.0:
-            raise ValueError("spacing must be positive")
+        if not 0.0 < self.spacing_wavelengths < math.inf:
+            raise ValueError("spacing must be positive and finite")
         if self.positions.shape != (self.n_elements, 2):
             raise ValueError("positions must be (n_elements, 2)")
 
@@ -161,8 +161,8 @@ def uniform_circular_array(n_elements: int, spacing_wavelengths: float) -> Array
     """
     if n_elements < 1:
         raise ValueError("need at least one element")
-    if not spacing_wavelengths > 0.0:
-        raise ValueError("spacing must be positive")
+    if not 0.0 < spacing_wavelengths < math.inf:
+        raise ValueError("spacing must be positive and finite")
     if n_elements == 1:
         pos = np.zeros((1, 2))
     else:

@@ -308,12 +308,15 @@ class ScenarioResult:
     # ends can fail to factor, and that aborts the run.
     n_failures: int
     # Sum-capacity solves (multi-user cap and hyp, one per budget of each
-    # grid solve) that stopped without meeting their KKT tolerance.
+    # grid solve) whose duality gap stayed above MAC_GAP_TOL * max(1, rate)
+    # bits: not certified within that many bits of sum capacity.
     # Always 0 for single-user runs.
     n_unconverged: int
     # Mean and max iteration count over those solves; 0 without any.
     mac_iterations_mean: float
     mac_iterations_max: int
+    # Largest duality gap in bits over those solves; 0 without any.
+    mac_gap_bits_max: float
 
 
 def coupling_realization(
@@ -469,7 +472,7 @@ def bounded_workers(requested: int, n_chunks: int, cpu_count: int | None) -> int
 
 
 Outcome = tuple[
-    dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int, np.ndarray
+    dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int, np.ndarray, np.ndarray
 ]
 
 
@@ -493,8 +496,8 @@ def _evaluate_chunk(
 
     Returns (R, P) rates and stream counts per strategy, the (R, P)
     alpha of the strategy that reports it (or None), the unconverged
-    solve count and the iteration count of every sum-capacity solve
-    (empty without any).
+    solve count, and the iteration count and duality gap in bits of
+    every sum-capacity solve (empty without any).
     """
     h, h_mismatched, h_assumed, h_up = channels
     # Per strategy family: the channel it is designed on, the channel it
@@ -509,7 +512,7 @@ def _evaluate_chunk(
     sigma, partition = down.noise_scale, config.rx_partition
     single_user = config.is_single_user
     rates, streams, alphas, unconverged = {}, {}, None, 0
-    iterations = np.zeros(0, dtype=int)
+    iterations, gaps = np.zeros(0, dtype=int), np.zeros(0)
     mac = [s for s in ("cap", "hyp") if s in config.strategies and not single_user]
     if mac:
         # The cap and hyp solves of every realization share one stack.
@@ -518,6 +521,7 @@ def _evaluate_chunk(
         )
         unconverged = int(np.count_nonzero(~grid.converged))
         iterations = grid.iterations.reshape(-1)
+        gaps = grid.gap_bits.reshape(-1)
         for i, s in enumerate(mac):
             rated = plans[s][1]
             rates[s] = grid.rates[i] if rated is None else grid.rates_on(rated, sigma)[i]
@@ -538,7 +542,7 @@ def _evaluate_chunk(
         streams[s] = grid.streams.astype(float)
         if reports_alpha(s, single_user):
             alphas = grid.alpha
-    return rates, streams, alphas, unconverged, iterations
+    return rates, streams, alphas, unconverged, iterations, gaps
 
 
 def _run_chunk(
@@ -605,6 +609,7 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     ergodic = {s: per_rates[s].mean(axis=0) for s in config.strategies}
     mean_streams = {s: per_streams[s].mean(axis=0) for s in config.strategies}
     iterations = np.concatenate([out[4] for out in outcomes])
+    gaps = np.concatenate([out[5] for out in outcomes])
     alpha_kde = None
     if has_alpha:
         curves = []
@@ -628,4 +633,5 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
         n_unconverged=sum(out[3] for out in outcomes),
         mac_iterations_mean=float(iterations.mean()) if iterations.size else 0.0,
         mac_iterations_max=int(iterations.max(initial=0)),
+        mac_gap_bits_max=float(gaps.max(initial=0.0)),
     )

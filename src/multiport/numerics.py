@@ -1,9 +1,8 @@
 """Shared numerical building blocks.
 
 Water-filling power allocation over any stack of gain rows and
-budgets (leading axes broadcast), Euclidean projections onto the
-simplex and the trace-bounded PSD cone, and guarded matrix
-factorizations used by the channel construction.
+budgets (leading axes broadcast) and guarded matrix factorizations
+used by the channel construction.
 """
 
 from __future__ import annotations
@@ -132,46 +131,3 @@ def waterfill(gains: np.ndarray, budgets: float | np.ndarray) -> np.ndarray:
     powers.reshape(-1)[starts[..., None] + order] = alloc
     return powers
 
-
-def simplex_project(values: np.ndarray, total: float | np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum(w) = total} of each vector.
-
-    ``values`` (..., n) holds the vectors, ``total`` one total or one
-    per vector. The sort-based algorithm, made robust to entries much
-    larger than ``total`` by shifting with the maximum before forming
-    cumulative sums.
-    """
-    w = np.asarray(values, dtype=float)
-    t = np.asarray(total, dtype=float)[..., None]
-    if (t < 0.0).any():
-        raise ValueError("total must be nonnegative")
-    if w.size == 0:
-        raise ValueError("cannot project an empty vector")
-    shift = w.max(axis=-1, keepdims=True)
-    v = np.sort(w - shift, axis=-1)[..., ::-1]
-    css = np.cumsum(v, axis=-1)
-    n = w.shape[-1]
-    cond = np.arange(1, n + 1) * v - css + t > 0.0
-    # k is the last index that meets the condition, or 1 if none does.
-    k = np.where(cond.any(axis=-1), n - np.argmax(cond[..., ::-1], axis=-1), 1)[..., None]
-    theta = (np.take_along_axis(css, k - 1, axis=-1) - t) / k
-    return np.clip(w - shift - theta, 0.0, None)
-
-
-def project_psd_trace(matrix: np.ndarray, max_trace: float | np.ndarray) -> np.ndarray:
-    """Project a Hermitian matrix onto {X >= 0, tr(X) <= max_trace}.
-
-    Eigenvalues are clipped at zero; if their sum still exceeds the
-    bound they are projected onto the simplex of that total. A stack of
-    matrices is projected matrix by matrix, with a scalar bound or one
-    bound per matrix.
-    """
-    bound = np.asarray(max_trace, dtype=float)
-    if (bound < 0.0).any():
-        raise ValueError("trace bound must be nonnegative")
-    w, v = np.linalg.eigh(hermitize(np.asarray(matrix)))
-    w = np.clip(w, 0.0, None)
-    over = w.sum(axis=-1) > bound
-    if over.any():
-        w[over] = simplex_project(w[over], np.broadcast_to(bound, over.shape)[over])
-    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)

@@ -14,6 +14,7 @@ import pytest
 import multiport as mp
 from multiport import cli, montecarlo
 from multiport.cli import OUTPUT_DIR_ENV, main
+from multiport.strategies import MAC_GAP_TOL
 
 
 NOISE_VARS = {"voltage_noise_var": 1e-14, "current_noise_var": 1e-17}
@@ -110,6 +111,8 @@ class TestRun:
         (stats,) = [line for line in err_lines if line.startswith("mac_iterations:")]
         _, _, mean, _, maximum = stats.split()
         assert 1.0 <= float(mean) <= int(maximum)
+        (gap,) = [line for line in err_lines if line.startswith("mac_gap_bits:")]
+        assert 0.0 <= float(gap.split()[-1]) < MAC_GAP_TOL
 
     def test_worker_invariance_bytewise(self, tmp_path):
         config = write_run_config(tmp_path / "run.json")
@@ -237,6 +240,7 @@ class TestRun:
             {"scenario": scenario_dict(noise=[1, 2])},
             {"scenario": scenario_dict(noise={**NOISE_VARS, "bandwith_hz": 1e6})},
             {"scenario": scenario_dict(noise={**NOISE_VARS, "correlation": [0.1]})},
+            {"output_dir": 5},
         ],
     )
     def test_malformed_run_config_exits_2(self, tmp_path, capsys, fields):
@@ -386,6 +390,8 @@ class TestDumpImpedance:
         assert main(["dump-impedance", "--n", "0"]) == 2
         assert main(["dump-impedance", "--n", "3", "--d", "0.0"]) == 2
         assert main(["dump-impedance", "--n", "3", "--d", "-1.0"]) == 2
+        assert main(["dump-impedance", "--n", "3", "--d", "inf"]) == 2
+        assert main(["dump-impedance", "--n", "3", "--d", "nan"]) == 2
 
 
 class TestImpedanceCsvBytes:

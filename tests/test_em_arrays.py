@@ -161,6 +161,9 @@ class TestGeometry:
             uniform_circular_array(0, 0.5)
         with pytest.raises(ValueError):
             uniform_circular_array(4, 0.0)
+        for spacing in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                uniform_circular_array(4, spacing)
         with pytest.raises(ValueError):
             ArrayGeometry(2, 0.5, np.zeros((3, 2)))
 

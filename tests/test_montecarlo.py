@@ -491,10 +491,10 @@ class TestSingleUserGrid:
             strategies=("cap", "recip", "hyp"), rx_partition=(m,), is_single_user=True
         )
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
-        rates, streams, alphas, unconverged, iterations = montecarlo._evaluate_chunk(
+        rates, streams, alphas, unconverged, iterations, gaps = montecarlo._evaluate_chunk(
             config, down, channels, self.POWERS_W
         )
-        assert unconverged == 0 and iterations.size == 0
+        assert unconverged == 0 and iterations.size == gaps.size == 0
         for r, row_kind in enumerate(kinds):
             h, h_mm, h_as, h_up = (c[r] for c in channels)
             for j, p_w in enumerate(self.POWERS_W):
@@ -545,12 +545,13 @@ class TestMultiUserGrid:
         tokens = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
         config = SimpleNamespace(strategies=tokens, rx_partition=partition, is_single_user=False)
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
-        rates, streams, alphas, unconverged, iterations = montecarlo._evaluate_chunk(
+        rates, streams, alphas, unconverged, iterations, gaps = montecarlo._evaluate_chunk(
             config, down, channels, self.POWERS_W
         )
         assert unconverged == 0
         # One count per (MAC strategy, realization, budget), cap before hyp.
         iterations = iterations.reshape(2, len(kinds), self.POWERS_W.size)
+        gaps = gaps.reshape(iterations.shape)
         for r in range(len(kinds)):
             h, h_mm, h_as, h_up = (c[r] for c in channels)
             for j, p_w in enumerate(self.POWERS_W):
@@ -567,6 +568,7 @@ class TestMultiUserGrid:
                     "hyp": hyp.rate.active_streams,
                 }
                 assert iterations[:, r, j].tolist() == [cap.iterations, hyp.iterations]
+                assert gaps[:, r, j].tolist() == [cap.gap_bits, hyp.gap_bits]
                 for s, assumed, true, power_model in (
                     ("cap_lin", h, h, None),
                     ("recip_lin", h_up.T, h, None),
@@ -719,8 +721,11 @@ class TestRunScenario:
         assert counts.size == 2 * 3 * 2
         assert result.mac_iterations_mean == counts.mean()
         assert result.mac_iterations_max == counts.max() > 0
+        gaps = np.concatenate([grid.gap_bits.reshape(-1) for grid in grids])
+        assert result.mac_gap_bits_max == gaps.max()
         single = mp.run_scenario(tiny_config(n_realizations=2))
         assert (single.mac_iterations_mean, single.mac_iterations_max) == (0.0, 0)
+        assert single.mac_gap_bits_max == 0.0
 
     def test_rates_increase_with_power(self):
         config = tiny_config(

@@ -1,4 +1,4 @@
-"""Water-filling, projections, and factorizations against brute-force oracles."""
+"""Water-filling and factorizations against brute-force oracles."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from multiport.numerics import (
     cholesky_psd,
     hermitize,
     principal_sqrt_psd,
-    project_psd_trace,
-    simplex_project,
     waterfill,
 )
 
@@ -223,101 +221,6 @@ class TestWaterfillGainRows:
     def test_rejects_budget_count_mismatch(self, budgets):
         with pytest.raises(ValueError):
             waterfill(np.ones((2, 3)), budgets)
-
-
-class TestSimplexProject:
-    @given(
-        arrays(
-            np.float64,
-            st.integers(min_value=1, max_value=10),
-            elements=st.floats(min_value=-1e6, max_value=1e6),
-        ),
-        st.floats(min_value=1e-9, max_value=1e3),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_lands_on_simplex(self, values, total):
-        out = simplex_project(values, total)
-        assert np.all(out >= 0.0)
-        assert float(out.sum()) == pytest.approx(total, rel=1e-9, abs=1e-12)
-
-    @given(
-        arrays(np.float64, 5, elements=st.floats(min_value=-10.0, max_value=10.0)),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_is_nearest_point(self, values, seed):
-        total = 2.0
-        out = simplex_project(values, total)
-        rng = np.random.default_rng(seed)
-        # No random simplex point may be closer than the projection.
-        for _ in range(20):
-            cand = rng.dirichlet(np.ones(5)) * total
-            assert np.linalg.norm(out - values) <= np.linalg.norm(cand - values) + 1e-9
-
-    def test_idempotent(self):
-        values = np.array([0.2, 0.5, 0.3])
-        assert np.allclose(simplex_project(values, 1.0), values, atol=1e-12)
-
-    def test_huge_values_tiny_budget(self):
-        # Catastrophic-cancellation regime: entries dwarf the budget.
-        out = simplex_project(np.array([1e8, 1e8]), 1e-10)
-        assert float(out.sum()) == pytest.approx(1e-10, rel=1e-9)
-        assert np.all(out >= 0.0)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            simplex_project(np.array([1.0]), -1.0)
-        with pytest.raises(ValueError):
-            simplex_project(np.array([]), 1.0)
-
-
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (a + a.conj().T)
-
-
-class TestProjectPsdTrace:
-    def test_diagonal_example(self):
-        out = project_psd_trace(np.diag([3.0, -1.0]).astype(complex), 2.0)
-        assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
-
-    def test_feasible_fixed_point(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        psd = a @ a.conj().T
-        psd *= 0.5 / np.trace(psd).real
-        out = project_psd_trace(psd, 1.0)
-        assert np.allclose(out, psd, atol=1e-12)
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_output_feasible_and_nearest(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5))
-        total = float(rng.uniform(0.1, 5.0))
-        a = random_hermitian(rng, n) * float(rng.uniform(0.1, 10.0))
-        out = project_psd_trace(a, total)
-        w = np.linalg.eigvalsh(out)
-        assert w.min() >= -1e-10 * max(1.0, abs(w).max())
-        assert float(np.trace(out).real) <= total * (1 + 1e-9)
-        # Compare against random feasible candidates.
-        for _ in range(15):
-            b = random_hermitian(rng, n)
-            wc, vc = np.linalg.eigh(b)
-            wc = np.clip(wc, 0.0, None)
-            s = wc.sum()
-            if s > total:
-                wc *= total / s
-            cand = (vc * wc) @ vc.conj().T
-            assert np.linalg.norm(out - a) <= np.linalg.norm(cand - a) + 1e-8
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            project_psd_trace(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-
-    def test_rejects_negative_bound(self):
-        with pytest.raises(ValueError):
-            project_psd_trace(np.eye(2), -1.0)
 
 
 class TestFactorizations:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import multiport as mp
 from multiport import strategies
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCE = Path(mp.__file__).resolve().parent
 
 # Read as attributes of the package by the benchmark harness, the
 # acceptance tests and their fixtures.
@@ -57,3 +60,24 @@ def test_every_design_shares_one_contract():
     for design in (strategies.BeamDesign, strategies.ModeDesign, strategies.ZfDesign):
         params = list(inspect.signature(design.evaluate).parameters)
         assert params == ["self", "powers_w", "noise_std"], design.__name__
+
+
+def test_every_public_definition_is_exported_or_used():
+    # A public helper that no module names any more has outlived its
+    # last caller: export it or delete it.
+    sources = [path.read_text() for path in SOURCE.glob("*.py")]
+    unused = []
+    for info in pkgutil.iter_modules(mp.__path__):
+        module = importlib.import_module(f"multiport.{info.name}")
+        for name, obj in vars(module).items():
+            if (
+                name.startswith("_")
+                or not (inspect.isfunction(obj) or inspect.isclass(obj))
+                or obj.__module__ != module.__name__
+                or name in mp.__all__
+            ):
+                continue
+            word = re.compile(rf"\b{name}\b")
+            if sum(len(word.findall(text)) for text in sources) < 2:
+                unused.append(f"{info.name}.{name}")
+    assert unused == []
