@@ -31,7 +31,8 @@ products per realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass, field, fields
 from math import sqrt
 
 import numpy as np
@@ -60,11 +61,14 @@ class NoiseConfig:
 
     voltage_noise_var: float
     current_noise_var: float
-    correlation: complex = 0.0
+    correlation: complex = 0j
     antenna_temperature_k: float = REFERENCE_TEMPERATURE_K
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not cmath.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.voltage_noise_var < 0.0 or self.current_noise_var < 0.0:
             raise ValueError("noise variances must be nonnegative")
         if abs(self.correlation) > 1.0 + 1e-12:

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,10 +42,11 @@ from .em_arrays import (
 )
 from .montecarlo import (
     ConfigError,
+    ScenarioConfig,
     ScenarioResult,
     SimulationAbort,
-    config_from_dict,
     config_to_dict,
+    from_json,
     gaussian_kde,
     reports_alpha,
     run_scenario,
@@ -136,65 +138,70 @@ _EMIT_WRITERS = {
 EMIT_CHOICES = tuple(_EMIT_WRITERS)
 
 
-def _load_run_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "scenario" not in data:
-        raise ConfigError('config must be a JSON object with a "scenario" block')
-    unknown = set(data) - {"scenario", "emit", "output_dir", "n_workers"}
-    if unknown:
-        raise ConfigError(f"unknown run-config fields: {sorted(unknown)}")
-    return data
+@dataclass(frozen=True)
+class RunConfig:
+    """A run configuration file: the scenario and how to run and emit it.
+
+    ``emit`` None means the default targets of the scenario; an
+    ``output_dir`` of None defers to ``$MULTIPORT_OUTDIR``, then ".".
+    """
+
+    scenario: ScenarioConfig
+    emit: tuple[str, ...] | None = None
+    n_workers: int = 1
+    output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        scenario = self.scenario
+        has_alpha = any(reports_alpha(s, scenario.is_single_user) for s in scenario.strategies)
+        if self.emit is None:
+            emit = ("rates_csv", "streams_csv") + (("alpha_csv", "kde_csv") if has_alpha else ())
+            object.__setattr__(self, "emit", emit)
+        if not self.emit:
+            raise ConfigError("emit must be a nonempty list")
+        for item in self.emit:
+            if item not in EMIT_CHOICES:
+                raise ConfigError(f"unknown emit target {item!r}")
+        if len(set(self.emit)) != len(self.emit):
+            raise ConfigError("emit targets must be unique")
+        if not has_alpha and ("alpha_csv" in self.emit or "kde_csv" in self.emit):
+            raise ConfigError("alpha outputs need a strategy that reports alpha")
+        if self.n_workers < 1:
+            raise ConfigError("n_workers must be an integer of at least 1")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    data = _load_run_config(args.config)
-    config = config_from_dict(data["scenario"])
-    has_alpha = any(reports_alpha(s, config.is_single_user) for s in config.strategies)
-    emit = data.get("emit")
-    if emit is None:
-        emit = ["rates_csv", "streams_csv"] + (
-            ["alpha_csv", "kde_csv"] if has_alpha else []
-        )
-    if not emit or not isinstance(emit, list):
-        raise ConfigError("emit must be a nonempty list")
-    for item in emit:
-        if item not in EMIT_CHOICES:
-            raise ConfigError(f"unknown emit target {item!r}")
-    if len(set(emit)) != len(emit):
-        raise ConfigError("emit targets must be unique")
-    if not has_alpha and ("alpha_csv" in emit or "kde_csv" in emit):
-        raise ConfigError("alpha outputs need a strategy that reports alpha")
-    n_workers = args.workers if args.workers is not None else data.get("n_workers", 1)
-    if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
-        raise ConfigError("n_workers must be an integer of at least 1")
-    if not isinstance(data.get("output_dir", ""), str):
-        raise ConfigError("output_dir must be a string")
+    try:
+        with open(args.config) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    run = from_json(RunConfig, data, "run-config")
+    if args.workers is not None:
+        run = replace(run, n_workers=args.workers)
+    config = run.scenario
     out_dir = (
         args.output_dir
-        or data.get("output_dir")
+        or run.output_dir
         or os.environ.get(OUTPUT_DIR_ENV)
         or "."
     )
     os.makedirs(out_dir, exist_ok=True)
 
-    result = run_scenario(config, n_workers=n_workers)
+    result = run_scenario(config, n_workers=run.n_workers)
 
     written = []
-    for item in emit:
+    for item in run.emit:
         suffix, writer = _EMIT_WRITERS[item]
         path = os.path.join(out_dir, f"{config.name}_{suffix}")
         _write_atomically(path, lambda tmp: writer(tmp, result))
         written.append(path)
     effective = {
         "scenario": config_to_dict(config),
-        "emit": list(emit),
-        "n_workers": n_workers,
+        "emit": list(run.emit),
+        "n_workers": run.n_workers,
         "output_dir": os.path.abspath(out_dir),
     }
     effective_path = os.path.join(out_dir, f"{config.name}_effective_config.json")

@@ -10,6 +10,12 @@ ergodic averages plus per-realization samples of rates, active stream
 counts, and radiated-power ratios with a Gaussian kernel density
 estimate of the latter.
 
+Configurations are frozen dataclasses. :func:`from_json` builds one
+from a JSON object and reads each field's JSON type from the field's
+declared type, so the scenario and noise blocks (and the command
+line's run config) share one parser; each class's ``__post_init__``
+checks the values.
+
 Only the coupling block varies between realizations, so both link
 front ends are built once per scenario; a front end that cannot be
 built aborts the run before any coupling is drawn.
@@ -29,8 +35,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import partial
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import cache, partial
+from types import MappingProxyType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -123,11 +131,17 @@ class ScenarioConfig:
     rx_spacing: float | None = None
     coupling_std_ohm: float | None = None
     coupling_file: str | None = None
-    noise: NoiseConfig = field(default_factory=NoiseConfig.default)
+    # None means NoiseConfig.default().
+    noise: NoiseConfig | None = None
 
     def __post_init__(self) -> None:
+        if self.noise is None:
+            object.__setattr__(self, "noise", NoiseConfig.default())
         if not self.name:
             raise ConfigError("scenario name must be nonempty")
+        # The name prefixes output files inside the output directory.
+        if any(c in self.name for c in "/\\\0"):
+            raise ConfigError("scenario name must not hold a path separator or NUL")
         for name in ("tx_spacing", "rx_spacing", "coupling_std_ohm"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -162,12 +176,21 @@ class ScenarioConfig:
             raise ConfigError("power_grid_dbw must be nonempty and finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("power_grid_dbw must be strictly increasing")
+        self.powers_w  # raises ConfigError for a power beyond the float range
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must be nonnegative and below 2**64")
         if self.coupling_std_ohm is not None and not self.coupling_std_ohm > 0.0:
             raise ConfigError("coupling_std_ohm must be positive when given")
+
+    @property
+    def powers_w(self) -> np.ndarray:
+        """The power grid in watt; ConfigError for a power beyond the float range."""
+        try:
+            return np.array([10.0 ** (p / 10.0) for p in self.power_grid_dbw])
+        except OverflowError:
+            raise ConfigError("power_grid_dbw entries must be below 3083 dBW") from None
 
     @property
     def n_rx_total(self) -> int:
@@ -179,117 +202,90 @@ class ScenarioConfig:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    """JSON-safe dictionary form of a scenario configuration."""
-    data = asdict(config)
-    noise = data["noise"]
-    noise["correlation"] = [
-        complex(config.noise.correlation).real,
-        complex(config.noise.correlation).imag,
-    ]
-    data["rx_partition"] = list(config.rx_partition)
-    data["strategies"] = list(config.strategies)
-    data["power_grid_dbw"] = list(config.power_grid_dbw)
-    return data
+    """JSON-safe dictionary form of a scenario configuration; :func:`from_json` reads it back."""
+    return json.loads(json.dumps(asdict(config), default=lambda z: [z.real, z.imag]))
 
 
-def _noise_from_dict(data) -> NoiseConfig:
-    """Parse the optional noise block: an object of NoiseConfig fields.
+def from_json(cls, data, what: str):
+    """Build the config dataclass ``cls`` from the JSON object ``data``.
 
-    ``correlation`` is a number or a ``[re, im]`` pair.
+    Each field takes the JSON type of its declared type: ``int`` a JSON
+    integer, ``float`` a number, ``str`` a string, ``complex`` a number
+    or ``[re, im]``, ``tuple[X, ...]`` a list of X, a dataclass an
+    object parsed by this function, and ``X | None`` null or X. Fields
+    with a default may be left out. ``what`` names the block in errors.
+    Raises ConfigError for an unknown or missing field, a value of
+    another JSON type, or a value the constructor rejects.
     """
-    if data is None:
-        return NoiseConfig.default()
     if not isinstance(data, dict):
-        raise ConfigError("noise must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(NoiseConfig)}
+        raise ConfigError(f"{what} must be a JSON object")
+    declared, required = _json_fields(cls)
+    unknown = data.keys() - declared.keys()
     if unknown:
-        raise ConfigError(f"unknown noise fields: {sorted(unknown)}")
-    corr = data.get("correlation", 0.0)
-    if isinstance(corr, (list, tuple)) and len(corr) == 2:
-        corr = complex(*(_json_number("correlation", c) for c in corr))
-    elif isinstance(corr, bool) or not isinstance(corr, (int, float, complex)):
-        raise ConfigError("noise correlation must be a number or [re, im]")
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = required - data.keys()
+    if missing:
+        raise ConfigError(f"missing {what} fields: {sorted(missing)}")
+    values = {name: _json_value(declared[name], name, value) for name, value in data.items()}
     try:
-        return NoiseConfig(
-            voltage_noise_var=_json_number("voltage_noise_var", data["voltage_noise_var"]),
-            current_noise_var=_json_number("current_noise_var", data["current_noise_var"]),
-            correlation=corr,
-            antenna_temperature_k=_json_number(
-                "antenna_temperature_k", data.get("antenna_temperature_k", 290.0)
-            ),
-            bandwidth_hz=_json_number("bandwidth_hz", data.get("bandwidth_hz", 740e3)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid noise block: {exc}") from exc
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(f"invalid {what} value: {exc}") from exc
 
 
-def _json_int(name: str, value) -> int:
-    """``value`` if it is a JSON integer; floats and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
-    return value
+@cache
+def _json_fields(cls) -> tuple[MappingProxyType, frozenset]:
+    """Declared type of every field of ``cls``, and the required field names.
+
+    Resolving the string annotations costs more than a whole parse, so
+    it runs once per class.
+    """
+    hints = get_type_hints(cls)
+    declared = MappingProxyType({f.name: hints[f.name] for f in fields(cls)})
+    required = frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return declared, required
 
 
-def _json_number(name: str, value) -> float:
-    """``value`` as a float if it is a JSON number; strings and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, not {value!r}")
+# Python types a JSON value of a scalar field may have, and the noun of the error.
+_JSON_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    complex: ((int, float), "a number or [re, im]"),
+    str: ((str,), "a string"),
+}
+
+
+def _json_value(hint, name: str, value):
+    """``value`` as the declared type ``hint`` of field ``name`` (see :func:`from_json`)."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        (hint,) = (a for a in get_args(hint) if a is not type(None))
+    if is_dataclass(hint):
+        return from_json(hint, value, name)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, not {value!r}")
+        return tuple(_json_value(get_args(hint)[0], name, v) for v in value)
+    if hint is complex and isinstance(value, list) and len(value) == 2:
+        return complex(*(_json_value(float, name, v) for v in value))
+    accepted, noun = _JSON_SCALARS[hint]
+    # bool is a subclass of int, but JSON true is not a number.
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be {noun}, not {value!r}")
     try:
-        return float(value)
+        return hint(value)
     except OverflowError:
         raise ConfigError(f"{name} must be finite") from None
 
 
-def _json_str(name: str, value) -> str:
-    """``value`` if it is a JSON string."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, not {value!r}")
-    return value
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Parse a scenario configuration, applying defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError("scenario must be a JSON object")
-    config_fields = fields(ScenarioConfig)
-    unknown = set(data) - {f.name for f in config_fields}
-    if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    required = {
-        f.name
-        for f in config_fields
-        if f.default is MISSING and f.default_factory is MISSING
-    }
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(f"missing scenario fields: {sorted(missing)}")
-    noise = _noise_from_dict(data.get("noise"))
-
-    def optional(parse, name):
-        value = data.get(name)
-        return None if value is None else parse(name, value)
-
-    try:
-        return ScenarioConfig(
-            name=_json_str("name", data["name"]),
-            n_tx=_json_int("n_tx", data["n_tx"]),
-            tx_spacing=_json_number("tx_spacing", data["tx_spacing"]),
-            rx_partition=tuple(_json_int("rx_partition", m) for m in data["rx_partition"]),
-            strategies=tuple(_json_str("strategies", s) for s in data["strategies"]),
-            power_grid_dbw=tuple(
-                _json_number("power_grid_dbw", p) for p in data["power_grid_dbw"]
-            ),
-            n_realizations=_json_int("n_realizations", data["n_realizations"]),
-            seed=_json_int("seed", data.get("seed", 0)),
-            rx_spacing=optional(_json_number, "rx_spacing"),
-            coupling_std_ohm=optional(_json_number, "coupling_std_ohm"),
-            coupling_file=optional(_json_str, "coupling_file"),
-            noise=noise,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid scenario value: {exc}") from exc
+    return from_json(ScenarioConfig, data, "scenario")
 
 
 @dataclass(frozen=True)
@@ -360,20 +356,24 @@ def read_coupling_file(path: str) -> np.ndarray:
     CSV files are impedance CSVs (:func:`~multiport.em_arrays.read_impedance_csv`)
     with the header ``realization,i,j,re_ohm,im_ohm``. Returns an
     (n_realizations, n_rx, n_tx) array. Raises ConfigError unless the
-    file holds exactly one finite value for every (realization, i, j) of
-    a complete grid.
+    file can be read and holds exactly one finite value for every
+    (realization, i, j) of a complete grid.
     """
-    if path.endswith(".json"):
-        out = _read_coupling_json(path)
-        if not np.all(np.isfinite(out)):
-            raise ConfigError("coupling file holds a NaN or infinite value")
-        return out
     try:
-        out = read_impedance_csv(path)
+        if path.endswith(".json"):
+            out = _read_coupling_json(path)
+        else:
+            out = read_impedance_csv(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read coupling file {path}: {exc.strerror}") from exc
     except ValueError as exc:
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(f"coupling CSV: {exc}") from exc
     if out.ndim != 3:
         raise ConfigError("coupling CSV header must be realization,i,j,re_ohm,im_ohm")
+    if not np.all(np.isfinite(out)):
+        raise ConfigError("coupling file holds a NaN or infinite value")
     return out
 
 
@@ -382,7 +382,7 @@ def _read_coupling_json(path: str) -> np.ndarray:
         with open(path) as fh:
             data = json.load(fh)
         reals = data["realizations"]
-        n_rx, n_tx = (_json_int(name, data[name]) for name in ("n_rx", "n_tx"))
+        n_rx, n_tx = (_json_value(int, name, data[name]) for name in ("n_rx", "n_tx"))
         shape = (len(reals), n_rx, n_tx, 2)
         parts = np.array(reals, dtype=object)
     except (KeyError, TypeError, ValueError) as exc:
@@ -524,7 +524,8 @@ def _evaluate_chunk(
         gaps = grid.gap_bits.reshape(-1)
         for i, s in enumerate(mac):
             rated = plans[s][1]
-            rates[s] = grid.rates[i] if rated is None else grid.rates_on(rated, sigma)[i]
+            own = grid._replace(covariances=grid.covariances[i])  # rate stack i only
+            rates[s] = grid.rates[i] if rated is None else own.rates_on(rated, sigma)
             streams[s] = grid.streams[i].astype(float)
     for s in config.strategies:
         if s in mac:
@@ -549,7 +550,6 @@ def _run_chunk(
     kernel: _ScenarioKernel, imported: np.ndarray | None, chunk: range
 ) -> Outcome:
     config = kernel.config
-    powers_w = np.array([10.0 ** (p / 10.0) for p in config.power_grid_dbw])
     if imported is not None:
         z21 = imported[chunk]
     else:
@@ -561,7 +561,7 @@ def _run_chunk(
         *naive_channels(kernel.down, z21),
         link_channel(kernel.up, z21.swapaxes(1, 2)),
     )
-    return _evaluate_chunk(config, kernel.down, channels, powers_w)
+    return _evaluate_chunk(config, kernel.down, channels, config.powers_w)
 
 
 def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:

@@ -275,6 +275,16 @@ class TestNoiseConfig:
             mp.NoiseConfig(voltage_noise_var=0.0, current_noise_var=0.0, correlation=1.5)
         with pytest.raises(ValueError):
             mp.NoiseConfig(voltage_noise_var=0.0, current_noise_var=0.0, bandwidth_hz=0.0)
+        for field, value in [
+            ("voltage_noise_var", float("inf")),
+            ("current_noise_var", float("nan")),
+            ("correlation", complex(float("nan"), 0.0)),
+            ("antenna_temperature_k", float("inf")),
+            ("bandwidth_hz", float("nan")),
+        ]:
+            kwargs = {"voltage_noise_var": 0.0, "current_noise_var": 0.0, field: value}
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                mp.NoiseConfig(**kwargs)
 
 
 class TestImpedanceSystem:

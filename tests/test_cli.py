@@ -231,6 +231,14 @@ class TestRun:
         assert main(["run", bool_coupling, "--output-dir", str(tmp_path / "out")]) == 2
         assert "JSON numbers" in capsys.readouterr().err
 
+        for suffix in ("csv", "json"):
+            absent = str(tmp_path / f"nope.{suffix}")
+            no_coupling = write_run_config(
+                tmp_path / "nc.json", scenario=scenario_dict(coupling_file=absent)
+            )
+            assert main(["run", no_coupling, "--output-dir", str(tmp_path / "out")]) == 2
+            assert f"config error: cannot read coupling file {absent}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -241,6 +249,11 @@ class TestRun:
             {"scenario": scenario_dict(noise={**NOISE_VARS, "bandwith_hz": 1e6})},
             {"scenario": scenario_dict(noise={**NOISE_VARS, "correlation": [0.1]})},
             {"output_dir": 5},
+            {"scenario": scenario_dict(name="sub/x")},
+            {"scenario": scenario_dict(name="../escaped")},
+            {"scenario": scenario_dict(name="a\u0000b")},
+            {"scenario": scenario_dict(seed=2**64)},
+            {"scenario": scenario_dict(power_grid_dbw=[-70.0, 3083.0])},
         ],
     )
     def test_malformed_run_config_exits_2(self, tmp_path, capsys, fields):
@@ -249,14 +262,30 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("field", ["coupling_std_ohm", "tx_spacing", "rx_spacing"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "coupling_std_ohm",
+            "tx_spacing",
+            "rx_spacing",
+            "noise.voltage_noise_var",
+            "noise.bandwidth_hz",
+            "noise.antenna_temperature_k",
+            "noise.correlation",
+        ],
+    )
     def test_non_finite_scenario_number_exits_2(self, tmp_path, capsys, field):
-        # json.dumps writes Infinity, which Python's JSON reader accepts.
-        config = write_run_config(
-            tmp_path / "inf.json", scenario=scenario_dict(**{field: float("inf")})
-        )
+        # json.dumps writes Infinity and NaN, which Python's JSON reader accepts.
+        block, _, key = field.rpartition(".")
+        value = {
+            "noise.bandwidth_hz": float("nan"),
+            "noise.correlation": [float("nan"), 0.0],
+        }.get(field, float("inf"))
+        scenario = scenario_dict(noise=dict(NOISE_VARS)) if block else scenario_dict()
+        (scenario[block] if block else scenario)[key] = value
+        config = write_run_config(tmp_path / "inf.json", scenario=scenario)
         assert main(["run", config, "--output-dir", str(tmp_path / "out")]) == 2
-        assert f"{field} must be finite" in capsys.readouterr().err
+        assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

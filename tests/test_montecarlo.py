@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import multiport as mp
-from multiport import montecarlo, strategies
+from multiport import cli, montecarlo, strategies
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -101,6 +103,28 @@ class TestGaussianKde:
 NOISE_VARS = {"voltage_noise_var": 1e-14, "current_noise_var": 1e-17}
 
 
+def wrong_json_type_cases() -> list[tuple[str, object, str]]:
+    """One (path, value, JSON type) case per field of the run, scenario and noise blocks.
+
+    The value has no JSON type any field accepts in its place: an empty
+    object, or an empty list where an object belongs.
+    """
+    kinds = {int: "integer", float: "number", complex: "number", str: "string"}
+    cases = []
+    for prefix, cls in (("run.", cli.RunConfig), ("", mp.ScenarioConfig), ("noise.", mp.NoiseConfig)):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            hint = hints[f.name]
+            if type(None) in typing.get_args(hint):
+                (hint,) = set(typing.get_args(hint)) - {type(None)}
+            if dataclasses.is_dataclass(hint):
+                cases.append((prefix + f.name, [], "JSON object"))
+            else:
+                kind = "list" if typing.get_origin(hint) is tuple else kinds[hint]
+                cases.append((prefix + f.name, {}, kind))
+    return cases
+
+
 class TestScenarioConfig:
     def test_roundtrip_through_dict(self):
         config = tiny_config(
@@ -160,6 +184,10 @@ class TestScenarioConfig:
             dict(seed=-1),
             dict(coupling_std_ohm=0.0),
             dict(name=""),
+            dict(name="../escaped"),  # would write outside the output directory
+            dict(name="a\0b"),
+            dict(seed=2**64),  # beyond the Philox key
+            dict(power_grid_dbw=(-50.0, 3083.0)),  # overflows a float in watts
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -228,14 +256,17 @@ class TestScenarioConfig:
             ("noise.voltage_noise_var", "1e-18", "number"),
             ("noise.current_noise_var", True, "number"),
             ("noise.bandwidth_hz", "740e3", "number"),
-        ],
+        ]
+        + wrong_json_type_cases(),
     )
     def test_number_and_string_fields_must_have_json_types(self, field, value, kind):
-        data = mp.config_to_dict(tiny_config())
+        # Paths are relative to the scenario block; "run." marks a run-config field.
+        run = {"scenario": mp.config_to_dict(tiny_config())}
         block, _, key = field.rpartition(".")
-        (data[block] if block else data)[key] = value
-        with pytest.raises(mp.ConfigError, match=f"{key} must be a {kind}"):
-            mp.config_from_dict(data)
+        blocks = {"run": run, "": run["scenario"], "noise": run["scenario"]["noise"]}
+        blocks[block][key] = value
+        with pytest.raises(mp.ConfigError, match=f"{key} must be an? {kind}"):
+            montecarlo.from_json(cli.RunConfig, run, "run-config")
 
     @pytest.mark.parametrize(
         "noise",
@@ -251,13 +282,17 @@ class TestScenarioConfig:
             {**NOISE_VARS, "correlation": True},
             {**NOISE_VARS, "correlation": [True, False]},
             {**NOISE_VARS, "correlation": ["0.1", 0.0]},
+            {"correlation": 0.5},
         ],
     )
     def test_rejects_invalid_noise_block(self, noise):
         data = mp.config_to_dict(tiny_config())
         data["noise"] = noise
-        with pytest.raises(mp.ConfigError):
+        with pytest.raises(mp.ConfigError) as info:
             mp.config_from_dict(data)
+        if isinstance(noise, dict) and not NOISE_VARS.keys() <= noise.keys():
+            missing = sorted(NOISE_VARS.keys() - noise.keys())
+            assert str(info.value) == f"missing noise fields: {missing}"
 
     @pytest.mark.parametrize("correlation, expected", [(0.25, 0.25), ([0.25, -0.1], 0.25 - 0.1j)])
     def test_noise_correlation_forms(self, correlation, expected):
@@ -681,6 +716,10 @@ class TestRunScenario:
         grid, density = result.alpha_kde[0]
         assert np.all(np.isfinite(grid)) and np.all(np.isfinite(density))
         assert 0.9 <= float(trapezoid(density, grid)) <= 1.1
+
+    def test_largest_seed_runs(self):
+        result = mp.run_scenario(tiny_config(seed=2**64 - 1, n_realizations=2))
+        assert all(np.all(np.isfinite(r)) for r in result.ergodic_rates.values())
 
     def test_unconverged_solves_are_counted(self, monkeypatch):
         solver = montecarlo.mac_sum_capacity_grid
