@@ -9,16 +9,18 @@ Subcommands:
   gap stayed above MAC_GAP_TOL * max(1, rate) bits, a
   ``mac_iterations: mean M max N`` line with their iteration counts
   and a ``mac_gap_bits: max G`` line: every solve is within G bits of
-  sum capacity (both 0 without any solves). Each output is
-  written to a temporary file in the output directory and renamed into
-  place, so an aborted run leaves no half-written file.
+  sum capacity (both 0 without any solves). The output directory is
+  made once the run has finished, and each output is written to a
+  temporary file in it and renamed into place, so a failed run leaves
+  no empty directory and an aborted write no half-written file.
 - ``dump-impedance``: print or save the impedance matrix of a uniform
   circular dipole array.
 - ``kde``: compute a Gaussian kernel density estimate from a one-column
   CSV of samples.
 
-Exit codes: 0 on success, 2 for configuration or input errors, 3 when
-a simulation aborts because a link front end cannot be built (the
+Exit codes: 0 on success, 2 for configuration or input errors (an
+input or output path that cannot be read, written or made among them),
+3 when a simulation aborts because a link front end cannot be built (the
 receive noise covariance does not factor).
 """
 
@@ -174,8 +176,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.config) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     run = from_json(RunConfig, data, "run-config")
@@ -188,9 +188,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         or os.environ.get(OUTPUT_DIR_ENV)
         or "."
     )
-    os.makedirs(out_dir, exist_ok=True)
-
     result = run_scenario(config, n_workers=run.n_workers)
+    os.makedirs(out_dir, exist_ok=True)
 
     written = []
     for item in run.emit:
@@ -236,18 +235,14 @@ def cmd_dump_impedance(args: argparse.Namespace) -> int:
 
 def cmd_kde(args: argparse.Namespace) -> int:
     samples = []
-    try:
-        with open(args.input, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    samples.append(float(row[0]))
-                except ValueError:
-                    continue  # header or stray text row
-    except FileNotFoundError as exc:
-        raise ConfigError(f"input file not found: {args.input}") from exc
+    with open(args.input, newline="") as fh:
+        for row in csv.reader(fh):
+            if not row:
+                continue
+            try:
+                samples.append(float(row[0]))
+            except ValueError:
+                continue  # header or stray text row
     try:
         grid, density = gaussian_kde(np.array(samples))
     except ValueError as exc:
@@ -299,6 +294,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # An input or output path that cannot be read, written or made.
+        if exc.filename is None:
+            raise
+        print(f"config error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except SimulationAbort as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)

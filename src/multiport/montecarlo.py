@@ -20,9 +20,10 @@ Only the coupling block varies between realizations, so both link
 front ends are built once per scenario; a front end that cannot be
 built aborts the run before any coupling is drawn.
 
-Realizations run in chunks of fixed size; one worker call carries a
-chunk as (R, ...) stacks from the coupling draws to every strategy's
-rates, in serial runs and in the process pool alike.
+Realizations run in chunks of fixed size. The calling process reads or
+draws each chunk's couplings; one worker call carries that (R, ...)
+stack to every strategy's rates, in serial runs and in the process
+pool alike.
 
 Reproducibility: every realization uses a counter-based random stream
 keyed by (seed, realization index, attempt 0), and the chunk size does
@@ -431,39 +432,21 @@ def _receive_impedance(config: ScenarioConfig) -> np.ndarray:
     return z_rx
 
 
-@dataclass(frozen=True)
-class _ScenarioKernel:
-    """Link front ends shared by all realizations."""
-
-    config: ScenarioConfig
-    down: FrontEnd
-    up: FrontEnd
-    coupling_std: float
-
-
-def _make_kernel(config: ScenarioConfig) -> _ScenarioKernel:
+def _front_ends(config: ScenarioConfig) -> tuple[FrontEnd, FrontEnd]:
+    """Forward and reverse link front ends; SimulationAbort if one cannot be built."""
     geom = uniform_circular_array(config.n_tx, config.tx_spacing)
-    z_tx = array_impedance_matrix(geom)
-    z_rx = _receive_impedance(config)
     termination = complex(dipole_self_impedance().real)
-    std = (
-        config.coupling_std_ohm
-        if config.coupling_std_ohm is not None
-        else far_field_coupling_std()
-    )
     forward = ImpedanceSystem(
-        z_tx=z_tx,
-        z_rx=z_rx,
+        z_tx=array_impedance_matrix(geom),
+        z_rx=_receive_impedance(config),
         z_coupling=np.zeros((config.n_rx_total, config.n_tx), dtype=complex),
         z_source=termination,
         z_load=termination,
     )
     try:
-        down = front_end(forward, config.noise)
-        up = front_end(reversed_link(forward), config.noise)
+        return front_end(forward, config.noise), front_end(reversed_link(forward), config.noise)
     except FactorizationError as exc:
         raise SimulationAbort(f"link front end cannot be built: {exc}") from exc
-    return _ScenarioKernel(config, down, up, std)
 
 
 def bounded_workers(requested: int, n_chunks: int, cpu_count: int | None) -> int:
@@ -546,22 +529,39 @@ def _evaluate_chunk(
     return rates, streams, alphas, unconverged, iterations, gaps
 
 
-def _run_chunk(
-    kernel: _ScenarioKernel, imported: np.ndarray | None, chunk: range
-) -> Outcome:
-    config = kernel.config
-    if imported is not None:
-        z21 = imported[chunk]
-    else:
-        z21 = _draw_couplings(
-            config.seed, 0, chunk, config.n_rx_total, config.n_tx, kernel.coupling_std
-        )
+def _run_chunk(config: ScenarioConfig, down: FrontEnd, up: FrontEnd, z21: np.ndarray) -> Outcome:
+    """Every strategy on the chunk of couplings ``z21`` (R, n_rx, n_tx)."""
     channels = (
-        link_channel(kernel.down, z21),
-        *naive_channels(kernel.down, z21),
-        link_channel(kernel.up, z21.swapaxes(1, 2)),
+        link_channel(down, z21),
+        *naive_channels(down, z21),
+        link_channel(up, z21.swapaxes(1, 2)),
     )
-    return _evaluate_chunk(config, kernel.down, channels, config.powers_w)
+    return _evaluate_chunk(config, down, channels, config.powers_w)
+
+
+def _couplings(config: ScenarioConfig, chunks: list[range]):
+    """Each chunk's coupling stack: a slice of the imported file, or fresh draws.
+
+    Raises ConfigError when the imported file does not fit the scenario.
+    """
+    if config.coupling_file is None:
+        std = config.coupling_std_ohm
+        if std is None:
+            std = far_field_coupling_std()
+        n_rx, n_tx = config.n_rx_total, config.n_tx
+        return (_draw_couplings(config.seed, 0, c, n_rx, n_tx, std) for c in chunks)
+    imported = read_coupling_file(config.coupling_file)
+    if imported.shape[1:] != (config.n_rx_total, config.n_tx):
+        raise ConfigError(
+            f"coupling file shape {imported.shape[1:]} does not match "
+            f"({config.n_rx_total}, {config.n_tx})"
+        )
+    if imported.shape[0] < config.n_realizations:
+        raise ConfigError(
+            f"coupling file holds {imported.shape[0]} realizations, "
+            f"need {config.n_realizations}"
+        )
+    return (imported[c.start : c.stop] for c in chunks)
 
 
 def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
@@ -569,37 +569,28 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
 
     Realizations run in chunks of CHUNK_REALIZATIONS. ``n_workers`` > 1
     distributes the chunks over processes, at most one per CPU and per
-    chunk; outputs are identical to the serial run because every
-    realization owns a counter-based random stream, the chunks do not
-    depend on the worker count and results are reduced in index order.
-    Raises SimulationAbort when the link front ends cannot be built.
+    chunk; each task carries the front ends and its own chunk's
+    couplings, which this process reads or draws. Outputs are identical
+    to the serial run because every realization owns a counter-based
+    random stream, the chunks do not depend on the worker count and
+    results are reduced in index order. Raises SimulationAbort when the
+    link front ends cannot be built, before any coupling is read or
+    drawn.
     """
-    kernel = _make_kernel(config)
-    imported = None
-    if config.coupling_file is not None:
-        imported = read_coupling_file(config.coupling_file)
-        if imported.shape[1:] != (config.n_rx_total, config.n_tx):
-            raise ConfigError(
-                f"coupling file shape {imported.shape[1:]} does not match "
-                f"({config.n_rx_total}, {config.n_tx})"
-            )
-        if imported.shape[0] < config.n_realizations:
-            raise ConfigError(
-                f"coupling file holds {imported.shape[0]} realizations, "
-                f"need {config.n_realizations}"
-            )
-    worker = partial(_run_chunk, kernel, imported)
+    down, up = _front_ends(config)
     n = config.n_realizations
     chunks = [range(a, min(a + CHUNK_REALIZATIONS, n)) for a in range(0, n, CHUNK_REALIZATIONS)]
+    stacks = _couplings(config, chunks)
+    worker = partial(_run_chunk, config, down, up)
     n_workers = bounded_workers(n_workers, len(chunks), os.cpu_count())
     if n_workers > 1:
         # Imported here: loading multiprocessing costs every serial run.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(worker, chunks))
+            outcomes = list(pool.map(worker, stacks))
     else:
-        outcomes = [worker(c) for c in chunks]
+        outcomes = [worker(z21) for z21 in stacks]
 
     n_p = len(config.power_grid_dbw)
     per_rates = {s: np.vstack([out[0][s] for out in outcomes]) for s in config.strategies}

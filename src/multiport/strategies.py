@@ -463,58 +463,57 @@ def _split_rows(channel: np.ndarray, partition: tuple[int, ...]) -> list[np.ndar
 
 
 def _bc_rates(
-    channel: np.ndarray,
+    received: np.ndarray,
     partition: tuple[int, ...],
-    beams: np.ndarray,
     owner: np.ndarray,
     powers: np.ndarray,
     noise_std: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user rates (N, K) and their sum (N,) of N linear precoders.
+    """Per-user rates (..., K) and their sum (...) of linear precoders.
 
-    Row j holds channel ``channel[j]`` (m, n_tx) and beams ``beams[j]``
-    (n_tx, L); column i serves user ``owner[j, i]`` with power
-    ``powers[j, i]``. Each user decodes its own streams jointly; the
-    other users' beams act as colored interference added to the thermal
+    Column i of ``received`` (..., m, L) is stream i's received vector,
+    the rated channel times its beam; the stream serves user
+    ``owner[..., i]`` with power ``powers[..., i]``. Leading axes
+    broadcast. Each user decodes its own streams jointly; the other
+    users' streams act as colored interference added to the thermal
     noise. A user without streams gets rate 0.
     """
-    per_user = np.zeros((powers.shape[0], len(partition)))
-    for k, hk in enumerate(_split_rows(channel, partition)):
-        m_k = hk.shape[-2]
-        received = hk @ beams
-        weighted = received * powers[:, None, :]
-        own = (owner == k)[:, None, :]
-        noise_cov = noise_std**2 * np.eye(m_k, dtype=complex) + np.where(
-            own, 0.0, weighted
-        ) @ received.conj().swapaxes(1, 2)
-        signal = np.where(own, weighted, 0.0) @ received.conj().swapaxes(1, 2)
-        _, logdet = np.linalg.slogdet(np.eye(m_k) + np.linalg.solve(noise_cov, signal))
-        per_user[:, k] = logdet / LN2
-    return per_user, per_user.sum(axis=1)
+    per_user = []
+    for k, rk in enumerate(_split_rows(received, partition)):
+        eye = np.eye(rk.shape[-2])
+        weighted = rk * powers[..., None, :]
+        own = (owner == k)[..., None, :]
+        noise_cov = noise_std**2 * eye + np.where(own, 0.0, weighted) @ rk.conj().swapaxes(-1, -2)
+        signal = np.where(own, weighted, 0.0) @ rk.conj().swapaxes(-1, -2)
+        _, logdet = np.linalg.slogdet(eye + np.linalg.solve(noise_cov, signal))
+        per_user.append(logdet / LN2)
+    per_user = np.stack(per_user, axis=-1)
+    return per_user, per_user.sum(axis=-1)
 
 
 class ZfDesign(NamedTuple):
     """Power-independent part of greedy zero-forcing, per realization.
 
     The greedy stream order depends only on the design channel, so every
-    prefix of it is designed once; ``rated`` (..., m, n_tx) is the
-    channel the chosen beams are rated on. Stream i belongs to user
-    ``owners[..., i]``; prefix l holds the first l streams, with
-    unit-norm zero-forcing beams ``beams[l]`` (..., n_tx, l) and
-    pseudo-inverse column norms ``norms[l]`` (..., l), so stream gains
-    are 1 / (norm^2 sigma^2). ``radiated[l]`` holds b^H M b of those
-    beams, or ``radiated`` is None for designs against the true power
-    model. Prefix 0 is empty. A realization with fewer streams than the
-    longest has owner -1, zero beams and infinite norms past its last
-    stream.
+    prefix of it is designed once, in fixed-width arrays: prefix l of L
+    lives in ``[..., l, :, :l]`` and prefix 0 is empty. Stream i belongs
+    to user ``owners[..., i]`` (..., L). ``beams`` (..., L+1, n_tx, L)
+    holds the unit-norm zero-forcing beams and ``norms`` (..., L+1, L)
+    their pseudo-inverse column norms, so stream gains are
+    1 / (norm^2 sigma^2). ``forward`` (..., L+1, m, L) is the rated
+    channel times each prefix's beams, its received matrices.
+    ``radiated`` (..., L+1, L) holds b^H M b of the beams, or is None
+    for designs against the true power model. Padding is zero, and inf
+    in ``norms``; a realization with fewer streams than the longest has
+    owner -1 past its last stream and pads its missing prefixes whole.
     """
 
     partition: tuple[int, ...]
-    rated: np.ndarray
     owners: np.ndarray
-    beams: tuple[np.ndarray, ...]
-    norms: tuple[np.ndarray, ...]
-    radiated: tuple[np.ndarray, ...] | None = None
+    beams: np.ndarray
+    norms: np.ndarray
+    forward: np.ndarray
+    radiated: np.ndarray | None = None
 
     def allocate(
         self, powers_w: np.ndarray, noise_std: float
@@ -534,7 +533,7 @@ class ZfDesign(NamedTuple):
         powers = np.zeros(shape + (n_max,))
         for l in range(1, n_max + 1):
             # A missing prefix has zero gains, hence zero rate.
-            gains = 1.0 / (self.norms[l][..., None, :] ** 2 * noise_std**2)
+            gains = 1.0 / (self.norms[..., l, None, :l] ** 2 * noise_std**2)
             p = waterfill(gains, budgets)
             rate = np.log1p(p * gains).sum(axis=-1) / LN2
             better = (chosen == l - 1) & (rate > best + 1e-12)
@@ -546,32 +545,23 @@ class ZfDesign(NamedTuple):
         return chosen, best, powers
 
     def evaluate(self, powers_w: np.ndarray, noise_std: float) -> Grid:
-        """Rates on ``rated``, streams, alpha and stream powers over the budgets."""
-        chosen, _, grid_powers = self.allocate(powers_w, noise_std)
-        shape, n_max = chosen.shape, self.owners.shape[-1]
-        # Explicit row counts: with no streams at all, n_max is 0 and -1 is ambiguous.
-        n_rows = math.prod(shape[:-1])
-        chosen = chosen.reshape(n_rows, shape[-1])
-        powers = grid_powers.reshape(n_rows, shape[-1], n_max)
-        h = self.rated.reshape((n_rows,) + self.rated.shape[-2:])
-        owners = self.owners.reshape(n_rows, n_max)
-        rates = np.zeros(chosen.shape)
-        streams = np.zeros(chosen.shape, dtype=int)
-        alpha = np.ones(chosen.shape)
-        for l in np.unique(chosen[chosen > 0]):
-            # One row per (realization r, budget j) that chose prefix l.
-            r, j = np.nonzero(chosen == l)
-            p = powers[r, j, :l]
-            beams = self.beams[l].reshape((-1,) + self.beams[l].shape[-2:])[r]
-            _, rates[r, j] = _bc_rates(h[r], self.partition, beams, owners[r, :l], p, noise_std)
-            # A chosen prefix raised the rate, so it carries power.
-            used = p.sum(axis=1)
-            streams[r, j] = _count_active(p, used)
-            if self.radiated is not None:
-                alpha[r, j] = (p * self.radiated[l].reshape(-1, l)[r]).sum(axis=1) / used
-        return Grid(
-            rates.reshape(shape), streams.reshape(shape), alpha.reshape(shape), grid_powers
+        """Rates of every budget's chosen prefix, streams, alpha and stream powers.
+
+        Each (realization, budget) picks its prefix's received matrices
+        and radiated powers; one rating call covers the whole grid.
+        """
+        chosen, _, powers = self.allocate(powers_w, noise_std)
+        received = np.take_along_axis(self.forward, chosen[..., None, None], axis=-3)
+        _, rates = _bc_rates(
+            received, self.partition, self.owners[..., None, :], powers, noise_std
         )
+        used = powers.sum(axis=-1)
+        alpha = np.ones(chosen.shape)
+        if self.radiated is not None:
+            radiated = np.take_along_axis(self.radiated, chosen[..., None], axis=-2)
+            # A chosen prefix raised the rate, so it carries power.
+            np.divide((powers * radiated).sum(axis=-1), used, out=alpha, where=chosen > 0)
+        return Grid(rates, _count_active(powers, used), alpha, powers)
 
 
 def greedy_zf_design(
@@ -588,9 +578,12 @@ def greedy_zf_design(
     prefix's precoder zero-forces its stacked virtual rows via
     pseudo-inverse. Selection stops when no user has a direction left.
     ``design`` may be a stack (..., m, n_tx) of realizations, each with
-    its own greedy order. ``rated`` None rates the beams on the design
-    channel. With ``mismatch_power`` the design also records each beam's
-    radiated power.
+    its own greedy order; every prefix fills its row of fixed-width
+    arrays as long as the longest order (see :class:`ZfDesign`). The
+    received matrices ``forward`` are the ``rated`` channel (None: the
+    design channel) times the beams, formed once for all budgets. With
+    ``mismatch_power`` the design also records each beam's radiated
+    power.
     """
     h = np.asarray(design)
     partition = _check_partition(h, partition)
@@ -604,10 +597,12 @@ def greedy_zf_design(
     basis = np.zeros((n, n_tx, 0), dtype=complex)
     rows = np.zeros((n, 0, n_tx), dtype=complex)
     per_user = np.zeros((n, len(partition)), dtype=int)
-    owners = np.full((n, min(n_tx, m_total)), -1)
-    beams = [np.zeros((n, n_tx, 0), dtype=complex)]
-    norms = [np.zeros((n, 0))]
-    for l in range(1, owners.shape[1] + 1):
+    width = min(n_tx, m_total)
+    owners = np.full((n, width), -1)
+    beams = np.zeros((n, width + 1, n_tx, width), dtype=complex)
+    norms = np.full((n, width + 1, width), np.inf)
+    length = 0  # streams of the longest greedy order
+    for l in range(1, width + 1):
         proj = np.eye(n_tx) - basis @ basis.conj().swapaxes(1, 2)
         best = np.full(live.size, -1.0)
         pick = np.zeros(live.size, dtype=int)
@@ -623,6 +618,7 @@ def greedy_zf_design(
         found = (best >= 0.0) & (best**2 > 1e-28)
         if not found.any():
             break
+        length = l
         live, pick = live[found], pick[found]
         rows = np.concatenate([rows[found], row[found, None, :]], axis=1)
         basis = np.concatenate([basis[found], direction[found, :, None]], axis=2)
@@ -630,18 +626,11 @@ def greedy_zf_design(
         col_norms = np.linalg.norm(inverse, axis=1)
         owners[live, l - 1] = pick
         per_user[live, pick] += 1
-        beams.append(np.zeros((n, n_tx, l), dtype=complex))
-        beams[l][live] = inverse / col_norms[:, None, :]
-        norms.append(np.full((n, l), np.inf))
-        norms[l][live] = col_norms
-    radiated = None
-    if mismatch_power is not None:
-        radiated = [_radiated(b, mismatch_power) for b in beams]
-
-    def shaped(arrays):
-        return tuple(a.reshape(batch + a.shape[1:]) for a in arrays)
-
-    (owners,) = shaped([owners[:, : len(beams) - 1]])
-    return ZfDesign(
-        partition, rated, owners, shaped(beams), shaped(norms), radiated and shaped(radiated)
-    )
+        beams[live, l, :, :l] = inverse / col_norms[:, None, :]
+        norms[live, l, :l] = col_norms
+    owners = owners[:, :length].reshape(batch + (length,))
+    beams = beams[:, : length + 1, :, :length].reshape(batch + (length + 1, n_tx, length))
+    norms = norms[:, : length + 1, :length].reshape(batch + (length + 1, length))
+    forward = rated[..., None, :, :] @ beams
+    radiated = None if mismatch_power is None else _radiated(beams, mismatch_power)
+    return ZfDesign(partition, owners, beams, norms, forward, radiated)

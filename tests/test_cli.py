@@ -318,6 +318,20 @@ class TestRun:
         for suffix in ("alpha", "kde"):
             assert (out / f"clirun_{suffix}.csv").exists() == expected
 
+    @pytest.mark.parametrize("failure", ["missing_coupling_file", "front_end_fails"])
+    def test_failed_run_leaves_no_output_dir(self, tmp_path, failure):
+        if failure == "missing_coupling_file":
+            scenario, code = scenario_dict(coupling_file=str(tmp_path / "nope.csv")), 2
+        else:
+            dead = dict.fromkeys(
+                ("voltage_noise_var", "current_noise_var", "antenna_temperature_k"), 0.0
+            )
+            scenario, code = scenario_dict(noise=dead), 3
+        config = write_run_config(tmp_path / "run.json", scenario=scenario)
+        out = tmp_path / "out"
+        assert main(["run", config, "--output-dir", str(out)]) == code
+        assert not out.exists()
+
     def test_emit_choices_follow_writers(self):
         assert cli.EMIT_CHOICES == ("rates_csv", "alpha_csv", "streams_csv", "kde_csv")
 
@@ -497,3 +511,27 @@ class TestKde:
         constant.write_text("1.0\n1.0\n1.0\n")
         assert main(["kde", str(constant), str(tmp_path / "o.csv")]) == 2
         assert main(["kde", str(tmp_path / "absent.csv"), str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "case", ["kde_input_is_dir", "kde_output_dir_missing", "dump_output_dir_missing",
+             "run_output_dir_is_file"],
+)
+def test_path_errors_exit_2_naming_the_path(tmp_path, capsys, case):
+    samples = tmp_path / "s.csv"
+    samples.write_text("1.0\n2.0\n4.0\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    config = write_run_config(tmp_path / "run.json", emit=["rates_csv"])
+    missing = tmp_path / "nodir" / "o.csv"
+    argv, path = {
+        "kde_input_is_dir": (["kde", str(tmp_path), str(tmp_path / "o.csv")], tmp_path),
+        "kde_output_dir_missing": (["kde", str(samples), str(missing)], missing),
+        "dump_output_dir_missing": (
+            ["dump-impedance", "--n", "3", "--out", str(missing)], missing
+        ),
+        "run_output_dir_is_file": (["run", config, "--output-dir", str(taken)], taken),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err

@@ -679,6 +679,36 @@ class TestChunks:
         assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1]
 
+    def test_imported_csvs_match_drawn_across_workers_past_a_chunk_boundary(self, tmp_path):
+        from multiport.cli import main
+
+        scenario = dict(
+            name="imported",
+            n_tx=4,
+            tx_spacing=0.4,
+            rx_partition=[1, 1],
+            strategies=["cap", "hyp", "hyp_lin"],
+            power_grid_dbw=[-70.0, -50.0],
+            n_realizations=montecarlo.CHUNK_REALIZATIONS + 3,
+            seed=11,
+        )
+        reals = montecarlo._draw_couplings(
+            scenario["seed"], 0, range(scenario["n_realizations"]), 2, 4,
+            mp.far_field_coupling_std(),
+        )
+        coupling = tmp_path / "coupling.csv"
+        mp.write_coupling_file(str(coupling), reals)
+        runs = {"drawn": scenario, "imported": dict(scenario, coupling_file=str(coupling))}
+        outputs = []
+        for label, workers in (("drawn", "1"), ("imported", "1"), ("imported", "2")):
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps({"scenario": runs[label]}))
+            out = tmp_path / f"{label}{workers}"
+            assert main(["run", str(path), "--output-dir", str(out), "--workers", workers]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestRunScenario:
     def test_deterministic_and_worker_invariant(self):

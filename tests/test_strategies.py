@@ -473,15 +473,14 @@ class TestMultiUserGrid:
             l = int(chosen[0])
             p = p[0, :l]
             _, rate = strategies._bc_rates(
-                h_true[None], partition, design.beams[l][None], design.owners[None, :l],
-                p[None], SIGMA,
+                h_true @ design.beams[l, :, :l], partition, design.owners[:l], p, SIGMA
             )
-            assert grid.rates[j] == pytest.approx(rate[0], rel=1e-12, abs=0.0)
+            assert grid.rates[j] == pytest.approx(rate, rel=1e-12, abs=0.0)
             assert grid.streams[j] == np.count_nonzero(p > 1e-12 * power)
             # The chosen prefix carries the whole budget; no stream after it.
             assert grid.powers[j].sum() == pytest.approx(power if l else 0.0, rel=1e-12)
             assert not grid.powers[j, l:].any()
-            alpha = (p @ design.radiated[l]) / p.sum() if naive and l else 1.0
+            alpha = (p @ design.radiated[l, :l]) / p.sum() if naive and l else 1.0
             assert grid.alpha[j] == pytest.approx(alpha, rel=1e-12)
 
     @pytest.mark.parametrize("partition", [(1, 1), (1, 2), (2, 1, 3)])
@@ -504,6 +503,32 @@ class TestMultiUserGrid:
         grid = design.evaluate(self.POWERS_W, SIGMA)
         assert grid.streams.tolist() == [0] + [1] * (self.POWERS_W.size - 1)
 
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_zf_stack_with_unequal_stream_counts_matches_each_alone(self, naive):
+        # A zero channel, colinear users and a full-rank channel: greedy
+        # orders of 0, 1 and 2 streams share one padded stack.
+        rng = RNG(53)
+        row = crandn(rng, 5)
+        design = np.stack(
+            [np.zeros((2, 5), complex), np.vstack([row, (0.3 - 0.8j) * row]), crandn(rng, 2, 5)]
+        )
+        rated = design + 0.3 * crandn(rng, *design.shape)
+        mismatch = random_psd(rng, 5, 5.0) if naive else None
+        stacked = greedy_zf_design(design, (1, 1), rated, mismatch)
+        assert stacked.owners.shape == (3, 2)
+        grid = stacked.evaluate(self.POWERS_W, SIGMA)
+        for r, expected_streams in enumerate((0, 1, 2)):
+            alone = greedy_zf_design(design[r], (1, 1), rated[r], mismatch)
+            assert alone.owners.size == expected_streams
+            one = alone.evaluate(self.POWERS_W, SIGMA)
+            n = expected_streams
+            np.testing.assert_allclose(grid.rates[r], one.rates, rtol=1e-12, atol=0.0)
+            assert np.array_equal(grid.streams[r], one.streams)
+            np.testing.assert_allclose(grid.alpha[r], one.alpha, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(grid.powers[r, :, :n], one.powers, rtol=1e-12, atol=0.0)
+            assert not grid.powers[r, :, n:].any()
+        assert grid.streams[:, -1].tolist() == [0, 1, 2]
+
     def test_zf_grid_without_streams(self):
         zero = np.zeros((2, 2, 5), complex)
         grid = greedy_zf_design(zero, (1, 1), mismatch_power=np.eye(5)).evaluate(
@@ -522,7 +547,7 @@ class TestGreedyZf:
         cap = at_budget(beam_design(h[0]), power).rates[0]
         assert rate[0] == pytest.approx(cap, rel=1e-12)
         assert chosen[0] == 1
-        beam = design.beams[1][:, 0]
+        beam = design.beams[1, :, 0]
         matched = h[0].conj() / np.linalg.norm(h[0])
         assert abs(np.vdot(matched, beam)) == pytest.approx(1.0, rel=1e-10)
 
@@ -538,7 +563,7 @@ class TestGreedyZf:
         expected = float(np.sum(np.log2(1.0 + powers * gains)))
         assert rate[0] == pytest.approx(expected, rel=1e-10)
         l = int(chosen[0])
-        for k, beam in zip(design.owners[:l], design.beams[l].T):
+        for k, beam in zip(design.owners[:l], design.beams[l, :, :l].T):
             matched = h[k].conj() / np.linalg.norm(h[k])
             assert abs(np.vdot(matched, beam)) == pytest.approx(1.0, abs=1e-10)
 
@@ -555,7 +580,7 @@ class TestGreedyZf:
         design = greedy_zf_design(h, (1, 1, 1))
         chosen, _, _ = design.allocate(np.array([4.0]), SIGMA)
         l = int(chosen[0])
-        stacked, owners = design.beams[l], design.owners[:l]
+        stacked, owners = design.beams[l, :, :l], design.owners[:l]
         scale = np.linalg.norm(h)
         for j, owner in enumerate(owners):
             for i in set(owners.tolist()):
@@ -580,7 +605,7 @@ class TestGreedyZf:
         l = int(chosen[0])
         assert powers[0].sum() == pytest.approx(power, rel=1e-12)
         assert np.all(powers[0, l:] == 0.0)
-        assert np.allclose(np.linalg.norm(design.beams[l], axis=0), 1.0, rtol=1e-10)
+        assert np.allclose(np.linalg.norm(design.beams[l, :, :l], axis=0), 1.0, rtol=1e-10)
         alpha = design.evaluate(np.array([power]), SIGMA).alpha[0]
         assert alpha == pytest.approx(1.0, rel=1e-12)
 
@@ -600,7 +625,7 @@ class TestGreedyZf:
         design = greedy_zf_design(h, (1, 1, 1), mismatch_power=k)
         chosen, _, powers = design.allocate(np.array([2.0]), SIGMA)
         l = int(chosen[0])
-        stacked, p = design.beams[l], powers[0, :l]
+        stacked, p = design.beams[l, :, :l], powers[0, :l]
         cov = (stacked * p) @ stacked.conj().T
         alpha = design.evaluate(np.array([2.0]), SIGMA).alpha[0]
         assert alpha == pytest.approx(float(np.trace(k @ cov).real) / p.sum(), rel=1e-12)
@@ -641,10 +666,7 @@ def montecarlo_user_rate(rng, own, others, p_own, p_others, noise_std, n_samp):
 
 def bc_rates(h, partition, beams, owner, powers):
     """Per-user rates (K,) and sum rate of one linear precoder on ``h``."""
-    per_user, total = strategies._bc_rates(
-        h[None], partition, beams[None], np.asarray(owner)[None], powers[None], SIGMA
-    )
-    return per_user[0], total[0]
+    return strategies._bc_rates(h @ beams, partition, np.asarray(owner), powers, SIGMA)
 
 
 class TestEvaluateBcRates:
