@@ -12,7 +12,8 @@ Subcommands:
   sum capacity (both 0 without any solves). The output directory is
   made once the run has finished, and each output is written to a
   temporary file in it and renamed into place, so a failed run leaves
-  no empty directory and an aborted write no half-written file.
+  no empty directory and an aborted write no half-written file. An
+  output path blocked by an existing file is rejected before the run.
 - ``dump-impedance``: print or save the impedance matrix of a uniform
   circular dipole array.
 - ``kde``: compute a Gaussian kernel density estimate from a one-column
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -172,6 +174,20 @@ class RunConfig:
             raise ConfigError("n_workers must be an integer of at least 1")
 
 
+def _check_output_dir(path: str) -> None:
+    """Raise the error ``os.makedirs(path, exist_ok=True)`` would meet at a file.
+
+    Checked before the run, so a path blocked by an existing file fails
+    at once rather than after the whole scenario has run.
+    """
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        code = errno.EEXIST if head == os.path.abspath(path) else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), path)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.config) as fh:
@@ -188,6 +204,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         or os.environ.get(OUTPUT_DIR_ENV)
         or "."
     )
+    _check_output_dir(out_dir)
     result = run_scenario(config, n_workers=run.n_workers)
     os.makedirs(out_dir, exist_ok=True)
 

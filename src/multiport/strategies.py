@@ -9,7 +9,9 @@ on the mismatched channel under the mismatched power model. Each
 precoder algorithm therefore has one constructor that takes those
 three inputs as ``(design, rated=None, mismatch_power=None)``:
 ``beam_design`` (matched filter, one receive antenna), ``mode_design``
-(eigenmodes with water-filling) and ``greedy_zf_design`` (greedy
+(eigenmodes with water-filling; a wide, well-conditioned stack takes
+them from ``eigh`` of the small Gram H H^H, any other from the SVD, see
+``_channel_modes``) and ``greedy_zf_design`` (greedy
 zero-forcing for several users, with rate evaluation under residual
 interference; the user partition follows the design channel).
 Multi-user sum capacity uses the dual multiple-access problem, solved
@@ -47,6 +49,8 @@ STREAM_POWER_REL_TOL = 1e-12
 MAC_REL_TOL = 1e-12
 MAC_GAP_TOL = 1e-5
 MAC_MAX_ITERATIONS = 5000
+# Smallest lambda_min / lambda_max of H H^H that _channel_modes takes from the Gram.
+_GRAM_MIN_GAIN_RATIO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -206,11 +210,11 @@ def mode_design(
 
     ``rated`` None rates the modes on the design channel from their
     gains alone. With ``mismatch_power`` M the design records each
-    mode's radiated power v^H M v.
+    mode's radiated power v^H M v. The modes come from
+    :func:`_channel_modes`.
     """
     design = np.asarray(design)
-    _, s, vh = np.linalg.svd(design, full_matrices=False)
-    basis = vh.conj().swapaxes(-1, -2)
+    basis, gains = _channel_modes(design)
     forward = radiated = None
     if rated is not None:
         if np.shape(rated) != design.shape:
@@ -218,7 +222,31 @@ def mode_design(
         forward = rated @ basis
     if mismatch_power is not None:
         radiated = _radiated(basis, mismatch_power)
-    return ModeDesign(basis, s * s, forward, radiated)
+    return ModeDesign(basis, gains, forward, radiated)
+
+
+def _channel_modes(channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right singular vectors (..., n_tx, k) and descending gains s^2 (..., k).
+
+    A wide stack (m <= n_tx) takes them from the m x m Gram: H H^H =
+    U diag(lambda) U^H gives gains lambda and modes V = H^H U / sqrt(lambda),
+    about twice as fast as the SVD. The gain error of that route grows
+    like eps * kappa^2 in the condition number kappa, so the whole stack
+    falls back to the SVD when it is tall or when any realization has
+    lambda_min <= _GRAM_MIN_GAIN_RATIO * lambda_max (kappa >= 100, and
+    every rank-deficient or zero channel). Below that bound rates, alpha
+    and stream powers stay within about 5 * eps * kappa^2 relative of
+    the SVD route (under 1e-11 at kappa 99, 1.6e-13 at kappa 12).
+    """
+    m, n_tx = channel.shape[-2:]
+    if m <= n_tx:
+        herm = channel.conj().swapaxes(-1, -2)
+        lam, u = np.linalg.eigh(channel @ herm)
+        if (lam[..., 0] > _GRAM_MIN_GAIN_RATIO * lam[..., -1]).all():
+            basis = herm @ (u / np.sqrt(lam)[..., None, :])
+            return basis[..., ::-1], lam[..., ::-1]
+    _, s, vh = np.linalg.svd(channel, full_matrices=False)
+    return vh.conj().swapaxes(-1, -2), s * s
 
 
 def su_mimo_capacity(

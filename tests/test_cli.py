@@ -535,3 +535,21 @@ def test_path_errors_exit_2_naming_the_path(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "blocked, reason", [("taken", "File exists"), ("taken/sub", "Not a directory")]
+)
+def test_output_dir_blocked_by_a_file_fails_before_the_run(
+    tmp_path, capsys, monkeypatch, blocked, reason
+):
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / blocked
+    config = write_run_config(tmp_path / "run.json")
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", never)
+    assert main(["run", config, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot use {out}: {reason}\n"

@@ -215,6 +215,99 @@ class TestLog1pRates:
             assert rates[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def conditioned_stack(rng, kappa, n_real, m, n_tx):
+    """Channels U diag(s) V^H with singular values from 2 down to 2 / kappa."""
+    u, _ = np.linalg.qr(crandn(rng, n_real, m, m))
+    v, _ = np.linalg.qr(crandn(rng, n_real, n_tx, m))
+    s = 2.0 * np.geomspace(1.0, 1.0 / kappa, m)
+    return (u * s) @ v.conj().swapaxes(-1, -2)
+
+
+def svd_mode_design(design, rated=None, mismatch_power=None):
+    """The eigenmode design built from a batched SVD, as the reference."""
+    _, s, vh = np.linalg.svd(design, full_matrices=False)
+    basis = vh.conj().swapaxes(-1, -2)
+    return strategies.ModeDesign(
+        basis,
+        s * s,
+        None if rated is None else rated @ basis,
+        None if mismatch_power is None else strategies._radiated(basis, mismatch_power),
+    )
+
+
+class TestModeGramRoute:
+    """Wide, well-conditioned stacks take their modes from eigh of H H^H."""
+
+    BUDGETS = np.logspace(-4.0, 6.0, 11)
+
+    @staticmethod
+    def inputs(rng, design, with_rated, with_mismatch):
+        rated = design + 0.3 * crandn(rng, *design.shape) if with_rated else None
+        mismatch = random_psd(rng, design.shape[-1], 3.0) if with_mismatch else None
+        return rated, mismatch
+
+    @pytest.mark.parametrize("kappa", [12.0, 99.0])
+    @pytest.mark.parametrize("with_rated", [False, True])
+    @pytest.mark.parametrize("with_mismatch", [False, True])
+    def test_matches_svd_design(self, monkeypatch, kappa, with_rated, with_mismatch):
+        rng = RNG(int(kappa) + 2 * with_rated + with_mismatch)
+        design = conditioned_stack(rng, kappa, 6, 4, 7)
+        rated, mismatch = self.inputs(rng, design, with_rated, with_mismatch)
+        want = svd_mode_design(design, rated, mismatch).evaluate(self.BUDGETS, SIGMA)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("took the SVD route")
+
+        monkeypatch.setattr(strategies.np.linalg, "svd", no_svd)
+        built = mode_design(design, rated, mismatch)
+        got = built.evaluate(self.BUDGETS, SIGMA)
+        # The Gram route's error bound, eps * kappa^2 relative (1.6e-13 at
+        # kappa 12, 1.1e-11 at 99). The atol in bits covers rates near 0 at
+        # the smallest budgets, where slogdet on a rated channel is only
+        # good to eps bits whatever the basis.
+        rtol = 5.0 * np.finfo(float).eps * kappa**2
+        np.testing.assert_allclose(got.rates, want.rates, rtol=rtol, atol=1e-15)
+        np.testing.assert_allclose(got.alpha, want.alpha, rtol=rtol, atol=0.0)
+        # Relative to the budget: a mode at the water level gets ~0 watts.
+        scale = self.BUDGETS[:, None]
+        np.testing.assert_allclose(got.powers / scale, want.powers / scale, atol=rtol)
+        np.testing.assert_array_equal(got.streams, want.streams)
+        gram = built.basis.conj().swapaxes(-1, -2) @ built.basis
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), gram.shape), atol=1e-12)
+        assert (np.diff(built.gains, axis=-1) < 0.0).all()
+
+    @pytest.mark.parametrize("case", ["kappa_1e6", "zero_row", "zero_channel", "tall"])
+    @pytest.mark.parametrize("with_rated", [False, True])
+    @pytest.mark.parametrize("with_mismatch", [False, True])
+    def test_falls_back_to_svd_bit_for_bit(self, case, with_rated, with_mismatch):
+        rng = RNG(70)
+        if case == "tall":
+            design = conditioned_stack(rng, 2.0, 6, 4, 7).swapaxes(-1, -2).copy()
+        else:
+            design = conditioned_stack(rng, 1e6 if case == "kappa_1e6" else 3.0, 6, 4, 7)
+        if case == "zero_row":
+            design[2, 1] = 0.0
+        if case == "zero_channel":
+            design[3] = 0.0
+        rated, mismatch = self.inputs(rng, design, with_rated, with_mismatch)
+        got = mode_design(design, rated, mismatch)
+        want = svd_mode_design(design, rated, mismatch)
+        for name in strategies.ModeDesign._fields:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        for a, b in zip(got.evaluate(self.BUDGETS, SIGMA), want.evaluate(self.BUDGETS, SIGMA)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kappa", [1.0, 12.0, 99.0])
+    def test_capacity_covariance_matches_svd_path(self, kappa):
+        h = conditioned_stack(RNG(71), kappa, 1, 3, 5)[0]
+        for power in (1e-3, 2.0, 1e4):
+            got = mp.su_mimo_capacity(h, power, SIGMA).tx_covariance
+            design = svd_mode_design(h)
+            powers = at_budget(design, power).powers[0]
+            want = (design.basis * powers) @ design.basis.conj().T
+            assert np.abs(got - want).max() <= 1e-12 * power
+
+
 class TestMacSumCapacity:
     def test_single_block_equals_point_to_point(self):
         rng = RNG(12)
