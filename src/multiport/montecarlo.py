@@ -21,9 +21,9 @@ front ends are built once per scenario; a front end that cannot be
 built aborts the run before any coupling is drawn.
 
 Realizations run in chunks of fixed size. The calling process reads or
-draws each chunk's couplings; one worker call carries that (R, ...)
-stack to every strategy's rates, in serial runs and in the process
-pool alike.
+draws each chunk's couplings; one worker call, serial or pooled, rates
+that (R, ...) stack with every strategy and returns a ChunkOutcome,
+which run_scenario concatenates field by field in chunk order.
 
 Reproducibility: every realization uses a counter-based random stream
 keyed by (seed, realization index, attempt 0), and the chunk size does
@@ -39,7 +39,7 @@ import os
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache, partial
 from types import MappingProxyType
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -91,13 +91,12 @@ def far_field_coupling_std() -> float:
     return abs(dipole_mutual_impedance(FAR_FIELD_DISTANCE_WAVELENGTHS))
 
 
-def gaussian_kde(
-    samples: np.ndarray, n_points: int = KDE_GRID_POINTS
-) -> tuple[np.ndarray, np.ndarray]:
+def gaussian_kde(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density estimate on an automatic grid.
 
-    Bandwidth is the Silverman rule 1.06 * std * n^(-1/5); the grid
-    spans the sample range extended by three bandwidths on both sides.
+    Bandwidth is the Silverman rule 1.06 * std * n^(-1/5); the grid of
+    KDE_GRID_POINTS points spans the sample range extended by three
+    bandwidths on both sides.
     Raises ValueError for fewer than two samples or zero spread.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
@@ -109,7 +108,7 @@ def gaussian_kde(
     if std == 0.0:
         raise ValueError("samples are degenerate (zero spread)")
     bandwidth = 1.06 * std * x.size ** (-1.0 / 5.0)
-    grid = np.linspace(x.min() - 3 * bandwidth, x.max() + 3 * bandwidth, n_points)
+    grid = np.linspace(x.min() - 3 * bandwidth, x.max() + 3 * bandwidth, KDE_GRID_POINTS)
     z = (grid[:, None] - x[None, :]) / bandwidth
     density = np.exp(-0.5 * z * z).sum(axis=1) / (
         x.size * bandwidth * math.sqrt(2 * math.pi)
@@ -454,9 +453,23 @@ def bounded_workers(requested: int, n_chunks: int, cpu_count: int | None) -> int
     return max(1, min(requested, cpu_count or 1, n_chunks))
 
 
-Outcome = tuple[
-    dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray | None, int, np.ndarray, np.ndarray
-]
+class ChunkOutcome(NamedTuple):
+    """Every strategy's results on one chunk of R realizations.
+
+    ``rates`` and ``streams`` map each strategy to its (R, P) rates and
+    active stream counts; ``alpha`` is the (R, P) alpha of the strategy
+    that reports it, or None. ``mac_iterations``, ``mac_gap_bits`` and
+    ``mac_converged`` hold each sum-capacity solve's iteration count,
+    duality gap in bits and certificate (see MacGrid), one entry per
+    (MAC strategy, realization, budget) in C order; empty without any.
+    """
+
+    rates: dict[str, np.ndarray]
+    streams: dict[str, np.ndarray]
+    alpha: np.ndarray | None
+    mac_iterations: np.ndarray
+    mac_gap_bits: np.ndarray
+    mac_converged: np.ndarray
 
 
 def reports_alpha(strategy: str, single_user: bool) -> bool:
@@ -474,14 +487,8 @@ def _evaluate_chunk(
     down: FrontEnd,
     channels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     powers_w: np.ndarray,
-) -> Outcome:
-    """Every strategy on a chunk of channel stacks (R, m, n), with h_up (R, n, m).
-
-    Returns (R, P) rates and stream counts per strategy, the (R, P)
-    alpha of the strategy that reports it (or None), the unconverged
-    solve count, and the iteration count and duality gap in bits of
-    every sum-capacity solve (empty without any).
-    """
+) -> ChunkOutcome:
+    """Every strategy on a chunk of channel stacks (R, m, n), with h_up (R, n, m)."""
     h, h_mismatched, h_assumed, h_up = channels
     # Per strategy family: the channel it is designed on, the channel it
     # is rated on (None: the design channel) and the power model it
@@ -494,17 +501,17 @@ def _evaluate_chunk(
     }
     sigma, partition = down.noise_scale, config.rx_partition
     single_user = config.is_single_user
-    rates, streams, alphas, unconverged = {}, {}, None, 0
-    iterations, gaps = np.zeros(0, dtype=int), np.zeros(0)
+    rates, streams, alphas = {}, {}, None
+    iterations, gaps, converged = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=bool)
     mac = [s for s in ("cap", "hyp") if s in config.strategies and not single_user]
     if mac:
         # The cap and hyp solves of every realization share one stack.
         grid = mac_sum_capacity_grid(
             np.stack([plans[s][0] for s in mac]), partition, powers_w, sigma
         )
-        unconverged = int(np.count_nonzero(~grid.converged))
         iterations = grid.iterations.reshape(-1)
         gaps = grid.gap_bits.reshape(-1)
+        converged = grid.converged.reshape(-1)
         for i, s in enumerate(mac):
             rated = plans[s][1]
             own = grid._replace(covariances=grid.covariances[i])  # rate stack i only
@@ -526,10 +533,12 @@ def _evaluate_chunk(
         streams[s] = grid.streams.astype(float)
         if reports_alpha(s, single_user):
             alphas = grid.alpha
-    return rates, streams, alphas, unconverged, iterations, gaps
+    return ChunkOutcome(rates, streams, alphas, iterations, gaps, converged)
 
 
-def _run_chunk(config: ScenarioConfig, down: FrontEnd, up: FrontEnd, z21: np.ndarray) -> Outcome:
+def _run_chunk(
+    config: ScenarioConfig, down: FrontEnd, up: FrontEnd, z21: np.ndarray
+) -> ChunkOutcome:
     """Every strategy on the chunk of couplings ``z21`` (R, n_rx, n_tx)."""
     channels = (
         link_channel(down, z21),
@@ -593,14 +602,15 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
         outcomes = [worker(z21) for z21 in stacks]
 
     n_p = len(config.power_grid_dbw)
-    per_rates = {s: np.vstack([out[0][s] for out in outcomes]) for s in config.strategies}
-    per_streams = {s: np.vstack([out[1][s] for out in outcomes]) for s in config.strategies}
-    has_alpha = outcomes[0][2] is not None
-    alpha_samples = np.vstack([out[2] for out in outcomes]) if has_alpha else None
+    per_rates = {s: np.vstack([out.rates[s] for out in outcomes]) for s in config.strategies}
+    per_streams = {s: np.vstack([out.streams[s] for out in outcomes]) for s in config.strategies}
+    has_alpha = outcomes[0].alpha is not None
+    alpha_samples = np.vstack([out.alpha for out in outcomes]) if has_alpha else None
     ergodic = {s: per_rates[s].mean(axis=0) for s in config.strategies}
     mean_streams = {s: per_streams[s].mean(axis=0) for s in config.strategies}
-    iterations = np.concatenate([out[4] for out in outcomes])
-    gaps = np.concatenate([out[5] for out in outcomes])
+    iterations = np.concatenate([out.mac_iterations for out in outcomes])
+    gaps = np.concatenate([out.mac_gap_bits for out in outcomes])
+    converged = np.concatenate([out.mac_converged for out in outcomes])
     alpha_kde = None
     if has_alpha:
         curves = []
@@ -621,7 +631,7 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
         alpha_samples=alpha_samples,
         alpha_kde=alpha_kde,
         n_failures=0,
-        n_unconverged=sum(out[3] for out in outcomes),
+        n_unconverged=int(np.count_nonzero(~converged)),
         mac_iterations_mean=float(iterations.mean()) if iterations.size else 0.0,
         mac_iterations_max=int(iterations.max(initial=0)),
         mac_gap_bits_max=float(gaps.max(initial=0.0)),

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_PSD_NEG_TOL = 1e-9
+
 
 class FactorizationError(RuntimeError):
     """A matrix expected to be positive (semi)definite failed to factor."""
@@ -37,17 +39,17 @@ def cholesky_psd(matrix: np.ndarray) -> np.ndarray:
         raise FactorizationError(str(exc)) from exc
 
 
-def principal_sqrt_psd(matrix: np.ndarray, neg_tol: float = 1e-9) -> np.ndarray:
+def principal_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
-    Eigenvalues slightly below zero (within ``neg_tol`` of the matrix
+    Eigenvalues slightly below zero (within _PSD_NEG_TOL of the matrix
     norm) are clipped; anything more negative raises
     FactorizationError.
     """
     sym = hermitize(matrix)
     w, v = np.linalg.eigh(sym)
     scale = max(float(np.max(np.abs(w))) if w.size else 0.0, 1e-300)
-    if float(np.min(w)) < -neg_tol * scale:
+    if float(np.min(w)) < -_PSD_NEG_TOL * scale:
         raise FactorizationError("matrix has a significantly negative eigenvalue")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T

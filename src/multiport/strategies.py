@@ -151,7 +151,13 @@ class ModeDesign(NamedTuple):
     radiated: np.ndarray | None = None
 
     def evaluate(self, powers_w: np.ndarray, noise_std: float) -> Grid:
-        """Water-fill every budget of ``powers_w`` at once and rate the result."""
+        """Water-fill every budget of ``powers_w`` at once and rate the result.
+
+        A rated design (``recip``, ``hyp``) rates by ``slogdet``, good to
+        about eps absolute: 2.6e-6 and 4.3e-6 relative error at 1e-12 W on
+        two 3x5 channels. log1p of ``eigvalsh``, as in ``_dpc_bits``, is
+        precise there but about twice as slow on a (32, 8, 9, 9) stack.
+        """
         budgets = np.asarray(powers_w, dtype=float)
         gains = self.gains[..., None, :] / noise_std**2
         powers = waterfill(gains, budgets)
@@ -297,8 +303,9 @@ class MacGrid(NamedTuple):
     covariances, ``rates`` and ``streams`` the sum rates and active
     streams, ``iterations``, ``gap_bits`` and ``converged`` the solver
     diagnostics (as in :func:`mac_sum_capacity`).
-    ``objective_traces`` holds the objective after every accepted
-    iteration, one tuple per entry in C order.
+    ``objective_history`` (..., P, I+1) holds the objective at the start
+    and after each of the I iterations the longest solve ran; an entry
+    is NaN after its last accepted iterate.
     """
 
     rates: np.ndarray
@@ -307,7 +314,7 @@ class MacGrid(NamedTuple):
     iterations: np.ndarray
     gap_bits: np.ndarray
     converged: np.ndarray
-    objective_traces: tuple[tuple[float, ...], ...]
+    objective_history: np.ndarray
 
     def rates_on(self, channel: np.ndarray, noise_std: float) -> np.ndarray:
         """DPC sum rate of every covariance on another channel (or stack)."""
@@ -315,24 +322,34 @@ class MacGrid(NamedTuple):
         return _dpc_bits(root[..., None, :, :], self.covariances)
 
 
-def _solve_mac(
-    h: np.ndarray,
+def mac_sum_capacity_grid(
+    channel: np.ndarray,
     partition: tuple[int, ...],
-    budgets: np.ndarray,
+    powers_w: np.ndarray,
     noise_std: float,
-    max_iterations: int,
 ) -> MacGrid:
-    """Sum-power iterative water-filling for every realization and budget.
+    """Sum capacity at every budget of ``powers_w`` in one batched solve.
 
-    Each (realization, budget) pair of ``h`` (..., m, n) and ``budgets``
-    (P,) is one row with its own Gram and root. Each iteration does one
-    batched solve for all running rows and users, one eigh per
+    ``channel`` is one stacked channel (m, n) or a stack (..., m, n) of
+    realizations; all (realization, budget) pairs are solved together.
+    Entry (..., j) equals :func:`mac_sum_capacity` at budget
+    ``powers_w[j]``: every entry starts at P/m I, runs the
+    same iteration, stops by the same rule and counts its streams on
+    its own last water-fill.
+
+    Each pair is one row with its own Gram and root. Each iteration does
+    one batched solve for all running rows and users, one eigh per
     multi-antenna block and one row-wise water-fill. From that
     water-fill it forms two candidates, the averaged step and the raw
     block-diagonal water-fill, rates both in one batched call, and each
-    row keeps the better one. Every row starts at P/m I and freezes once
-    its stopping rule fires.
+    row keeps the better one. A row freezes once its stopping rule fires
+    or after MAC_MAX_ITERATIONS iterations.
     """
+    h = np.asarray(channel)
+    partition = _check_partition(h, partition)
+    budgets = np.asarray(powers_w, dtype=float)
+    if budgets.ndim != 1 or not (budgets >= 0.0).all():
+        raise ValueError("power budgets must be a 1-D array of nonnegative values")
     shape = h.shape[:-2] + budgets.shape
     gram, root = (
         np.broadcast_to(a[..., None, :, :], shape + a.shape[-2:]).reshape((-1,) + a.shape[-2:])
@@ -350,13 +367,12 @@ def _solve_mac(
     eye = np.eye(m_total)
     xi = (budgets / m_total)[:, None, None] * np.eye(m_total, dtype=complex)
     fx = _dpc_bits(root, xi)
-    traces = [fx.copy()]
-    accepted = np.zeros(budgets.size, dtype=int)
+    history = [fx.copy()]
     iterations = np.zeros(budgets.size, dtype=int)
     # Streams come from the last water-fill: averaging never zeroes a user.
     powers = np.linalg.eigvalsh(xi)
     running = np.arange(budgets.size)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAC_MAX_ITERATIONS + 1):
         if not running.size:
             break
         x, g = xi[running], gram[running, None]
@@ -394,8 +410,8 @@ def _solve_mac(
         kept = running[up]
         xi[kept] = cand[up]
         fx[kept] = fc[up]
-        accepted[kept] += 1
-        traces.append(fx.copy())
+        history.append(np.full(budgets.size, np.nan))
+        history[-1][kept] = fc[up]
         done = gain <= MAC_REL_TOL * np.maximum(np.abs(fc[up]), 1e-12)
         running = kept[~done] if iteration > 2 else kept
 
@@ -405,15 +421,10 @@ def _solve_mac(
     grad = 0.5 * (core + core.conj().swapaxes(1, 2)) / LN2
     top = np.max([np.linalg.eigvalsh(grad[:, b, b])[:, -1] for b in blocks], axis=0)
     gap_bits = np.maximum(budgets * top - np.einsum("rij,rji->r", grad, xi).real, 0.0)
-    trace_rows = np.array(traces)
-    arrays = (fx, _count_active(powers, budgets), xi, iterations, gap_bits)
-    return MacGrid(
-        *(a.reshape(shape + a.shape[1:]) for a in arrays),
-        converged=(gap_bits <= MAC_GAP_TOL * np.maximum(fx, 1.0)).reshape(shape),
-        objective_traces=tuple(
-            tuple(trace_rows[: n + 1, j].tolist()) for j, n in enumerate(accepted)
-        ),
-    )
+    converged = gap_bits <= MAC_GAP_TOL * np.maximum(fx, 1.0)
+    history = np.array(history).T
+    arrays = (fx, _count_active(powers, budgets), xi, iterations, gap_bits, converged, history)
+    return MacGrid(*(a.reshape(shape + a.shape[1:]) for a in arrays))
 
 
 def mac_sum_capacity(
@@ -451,38 +462,15 @@ def mac_sum_capacity(
     budgets.
     """
     grid = mac_sum_capacity_grid(channel, partition, np.array([float(total_power)]), noise_std)
+    history = grid.objective_history[0]
     return MacSolution(
         rate=RateResult(float(grid.rates[0]), int(grid.streams[0])),
         mac_covariance=grid.covariances[0],
         iterations=int(grid.iterations[0]),
         gap_bits=float(grid.gap_bits[0]),
         converged=bool(grid.converged[0]),
-        objective_trace=grid.objective_traces[0],
+        objective_trace=tuple(history[~np.isnan(history)].tolist()),
     )
-
-
-def mac_sum_capacity_grid(
-    channel: np.ndarray,
-    partition: tuple[int, ...],
-    powers_w: np.ndarray,
-    noise_std: float,
-    max_iterations: int = MAC_MAX_ITERATIONS,
-) -> MacGrid:
-    """Sum capacity at every budget of ``powers_w`` in one batched solve.
-
-    ``channel`` is one stacked channel (m, n) or a stack (..., m, n) of
-    realizations; all (realization, budget) pairs are solved together.
-    Entry (..., j) equals :func:`mac_sum_capacity` at budget
-    ``powers_w[j]``: every entry starts at P/m I, runs the
-    same iteration, stops by the same rule and counts its streams on
-    its own last water-fill.
-    """
-    h = np.asarray(channel)
-    partition = _check_partition(h, partition)
-    budgets = np.asarray(powers_w, dtype=float)
-    if budgets.ndim != 1 or not (budgets >= 0.0).all():
-        raise ValueError("power budgets must be a 1-D array of nonnegative values")
-    return _solve_mac(h, partition, budgets, noise_std, max_iterations)
 
 
 def _split_rows(channel: np.ndarray, partition: tuple[int, ...]) -> list[np.ndarray]:

@@ -307,7 +307,7 @@ class TestRun:
         )
         channels = (h, h_mm, h_as, g.swapaxes(1, 2))
         outcome = montecarlo._evaluate_chunk(config, down, channels, np.array([0.0, 1.0]))
-        assert (outcome[2] is not None) == expected
+        assert (outcome.alpha is not None) == expected
 
         scenario = scenario_dict(
             rx_partition=list(partition), rx_spacing=0.4, strategies=[strategy]

@@ -526,10 +526,10 @@ class TestSingleUserGrid:
             strategies=("cap", "recip", "hyp"), rx_partition=(m,), is_single_user=True
         )
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
-        rates, streams, alphas, unconverged, iterations, gaps = montecarlo._evaluate_chunk(
-            config, down, channels, self.POWERS_W
-        )
-        assert unconverged == 0 and iterations.size == gaps.size == 0
+        outcome = montecarlo._evaluate_chunk(config, down, channels, self.POWERS_W)
+        rates, streams, alphas = outcome.rates, outcome.streams, outcome.alpha
+        for diagnostic in (outcome.mac_iterations, outcome.mac_gap_bits, outcome.mac_converged):
+            assert diagnostic.size == 0
         for r, row_kind in enumerate(kinds):
             h, h_mm, h_as, h_up = (c[r] for c in channels)
             for j, p_w in enumerate(self.POWERS_W):
@@ -580,13 +580,13 @@ class TestMultiUserGrid:
         tokens = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
         config = SimpleNamespace(strategies=tokens, rx_partition=partition, is_single_user=False)
         down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
-        rates, streams, alphas, unconverged, iterations, gaps = montecarlo._evaluate_chunk(
-            config, down, channels, self.POWERS_W
-        )
-        assert unconverged == 0
-        # One count per (MAC strategy, realization, budget), cap before hyp.
-        iterations = iterations.reshape(2, len(kinds), self.POWERS_W.size)
-        gaps = gaps.reshape(iterations.shape)
+        outcome = montecarlo._evaluate_chunk(config, down, channels, self.POWERS_W)
+        rates, streams, alphas = outcome.rates, outcome.streams, outcome.alpha
+        # One entry per (MAC strategy, realization, budget), cap before hyp.
+        iterations = outcome.mac_iterations.reshape(2, len(kinds), self.POWERS_W.size)
+        gaps = outcome.mac_gap_bits.reshape(iterations.shape)
+        converged = outcome.mac_converged.reshape(iterations.shape)
+        assert converged.all()
         for r in range(len(kinds)):
             h, h_mm, h_as, h_up = (c[r] for c in channels)
             for j, p_w in enumerate(self.POWERS_W):
@@ -604,6 +604,7 @@ class TestMultiUserGrid:
                 }
                 assert iterations[:, r, j].tolist() == [cap.iterations, hyp.iterations]
                 assert gaps[:, r, j].tolist() == [cap.gap_bits, hyp.gap_bits]
+                assert converged[:, r, j].tolist() == [cap.converged, hyp.converged]
                 for s, assumed, true, power_model in (
                     ("cap_lin", h, h, None),
                     ("recip_lin", h_up.T, h, None),
@@ -755,11 +756,12 @@ class TestRunScenario:
         solver = montecarlo.mac_sum_capacity_grid
         grids = []
 
-        def one_step(*args, **kwargs):
-            grids.append(solver(*args, **kwargs, max_iterations=1))
+        def recorded(*args, **kwargs):
+            grids.append(solver(*args, **kwargs))
             return grids[-1]
 
-        monkeypatch.setattr(montecarlo, "mac_sum_capacity_grid", one_step)
+        monkeypatch.setattr(montecarlo, "mac_sum_capacity_grid", recorded)
+        monkeypatch.setattr(strategies, "MAC_MAX_ITERATIONS", 1)
         config = tiny_config(
             rx_partition=(1, 1), strategies=("cap", "hyp", "cap_lin"), n_realizations=2
         )

@@ -373,7 +373,7 @@ class TestMacSumCapacity:
         assert mac.gap_bits == 0.0
         assert mac.converged
 
-    def test_two_user_closed_form_maximizer(self):
+    def test_two_user_closed_form_maximizer(self, monkeypatch):
         # det(I + G diag(p, P - p)) = 1 + g22 P + (g11 - g22 + d P) p - d p^2
         # with d = g11 g22 - |g12|^2 >= 0: a concave quadratic in p.
         rng = RNG(29)
@@ -396,7 +396,9 @@ class TestMacSumCapacity:
             assert mac.converged
             # The gap bounds the distance to the optimum, also one step in;
             # the slack covers roundoff in the rates.
-            one = mac_sum_capacity_grid(h, (1, 1), np.array([budget]), SIGMA, max_iterations=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(strategies, "MAC_MAX_ITERATIONS", 1)
+                one = mac_sum_capacity_grid(h, (1, 1), np.array([budget]), SIGMA)
             slack = 1e-12 * best
             for rate, gap in ((mac.rate.rate_bits, mac.gap_bits), (one.rates[0], one.gap_bits[0])):
                 assert -slack <= best - rate <= gap + slack
@@ -428,7 +430,9 @@ class TestMacSumCapacity:
         assert (grid.gap_bits <= 1e-6 * np.maximum(grid.rates, 1.0)).all()
         assert grid.iterations.mean() <= 6.0
         assert grid.iterations.max() <= 30
-        assert all(np.all(np.diff(trace) >= 0.0) for trace in grid.objective_traces)
+        history = grid.objective_history
+        assert history.shape[:-1] == grid.rates.shape
+        assert not (np.diff(history, axis=-1) < 0.0).any()
 
     def test_validation(self):
         h = np.ones((3, 4), complex)
@@ -496,6 +500,10 @@ class TestMultiUserGrid:
             assert grid.rates[j] == pytest.approx(sol.rate.rate_bits, rel=1e-12, abs=0.0)
             assert grid.streams[j] == sol.rate.active_streams
             assert grid.converged[j] == sol.converged
+            # The one-budget trace is the history's prefix before the NaN tail.
+            n = len(sol.objective_trace)
+            assert grid.objective_history[j, :n].tolist() == list(sol.objective_trace)
+            assert np.isnan(grid.objective_history[j, n:]).all()
             assert on_other[j] == pytest.approx(
                 one.rates_on(other, SIGMA)[0], rel=1e-12, abs=0.0
             )
@@ -531,7 +539,8 @@ class TestMultiUserGrid:
         stack = crandn(rng, 2, 3, 3, 6)
         grid = mac_sum_capacity_grid(stack, (1, 2), self.POWERS_W, SIGMA)
         assert grid.covariances.shape == (2, 3, self.POWERS_W.size, 3, 3)
-        assert len(grid.objective_traces) == 2 * 3 * self.POWERS_W.size
+        assert grid.objective_history.shape[:-1] == (2, 3, self.POWERS_W.size)
+        assert not (np.diff(grid.objective_history, axis=-1) < 0.0).any()
         for a in range(2):
             for b in range(3):
                 one = mac_sum_capacity_grid(stack[a, b], (1, 2), self.POWERS_W, SIGMA)
