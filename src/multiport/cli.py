@@ -33,7 +33,7 @@ import errno
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,12 +83,41 @@ def _write_rates_csv(path: str, result: ScenarioResult) -> None:
     _write_csv(path, ["P_dBW"] + [RATE_COLUMNS[s] for s in strategies], rows)
 
 
+def _per_power_rows(
+    powers_dbw: tuple[float, ...],
+    blocks: Iterable[tuple[np.ndarray, ...]],
+    format_block: Callable[..., list[str]],
+) -> list[str]:
+    """Rows ``"{P!r},{body}"`` for each power point P and its block's bodies.
+
+    ``format_block(*block)`` runs only when a block differs from the one
+    before it in dtype, shape or any bit: a repeat reuses the previous
+    bodies, which prints the same bytes. A single-receiver alpha does
+    not depend on the budget, so its alpha and KDE blocks all repeat.
+    """
+    rows, bodies, previous = [], [], None
+    for p_dbw, block in zip(powers_dbw, blocks):
+        key = [(a.dtype, a.shape, a.tobytes()) for a in block]
+        if key != previous:
+            bodies, previous = format_block(*block), key
+        prefix = f"{float(p_dbw)!r},"
+        rows += [prefix + body for body in bodies]
+    return rows
+
+
+def _alpha_rows(alpha: np.ndarray) -> list[str]:
+    """``"{r},{alpha!r}"`` rows of one power point's alpha over the realizations r."""
+    return [f"{r},{a!r}" for r, a in enumerate(alpha.tolist())]
+
+
+def _kde_rows(grid: np.ndarray, density: np.ndarray) -> list[str]:
+    """``"{g!r},{d!r}"`` rows of a KDE curve."""
+    return [f"{g!r},{d!r}" for g, d in zip(grid.tolist(), density.tolist())]
+
+
 def _write_alpha_csv(path: str, result: ScenarioResult) -> None:
-    rows = [
-        f"{float(p_dbw)!r},{r},{alpha!r}"
-        for p_dbw, column in zip(result.power_grid_dbw, result.alpha_samples.T.tolist())
-        for r, alpha in enumerate(column)
-    ]
+    columns = ((column,) for column in result.alpha_samples.T)
+    rows = _per_power_rows(result.power_grid_dbw, columns, _alpha_rows)
     _write_csv(path, ["P_dBW", "realization", "alpha"], rows)
 
 
@@ -104,11 +133,7 @@ def _write_streams_csv(path: str, result: ScenarioResult) -> None:
 
 
 def _write_kde_csv(path: str, result: ScenarioResult) -> None:
-    rows = [
-        f"{float(p_dbw)!r},{g!r},{d!r}"
-        for p_dbw, (grid, density) in zip(result.power_grid_dbw, result.alpha_kde)
-        for g, d in zip(grid.tolist(), density.tolist())
-    ]
+    rows = _per_power_rows(result.power_grid_dbw, result.alpha_kde, _kde_rows)
     _write_csv(path, ["P_dBW", "alpha", "density"], rows)
 
 
@@ -264,8 +289,7 @@ def cmd_kde(args: argparse.Namespace) -> int:
         grid, density = gaussian_kde(np.array(samples))
     except ValueError as exc:
         raise ConfigError(f"cannot estimate density: {exc}") from exc
-    rows = [f"{g!r},{d!r}" for g, d in zip(grid.tolist(), density.tolist())]
-    _write_csv(args.output, ["value", "density"], rows)
+    _write_csv(args.output, ["value", "density"], _kde_rows(grid, density))
     print(args.output)
     return 0
 

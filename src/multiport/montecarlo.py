@@ -290,7 +290,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Aggregated and per-realization outputs of one scenario run."""
+    """Aggregated and per-realization outputs of one scenario run.
+
+    ``alpha_kde`` holds one ``(grid, density)`` curve per power point.
+    When adjacent power points have equal alpha columns, as every point
+    of a single-receiver beam has, their entries share one tuple of
+    arrays: these arrays must not be mutated.
+    """
 
     config: ScenarioConfig
     power_grid_dbw: tuple[float, ...]
@@ -615,8 +621,13 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     if has_alpha:
         curves = []
         for j in range(n_p):
+            column = alpha_samples[:, j]
+            if j and np.array_equal(column, alpha_samples[:, j - 1]):
+                # A single-receiver beam's alpha does not depend on the budget.
+                curves.append(curves[-1])
+                continue
             try:
-                curves.append(gaussian_kde(alpha_samples[:, j]))
+                curves.append(gaussian_kde(column))
             except ValueError:
                 grid = np.full(KDE_GRID_POINTS, np.nan)
                 curves.append((grid, grid.copy()))

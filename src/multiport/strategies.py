@@ -112,7 +112,9 @@ class BeamDesign(NamedTuple):
     ``beam`` (..., n_tx) is the unit-norm beamformer (zeros when the
     designer sees a zero channel), ``gain`` (...) the power gain |h f|^2
     it achieves on the rated channel h and ``alpha`` its ratio of
-    radiated to intended power. The whole budget goes to the beam.
+    radiated to intended power. The whole budget goes to the beam, so
+    alpha does not depend on the budget: ``evaluate`` repeats it at
+    every power point.
     """
 
     beam: np.ndarray

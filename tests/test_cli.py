@@ -368,6 +368,28 @@ class TestCsvWriters:
         kde = (result.alpha_kde[0], (nan, nan.copy()), result.alpha_kde[2])
         return dataclasses.replace(result, alpha_kde=kde)
 
+    @pytest.fixture
+    def repeating(self):
+        """Alpha columns a, a, b, a, a' that repeat next to each other and apart.
+
+        a' equals a in value but holds -0.0 where a holds 0.0, so it
+        prints differently. The degenerate KDE curve sits inside the first
+        stretch, and the last curve equals the one before it in value but
+        is another object.
+        """
+        powers = [-70.0, -55.5, -50.0, -45.0, -40.0]
+        result = mp.run_scenario(mp.config_from_dict(scenario_dict(power_grid_dbw=powers)))
+        a = result.alpha_samples[:, 0].copy()
+        a[0] = 0.0
+        b = 2.0 * a
+        a_neg = a.copy()
+        a_neg[0] = -0.0
+        curve_a, curve_b = mp.gaussian_kde(a), mp.gaussian_kde(b)
+        nan = np.full(mp.montecarlo.KDE_GRID_POINTS, np.nan)
+        kde = (curve_a, (nan, nan.copy()), curve_b, curve_a, tuple(x.copy() for x in curve_a))
+        alpha = np.column_stack([a, a, b, a, a_neg])
+        return dataclasses.replace(result, alpha_samples=alpha, alpha_kde=kde)
+
     def reference_rows(self, result, target):
         powers = [repr(float(p)) for p in result.power_grid_dbw]
         strategies = result.config.strategies
@@ -410,6 +432,32 @@ class TestCsvWriters:
         assert fast.endswith(b"\r\n")
         if target == "kde_csv":
             assert b"-55.5,nan,nan\r\n" in fast
+
+    @pytest.mark.parametrize("target", cli.EMIT_CHOICES)
+    def test_repeated_columns_match_csv_writer(self, tmp_path, repeating, target):
+        self.test_bytes_match_csv_writer(tmp_path, repeating, target)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        if target == "alpha_csv":
+            assert b"-45.0,0,0.0\r\n" in fast and b"-40.0,0,-0.0\r\n" in fast
+
+    @pytest.mark.parametrize(
+        "target, formatter", [("alpha_csv", "_alpha_rows"), ("kde_csv", "_kde_rows")]
+    )
+    def test_repeated_blocks_are_formatted_once(
+        self, tmp_path, monkeypatch, repeating, target, formatter
+    ):
+        formatted = []
+        original = getattr(cli, formatter)
+
+        def counted(*block):
+            formatted.append(block)
+            return original(*block)
+
+        monkeypatch.setattr(cli, formatter, counted)
+        _, writer = cli._EMIT_WRITERS[target]
+        writer(str(tmp_path / "fast.csv"), repeating)
+        # alpha: a, b, a, a' (the second a repeats); kde: a, nan, b, a.
+        assert len(formatted) == 4
 
 
 class TestDumpImpedance:

@@ -835,9 +835,35 @@ class TestRunScenario:
         assert result.alpha_kde is None
 
     def test_single_realization_kde_degenerates_to_nan(self):
-        result = mp.run_scenario(tiny_config(n_realizations=1))
-        grid, density = result.alpha_kde[0]
-        assert np.all(np.isnan(grid)) and np.all(np.isnan(density))
+        config = tiny_config(n_realizations=1, power_grid_dbw=(-70.0, -60.0, -50.0))
+        result = mp.run_scenario(config)
+        for grid, density in result.alpha_kde:
+            assert np.all(np.isnan(grid)) and np.all(np.isnan(density))
+
+    @pytest.mark.parametrize(
+        "overrides, repeats",
+        [
+            # A single-receiver beam: alpha does not depend on the budget.
+            (dict(strategies=("cap", "hyp")), True),
+            # Water-filled modes and a two-user hyp_lin: it does.
+            (dict(rx_partition=(2,), rx_spacing=0.4, strategies=("cap", "hyp")), False),
+            (dict(rx_partition=(1, 1), strategies=("cap", "hyp_lin")), False),
+        ],
+        ids=["miso_hyp", "mimo_hyp", "mu_hyp_lin"],
+    )
+    def test_kde_is_estimated_per_power_point(self, overrides, repeats):
+        config = tiny_config(
+            n_realizations=6, power_grid_dbw=(-90.0, -70.0, -50.0, -30.0), **overrides
+        )
+        result = mp.run_scenario(config)
+        columns = result.alpha_samples.T
+        same = [np.array_equal(a, b) for a, b in zip(columns[:-1], columns[1:])]
+        assert all(same) if repeats else not any(same)
+        assert len(result.alpha_kde) == len(columns)
+        for (grid, density), column in zip(result.alpha_kde, columns):
+            expected_grid, expected_density = mp.gaussian_kde(column)
+            assert np.array_equal(grid, expected_grid)
+            assert np.array_equal(density, expected_density)
 
     def test_multi_user_run(self):
         config = tiny_config(

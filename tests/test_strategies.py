@@ -103,6 +103,20 @@ class TestSuMiso:
             float(np.real(f.conj() @ k @ f)), rel=1e-12
         )
 
+    def test_naive_alpha_does_not_depend_on_the_budget(self):
+        # The run's KDE and alpha CSV reuse one power point's alpha for the next.
+        rng = RNG(6)
+        h = crandn(rng, 5, 4)
+        h[2] = 0.0
+        design = beam_design(h, crandn(rng, 5, 4), mismatch_power=random_psd(rng, 4, 4.0))
+        alpha = design.evaluate(np.array([0.0, 1e-9, 1.0, 1e6]), SIGMA).alpha
+        assert alpha.shape == (5, 4)
+        for j in range(1, 4):
+            assert np.array_equal(alpha[:, j], alpha[:, 0])
+        # The zero-channel row keeps alpha 1; the others differ from it.
+        assert alpha[2, 0] == 1.0
+        assert np.all(np.delete(alpha[:, 0], 2) != 1.0)
+
     def test_naive_identity_mismatch_gives_unit_alpha(self):
         rng = RNG(5)
         h = crandn(rng, 4)
