@@ -494,7 +494,17 @@ def _evaluate_chunk(
     channels: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     powers_w: np.ndarray,
 ) -> ChunkOutcome:
-    """Every strategy on a chunk of channel stacks (R, m, n), with h_up (R, n, m)."""
+    """Every strategy on a chunk of channel stacks (R, m, n), with h_up (R, n, m).
+
+    Multi-user strategies of one algorithm share one stack along a new
+    leading axis: the cap and hyp sum-capacity solves form one MAC
+    stack, and the _lin strategies one greedy zero-forcing design and
+    rating, with the mismatched power model only when hyp_lin is
+    requested. Each strategy reads its own slice. Single-user beams and
+    eigenmodes stay one design per strategy: a stacked beam design would
+    rate the unrated cap beam by |h f|^2 instead of |h|^2, and
+    ``_channel_modes`` picks its Gram or SVD route once per stack.
+    """
     h, h_mismatched, h_assumed, h_up = channels
     # Per strategy family: the channel it is designed on, the channel it
     # is rated on (None: the design channel) and the power model it
@@ -510,8 +520,8 @@ def _evaluate_chunk(
     rates, streams, alphas = {}, {}, None
     iterations, gaps, converged = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=bool)
     mac = [s for s in ("cap", "hyp") if s in config.strategies and not single_user]
+    lin = [s for s in ("cap_lin", "recip_lin", "hyp_lin") if s in config.strategies]
     if mac:
-        # The cap and hyp solves of every realization share one stack.
         grid = mac_sum_capacity_grid(
             np.stack([plans[s][0] for s in mac]), partition, powers_w, sigma
         )
@@ -523,13 +533,24 @@ def _evaluate_chunk(
             own = grid._replace(covariances=grid.covariances[i])  # rate stack i only
             rates[s] = grid.rates[i] if rated is None else own.rates_on(rated, sigma)
             streams[s] = grid.streams[i].astype(float)
+    if lin:
+        families = [plans[s.removesuffix("_lin")] for s in lin]
+        grid = greedy_zf_design(
+            np.stack([design for design, _, _ in families]),
+            partition,
+            np.stack([design if rated is None else rated for design, rated, _ in families]),
+            down.mismatch_power if "hyp_lin" in lin else None,
+        ).evaluate(powers_w, sigma)
+        for i, s in enumerate(lin):
+            rates[s] = grid.rates[i]
+            streams[s] = grid.streams[i].astype(float)
+            if reports_alpha(s, single_user):
+                alphas = grid.alpha[i]
     for s in config.strategies:
-        if s in mac:
+        if s in mac or s in lin:
             continue
-        design, rated, power_model = plans[s.removesuffix("_lin")]
-        if s.endswith("_lin"):
-            built = greedy_zf_design(design, partition, rated, power_model)
-        elif design.shape[-2] == 1:
+        design, rated, power_model = plans[s]
+        if design.shape[-2] == 1:
             rated = None if rated is None else rated[:, 0]
             built = beam_design(design[:, 0], rated, power_model)
         else:

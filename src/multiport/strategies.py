@@ -524,6 +524,9 @@ class ZfDesign(NamedTuple):
     for designs against the true power model. Padding is zero, and inf
     in ``norms``; a realization with fewer streams than the longest has
     owner -1 past its last stream and pads its missing prefixes whole.
+    The leading axes may stack strategies as well as realizations, as
+    the chunk evaluator stacks its ``_lin`` strategies; every array then
+    pads to the longest order of the whole stack.
     """
 
     partition: tuple[int, ...]
@@ -601,7 +604,14 @@ def greedy_zf_design(
     received matrices ``forward`` are the ``rated`` channel (None: the
     design channel) times the beams, formed once for all budgets. With
     ``mismatch_power`` the design also records each beam's radiated
-    power.
+    power, for every entry of the stack.
+
+    An entry's result can differ in the last bits from the same channel
+    designed in another stack or memory layout: the padding width and
+    the layout of ``design`` select the BLAS path, and the rate of a
+    multi-antenna user with fewer streams than antennas grows an ulp of
+    its received matrix by up to the SNR, to about 1e-12 relative at
+    1e3 W.
     """
     h = np.asarray(design)
     partition = _check_partition(h, partition)

@@ -627,6 +627,37 @@ class TestMultiUserGrid:
         assert streams["cap_lin"][1].max() == 1
         assert np.all(streams["cap_lin"][2] == 0) and np.all(rates["cap"][2] == 0.0)
 
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 1, 1), (1, 2), (2, 1)])
+    def test_shared_zf_stack_matches_each_strategy_alone(self, partition):
+        # Random, rank-one and zero realizations: greedy orders of
+        # several lengths share each strategy's slice of the stack.
+        sigma = 0.7
+        channels, mismatch, _ = mixed_stack("random", sum(partition), 5, 7)
+        h, h_mm, h_as, h_up = channels
+        tokens = ("cap_lin", "recip_lin", "hyp_lin")
+        config = SimpleNamespace(strategies=tokens, rx_partition=partition, is_single_user=False)
+        down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
+        outcome = montecarlo._evaluate_chunk(config, down, channels, self.POWERS_W)
+        alone = {
+            s: strategies.greedy_zf_design(design, partition, rated, power_model).evaluate(
+                self.POWERS_W, sigma
+            )
+            for s, design, rated, power_model in (
+                ("cap_lin", h, h, None),
+                ("recip_lin", h_up.swapaxes(1, 2), h, None),
+                ("hyp_lin", h_as, h_mm, mismatch),
+            )
+        }
+        # Alone, the recip design h_up^T is a transposed view; the stack
+        # holds a contiguous copy. That changes a multi-antenna user's
+        # beams in the last bit and its rates by 1.1e-15 relative here.
+        rtol = 0.0 if max(partition) == 1 else 1e-12
+        for s in tokens:
+            np.testing.assert_allclose(outcome.rates[s], alone[s].rates, rtol=rtol, atol=0.0)
+            assert np.array_equal(outcome.streams[s], alone[s].streams)
+        np.testing.assert_allclose(outcome.alpha, alone["hyp_lin"].alpha, rtol=rtol, atol=0.0)
+        assert outcome.mac_iterations.size == 0
+
 
 class TestChunks:
     SEED, N_RX, N_TX, STD = 5, 3, 4, 0.02
@@ -878,6 +909,25 @@ class TestRunScenario:
             assert np.all(np.isfinite(result.per_realization_rates[s]))
             assert np.all(result.per_realization_rates[s] <= cap + 1e-6)
         assert result.alpha_samples is not None
+
+    @pytest.mark.parametrize(
+        "subset", [("hyp_lin", "cap_lin"), ("recip_lin",), ("cap", "hyp_lin")]
+    )
+    def test_linear_strategies_do_not_depend_on_their_company(self, subset):
+        # The requested _lin strategies of a chunk share one stack; which
+        # ones are requested, and in what order, must change no bit.
+        full = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
+        results = [
+            mp.run_scenario(tiny_config(rx_partition=(1, 1), strategies=s, n_realizations=3))
+            for s in (full, subset)
+        ]
+        for s in subset:
+            for field in ("per_realization_rates", "per_realization_streams"):
+                assert np.array_equal(getattr(results[1], field)[s], getattr(results[0], field)[s])
+        if "hyp_lin" in subset:
+            assert np.array_equal(results[1].alpha_samples, results[0].alpha_samples)
+        else:
+            assert results[1].alpha_samples is None
 
     def test_zero_noise_aborts(self):
         dead = mp.NoiseConfig(
