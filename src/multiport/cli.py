@@ -17,7 +17,7 @@ Subcommands:
 - ``dump-impedance``: print or save the impedance matrix of a uniform
   circular dipole array.
 - ``kde``: compute a Gaussian kernel density estimate from a one-column
-  CSV of samples.
+  CSV of samples; only its first row may be a non-numeric header.
 
 Exit codes: 0 on success, 2 for configuration or input errors (an
 input or output path that cannot be read, written or made among them),
@@ -33,7 +33,7 @@ import errno
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +45,7 @@ from .em_arrays import (
     write_impedance_rows,
 )
 from .montecarlo import (
+    KDE_GRID_POINTS,
     ConfigError,
     ScenarioConfig,
     ScenarioResult,
@@ -78,28 +79,26 @@ def _write_rates_csv(path: str, result: ScenarioResult) -> None:
     columns = [result.ergodic_rates[s].tolist() for s in strategies]
     rows = [
         ",".join(repr(float(v)) for v in values)
-        for values in zip(result.power_grid_dbw, *columns)
+        for values in zip(result.config.power_grid_dbw, *columns)
     ]
     _write_csv(path, ["P_dBW"] + [RATE_COLUMNS[s] for s in strategies], rows)
 
 
 def _per_power_rows(
-    powers_dbw: tuple[float, ...],
-    blocks: Iterable[tuple[np.ndarray, ...]],
-    format_block: Callable[..., list[str]],
+    result: ScenarioResult, format_alpha: Callable[[np.ndarray], list[str]]
 ) -> list[str]:
-    """Rows ``"{P!r},{body}"`` for each power point P and its block's bodies.
+    """Rows ``"{P!r},{body}"`` for each power point P and its alpha column's bodies.
 
-    ``format_block(*block)`` runs only when a block differs from the one
-    before it in dtype, shape or any bit: a repeat reuses the previous
-    bodies, which prints the same bytes. A single-receiver alpha does
-    not depend on the budget, so its alpha and KDE blocks all repeat.
+    ``format_alpha(column)`` runs only when a column differs from the one
+    before it in any bit: a repeat reuses the previous bodies, which
+    prints the same bytes. A single-receiver alpha does not depend on
+    the budget, so all its columns repeat.
     """
     rows, bodies, previous = [], [], None
-    for p_dbw, block in zip(powers_dbw, blocks):
-        key = [(a.dtype, a.shape, a.tobytes()) for a in block]
+    for p_dbw, column in zip(result.config.power_grid_dbw, result.alpha_samples.T):
+        key = column.tobytes()
         if key != previous:
-            bodies, previous = format_block(*block), key
+            bodies, previous = format_alpha(column), key
         prefix = f"{float(p_dbw)!r},"
         rows += [prefix + body for body in bodies]
     return rows
@@ -115,9 +114,16 @@ def _kde_rows(grid: np.ndarray, density: np.ndarray) -> list[str]:
     return [f"{g!r},{d!r}" for g, d in zip(grid.tolist(), density.tolist())]
 
 
+def _alpha_kde_rows(alpha: np.ndarray) -> list[str]:
+    """KDE rows of one power point's alpha; ``nan,nan`` rows when it has no density."""
+    try:
+        return _kde_rows(*gaussian_kde(alpha))
+    except ValueError:
+        return ["nan,nan"] * KDE_GRID_POINTS
+
+
 def _write_alpha_csv(path: str, result: ScenarioResult) -> None:
-    columns = ((column,) for column in result.alpha_samples.T)
-    rows = _per_power_rows(result.power_grid_dbw, columns, _alpha_rows)
+    rows = _per_power_rows(result, _alpha_rows)
     _write_csv(path, ["P_dBW", "realization", "alpha"], rows)
 
 
@@ -126,14 +132,14 @@ def _write_streams_csv(path: str, result: ScenarioResult) -> None:
     columns = [result.mean_active_streams[s].tolist() for s in strategies]
     rows = [
         f"{float(p_dbw)!r},{s},{streams!r}"
-        for p_dbw, *values in zip(result.power_grid_dbw, *columns)
+        for p_dbw, *values in zip(result.config.power_grid_dbw, *columns)
         for s, streams in zip(strategies, values)
     ]
     _write_csv(path, ["P_dBW", "strategy", "mean_active_streams"], rows)
 
 
 def _write_kde_csv(path: str, result: ScenarioResult) -> None:
-    rows = _per_power_rows(result.power_grid_dbw, result.alpha_kde, _kde_rows)
+    rows = _per_power_rows(result, _alpha_kde_rows)
     _write_csv(path, ["P_dBW", "alpha", "density"], rows)
 
 
@@ -276,15 +282,20 @@ def cmd_dump_impedance(args: argparse.Namespace) -> int:
 
 
 def cmd_kde(args: argparse.Namespace) -> int:
-    samples = []
+    samples, header_allowed = [], True
     with open(args.input, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not row:
                 continue
             try:
                 samples.append(float(row[0]))
             except ValueError:
-                continue  # header or stray text row
+                if not header_allowed:
+                    raise ConfigError(
+                        f"{args.input} line {rows.line_num}: {row[0]!r} is not a number"
+                    ) from None
+            header_allowed = False
     try:
         grid, density = gaussian_kde(np.array(samples))
     except ValueError as exc:

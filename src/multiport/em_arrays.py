@@ -224,23 +224,24 @@ def read_impedance_csv(path: str) -> np.ndarray:
 
     The header picks the rank: ``i,j,re_ohm,im_ohm`` gives an (n, m)
     matrix, ``realization,i,j,re_ohm,im_ohm`` an (r, n, m) stack.
-    Raises ValueError unless every row has integer, nonnegative indices
-    and every index tuple of a complete grid appears exactly once with
-    a finite value. Blank lines are skipped.
+    Raises ValueError unless the header is exactly one of these, every
+    row has as many fields as the header and integer, nonnegative
+    indices, and every index tuple of a complete grid appears exactly
+    once with a finite value. Blank lines are skipped.
     """
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
-        ndim = 3 if header[:5] == _csv_header(3) else 2
-        if header[: ndim + 2] != _csv_header(ndim):
+        ndim = 3 if header == _csv_header(3) else 2
+        if header != _csv_header(ndim):
             raise ValueError("unrecognized impedance CSV header")
         dtype = [(f"k{a}", np.int64) for a in range(ndim)] + [("re", float), ("im", float)]
         try:
             with warnings.catch_warnings():
                 # A file without rows is reported below.
                 warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=range(ndim + 2), ndmin=1)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", ndmin=1)
         except ValueError as exc:
-            raise ValueError(f"invalid or short CSV row: {exc}") from exc
+            raise ValueError(f"invalid CSV row, or one too short or too long: {exc}") from exc
     if not rows.size:
         raise ValueError("CSV holds no entries (no matrix entries, no realizations)")
     index = np.stack([rows[f"k{a}"] for a in range(ndim)])

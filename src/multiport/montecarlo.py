@@ -7,8 +7,8 @@ as a three-index impedance CSV of :mod:`multiport.em_arrays`), builds the
 physically consistent forward and reverse channels, and evaluates the
 configured transmit strategies over a transmit power grid. Results are
 ergodic averages plus per-realization samples of rates, active stream
-counts, and radiated-power ratios with a Gaussian kernel density
-estimate of the latter.
+counts, and radiated-power ratios alpha; :func:`gaussian_kde` estimates
+the density of one power point's alpha column.
 
 Configurations are frozen dataclasses. :func:`from_json` builds one
 from a JSON object and reads each field's JSON type from the field's
@@ -290,22 +290,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Aggregated and per-realization outputs of one scenario run.
-
-    ``alpha_kde`` holds one ``(grid, density)`` curve per power point.
-    When adjacent power points have equal alpha columns, as every point
-    of a single-receiver beam has, their entries share one tuple of
-    arrays: these arrays must not be mutated.
-    """
+    """Aggregated and per-realization outputs of one scenario run."""
 
     config: ScenarioConfig
-    power_grid_dbw: tuple[float, ...]
     ergodic_rates: dict[str, np.ndarray]
     per_realization_rates: dict[str, np.ndarray]
     mean_active_streams: dict[str, np.ndarray]
     per_realization_streams: dict[str, np.ndarray]
     alpha_samples: np.ndarray | None
-    alpha_kde: tuple[tuple[np.ndarray, np.ndarray], ...] | None
     # Realizations without a usable channel. Always 0: only the front
     # ends can fail to factor, and that aborts the run.
     n_failures: int
@@ -604,21 +596,25 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     """Run all realizations of a scenario and aggregate the results.
 
     Realizations run in chunks of CHUNK_REALIZATIONS. ``n_workers`` > 1
-    distributes the chunks over processes, at most one per CPU and per
-    chunk; each task carries the front ends and its own chunk's
-    couplings, which this process reads or draws. Outputs are identical
-    to the serial run because every realization owns a counter-based
-    random stream, the chunks do not depend on the worker count and
-    results are reduced in index order. Raises SimulationAbort when the
-    link front ends cannot be built, before any coupling is read or
-    drawn.
+    distributes the chunks over processes, at most one per chunk and per
+    CPU this process may run on; each task carries the front ends and
+    its own chunk's couplings, which this process reads or draws.
+    Outputs are identical to the serial run because every realization
+    owns a counter-based random stream, the chunks do not depend on the
+    worker count and results are reduced in index order. Raises
+    SimulationAbort when the link front ends cannot be built, before
+    any coupling is read or drawn.
     """
     down, up = _front_ends(config)
     n = config.n_realizations
     chunks = [range(a, min(a + CHUNK_REALIZATIONS, n)) for a in range(0, n, CHUNK_REALIZATIONS)]
     stacks = _couplings(config, chunks)
     worker = partial(_run_chunk, config, down, up)
-    n_workers = bounded_workers(n_workers, len(chunks), os.cpu_count())
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    n_workers = bounded_workers(n_workers, len(chunks), cpus)
     if n_workers > 1:
         # Imported here: loading multiprocessing costs every serial run.
         from concurrent.futures import ProcessPoolExecutor
@@ -628,7 +624,6 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     else:
         outcomes = [worker(z21) for z21 in stacks]
 
-    n_p = len(config.power_grid_dbw)
     per_rates = {s: np.vstack([out.rates[s] for out in outcomes]) for s in config.strategies}
     per_streams = {s: np.vstack([out.streams[s] for out in outcomes]) for s in config.strategies}
     has_alpha = outcomes[0].alpha is not None
@@ -638,30 +633,13 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     iterations = np.concatenate([out.mac_iterations for out in outcomes])
     gaps = np.concatenate([out.mac_gap_bits for out in outcomes])
     converged = np.concatenate([out.mac_converged for out in outcomes])
-    alpha_kde = None
-    if has_alpha:
-        curves = []
-        for j in range(n_p):
-            column = alpha_samples[:, j]
-            if j and np.array_equal(column, alpha_samples[:, j - 1]):
-                # A single-receiver beam's alpha does not depend on the budget.
-                curves.append(curves[-1])
-                continue
-            try:
-                curves.append(gaussian_kde(column))
-            except ValueError:
-                grid = np.full(KDE_GRID_POINTS, np.nan)
-                curves.append((grid, grid.copy()))
-        alpha_kde = tuple(curves)
     return ScenarioResult(
         config=config,
-        power_grid_dbw=config.power_grid_dbw,
         ergodic_rates=ergodic,
         per_realization_rates=per_rates,
         mean_active_streams=mean_streams,
         per_realization_streams=per_streams,
         alpha_samples=alpha_samples,
-        alpha_kde=alpha_kde,
         n_failures=0,
         n_unconverged=int(np.count_nonzero(~converged)),
         mac_iterations_mean=float(iterations.mean()) if iterations.size else 0.0,

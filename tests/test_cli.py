@@ -16,6 +16,8 @@ from multiport import cli, montecarlo
 from multiport.cli import OUTPUT_DIR_ENV, main
 from multiport.strategies import MAC_GAP_TOL
 
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 
 NOISE_VARS = {"voltage_noise_var": 1e-14, "current_noise_var": 1e-17}
 
@@ -363,35 +365,31 @@ class TestCsvWriters:
     def result(self):
         scenario = mp.config_from_dict(scenario_dict(power_grid_dbw=[-70.0, -55.5, -50.0]))
         result = mp.run_scenario(scenario)
-        nan = np.full(mp.montecarlo.KDE_GRID_POINTS, np.nan)
-        # A degenerate power point writes nan KDE rows.
-        kde = (result.alpha_kde[0], (nan, nan.copy()), result.alpha_kde[2])
-        return dataclasses.replace(result, alpha_kde=kde)
+        a = result.alpha_samples[:, 0]
+        # A constant column has no density: its power point writes nan KDE rows.
+        alpha = np.column_stack([a, np.full_like(a, 1.5), 2.0 * a])
+        return dataclasses.replace(result, alpha_samples=alpha)
 
     @pytest.fixture
     def repeating(self):
-        """Alpha columns a, a, b, a, a' that repeat next to each other and apart.
+        """Alpha columns a, a, c, c, b, a, a' that repeat next to each other and apart.
 
-        a' equals a in value but holds -0.0 where a holds 0.0, so it
-        prints differently. The degenerate KDE curve sits inside the first
-        stretch, and the last curve equals the one before it in value but
-        is another object.
+        c is constant, so it has no density. a' equals a in value but
+        holds -0.0 where a holds 0.0, so it prints differently.
         """
-        powers = [-70.0, -55.5, -50.0, -45.0, -40.0]
+        powers = [-70.0, -60.0, -55.5, -50.0, -45.0, -40.0, -35.0]
         result = mp.run_scenario(mp.config_from_dict(scenario_dict(power_grid_dbw=powers)))
         a = result.alpha_samples[:, 0].copy()
         a[0] = 0.0
         b = 2.0 * a
+        c = np.full_like(a, 1.5)
         a_neg = a.copy()
         a_neg[0] = -0.0
-        curve_a, curve_b = mp.gaussian_kde(a), mp.gaussian_kde(b)
-        nan = np.full(mp.montecarlo.KDE_GRID_POINTS, np.nan)
-        kde = (curve_a, (nan, nan.copy()), curve_b, curve_a, tuple(x.copy() for x in curve_a))
-        alpha = np.column_stack([a, a, b, a, a_neg])
-        return dataclasses.replace(result, alpha_samples=alpha, alpha_kde=kde)
+        alpha = np.column_stack([a, a, c, c, b, a, a_neg])
+        return dataclasses.replace(result, alpha_samples=alpha)
 
     def reference_rows(self, result, target):
-        powers = [repr(float(p)) for p in result.power_grid_dbw]
+        powers = [repr(float(p)) for p in result.config.power_grid_dbw]
         strategies = result.config.strategies
         if target == "rates_csv":
             header = ["P_dBW"] + [cli.RATE_COLUMNS[s] for s in strategies]
@@ -415,11 +413,13 @@ class TestCsvWriters:
             ]
         else:
             header = ["P_dBW", "alpha", "density"]
-            rows = [
-                [p, repr(float(g)), repr(float(d))]
-                for p, (grid, density) in zip(powers, result.alpha_kde)
-                for g, d in zip(grid, density)
-            ]
+            rows = []
+            for p, column in zip(powers, result.alpha_samples.T):
+                try:
+                    grid, density = mp.gaussian_kde(column)
+                except ValueError:
+                    grid = density = np.full(montecarlo.KDE_GRID_POINTS, np.nan)
+                rows += [[p, repr(float(g)), repr(float(d))] for g, d in zip(grid, density)]
         return header, rows
 
     @pytest.mark.parametrize("target", cli.EMIT_CHOICES)
@@ -438,26 +438,104 @@ class TestCsvWriters:
         self.test_bytes_match_csv_writer(tmp_path, repeating, target)
         fast = (tmp_path / "fast.csv").read_bytes()
         if target == "alpha_csv":
-            assert b"-45.0,0,0.0\r\n" in fast and b"-40.0,0,-0.0\r\n" in fast
+            assert b"-40.0,0,0.0\r\n" in fast and b"-35.0,0,-0.0\r\n" in fast
+        if target == "kde_csv":
+            assert b"-55.5,nan,nan\r\n" in fast and b"-50.0,nan,nan\r\n" in fast
 
     @pytest.mark.parametrize(
-        "target, formatter", [("alpha_csv", "_alpha_rows"), ("kde_csv", "_kde_rows")]
+        "target, counted_name", [("alpha_csv", "_alpha_rows"), ("kde_csv", "gaussian_kde")]
     )
-    def test_repeated_blocks_are_formatted_once(
-        self, tmp_path, monkeypatch, repeating, target, formatter
+    def test_repeated_columns_are_estimated_and_formatted_once(
+        self, tmp_path, monkeypatch, repeating, target, counted_name
     ):
-        formatted = []
-        original = getattr(cli, formatter)
+        calls = []
+        original = getattr(cli, counted_name)
 
-        def counted(*block):
-            formatted.append(block)
-            return original(*block)
+        def counted(column):
+            calls.append(column)
+            return original(column)
 
-        monkeypatch.setattr(cli, formatter, counted)
+        monkeypatch.setattr(cli, counted_name, counted)
         _, writer = cli._EMIT_WRITERS[target]
         writer(str(tmp_path / "fast.csv"), repeating)
-        # alpha: a, b, a, a' (the second a repeats); kde: a, nan, b, a.
-        assert len(formatted) == 4
+        # a, c, b, a, a': the second a and the second c repeat.
+        assert len(calls) == 5
+
+
+def numeric_rows(path) -> np.ndarray:
+    return np.array([[float(v) for v in row] for row in read_csv(path)[1:]])
+
+
+class TestKdeCsv:
+    """kde.csv of whole runs: the writer estimates each density from alpha.csv's columns."""
+
+    @staticmethod
+    def run(tmp_path, **overrides):
+        """(P, R) alpha columns and (P, KDE_GRID_POINTS, 2) KDE curves of one run."""
+        scenario = scenario_dict(**overrides)
+        config = write_run_config(
+            tmp_path / "run.json", scenario=scenario, emit=["alpha_csv", "kde_csv"]
+        )
+        out = tmp_path / "out"
+        assert main(["run", config, "--output-dir", str(out)]) == 0
+        n_p = len(scenario["power_grid_dbw"])
+        alpha = numeric_rows(out / "clirun_alpha.csv")[:, 2].reshape(n_p, -1)
+        kde = numeric_rows(out / "clirun_kde.csv")[:, 1:]
+        return alpha, kde.reshape(n_p, montecarlo.KDE_GRID_POINTS, 2)
+
+    def test_densities_integrate_to_one(self, tmp_path):
+        _, curves = self.run(tmp_path, n_realizations=5, power_grid_dbw=[-80.0, -65.0, -50.0])
+        assert np.all(np.isfinite(curves))
+        for grid, density in curves.transpose(0, 2, 1):
+            assert 0.9 <= float(trapezoid(density, grid)) <= 1.1
+
+    def test_single_realization_writes_nan_rows(self, tmp_path):
+        _, curves = self.run(tmp_path, n_realizations=1, power_grid_dbw=[-70.0, -60.0, -50.0])
+        assert np.all(np.isnan(curves))
+
+    @pytest.mark.parametrize(
+        "overrides, estimates",
+        [
+            # A single-receiver beam: alpha does not depend on the budget.
+            (dict(strategies=["cap", "hyp"]), 1),
+            # Water-filled modes and a two-user hyp_lin: it does.
+            (dict(rx_partition=[2], rx_spacing=0.4, strategies=["cap", "hyp"]), 4),
+            (dict(rx_partition=[1, 1], strategies=["cap", "hyp_lin"]), 4),
+        ],
+        ids=["miso_hyp", "mimo_hyp", "mu_hyp_lin"],
+    )
+    def test_one_estimate_per_distinct_adjacent_column(
+        self, tmp_path, monkeypatch, overrides, estimates
+    ):
+        columns = []
+
+        def counted(samples):
+            columns.append(samples)
+            return mp.gaussian_kde(samples)
+
+        monkeypatch.setattr(cli, "gaussian_kde", counted)
+        alpha, curves = self.run(
+            tmp_path, n_realizations=6, power_grid_dbw=[-90.0, -70.0, -50.0, -30.0], **overrides
+        )
+        assert len(columns) == estimates
+        for column, curve in zip(alpha, curves):
+            grid, density = mp.gaussian_kde(column)
+            assert np.array_equal(curve[:, 0], grid)
+            assert np.array_equal(curve[:, 1], density)
+
+
+def test_runs_without_kde_csv_estimate_no_density(tmp_path, monkeypatch):
+    def refuse(samples):
+        raise AssertionError("a density was estimated")
+
+    monkeypatch.setattr(montecarlo, "gaussian_kde", refuse)
+    monkeypatch.setattr(cli, "gaussian_kde", refuse)
+    result = mp.run_scenario(mp.config_from_dict(scenario_dict()))
+    assert result.alpha_samples.shape == (3, 2)
+    config = write_run_config(tmp_path / "run.json", emit=["rates_csv", "alpha_csv"])
+    out = tmp_path / "out"
+    assert main(["run", config, "--output-dir", str(out)]) == 0
+    assert sorted(f.name for f in out.glob("*.csv")) == ["clirun_alpha.csv", "clirun_rates.csv"]
 
 
 class TestDumpImpedance:
@@ -553,6 +631,18 @@ class TestKde:
         got = np.array([[float(a), float(b)] for a, b in rows[1:]])
         assert np.allclose(got[:, 0], grid, rtol=1e-15)
         assert np.allclose(got[:, 1], density, rtol=1e-15)
+
+    def test_only_the_first_row_may_be_a_header(self, tmp_path, capsys):
+        src = tmp_path / "samples.csv"
+        src.write_text("alpha\n\n0.1\n0.3\n\n0.5\n")
+        assert main(["kde", str(src), str(tmp_path / "kde.csv")]) == 0
+        grid, _ = mp.gaussian_kde(np.array([0.1, 0.3, 0.5]))
+        assert numeric_rows(tmp_path / "kde.csv")[0, 0] == grid[0]
+        src.write_text("alpha\n0.1\n0.3x\n0.5\n0.7\n")
+        capsys.readouterr()
+        assert main(["kde", str(src), str(tmp_path / "bad.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {src} line 3: '0.3x' is not a number\n"
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_degenerate_and_missing_inputs(self, tmp_path):
         constant = tmp_path / "const.csv"

@@ -257,7 +257,9 @@ class TestImpedanceCsv:
 MALFORMED_CSV = {
     "bad header": ("realization,i,j,real,imag", ["0,0,0,1.0,0.5"], "header"),
     "header only": (None, [], "no realizations"),
-    "short row": (None, ["0,0,0,1.0,0.5", "0,0,1,2.0"], "invalid or short"),
+    "extra header column": ("realization,i,j,re_ohm,im_ohm,comment", ["0,0,0,1.0,0.5"], "header"),
+    "short row": (None, ["0,0,0,1.0,0.5", "0,0,1,2.0"], "invalid CSV row"),
+    "long row": (None, ["0,0,0,1.0,2.0,9"], "invalid CSV row"),
     "non-integer index": (None, ["0,0,0,1.0,0.5", "0,0,1.5,2.0,0.0"], "invalid"),
     "negative index": (None, ["0,0,0,1.0,0.5", "0,-1,0,2.0,0.0"], "negative"),
     "duplicate": (None, ["0,0,0,1.0,0.5", "0,0,0,2.0,0.0"], "duplicate"),

@@ -774,10 +774,27 @@ class TestRunScenario:
         assert result.n_failures == 0
         assert result.n_unconverged == 0
         assert result.alpha_samples.shape == (5, 3)
-        assert len(result.alpha_kde) == 3
-        grid, density = result.alpha_kde[0]
-        assert np.all(np.isfinite(grid)) and np.all(np.isfinite(density))
-        assert 0.9 <= float(trapezoid(density, grid)) <= 1.1
+
+    @pytest.mark.parametrize("affinity, cpu_count", [({0}, 8), (None, 1)])
+    def test_workers_are_capped_by_the_usable_cpus(self, monkeypatch, affinity, cpu_count):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        # One CPU to run on, however many the machine has: serial.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpu_count)
+        if affinity is None:
+            monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(
+                montecarlo.os, "sched_getaffinity", lambda pid: affinity, raising=False
+            )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo, "CHUNK_REALIZATIONS", 1)
+        config = tiny_config(n_realizations=4)
+        result = mp.run_scenario(config, n_workers=4)
+        assert result.per_realization_rates["cap"].shape == (4, 2)
 
     def test_largest_seed_runs(self):
         result = mp.run_scenario(tiny_config(seed=2**64 - 1, n_realizations=2))
@@ -863,38 +880,6 @@ class TestRunScenario:
     def test_no_alpha_without_naive_strategy(self):
         result = mp.run_scenario(tiny_config(strategies=("cap", "recip")))
         assert result.alpha_samples is None
-        assert result.alpha_kde is None
-
-    def test_single_realization_kde_degenerates_to_nan(self):
-        config = tiny_config(n_realizations=1, power_grid_dbw=(-70.0, -60.0, -50.0))
-        result = mp.run_scenario(config)
-        for grid, density in result.alpha_kde:
-            assert np.all(np.isnan(grid)) and np.all(np.isnan(density))
-
-    @pytest.mark.parametrize(
-        "overrides, repeats",
-        [
-            # A single-receiver beam: alpha does not depend on the budget.
-            (dict(strategies=("cap", "hyp")), True),
-            # Water-filled modes and a two-user hyp_lin: it does.
-            (dict(rx_partition=(2,), rx_spacing=0.4, strategies=("cap", "hyp")), False),
-            (dict(rx_partition=(1, 1), strategies=("cap", "hyp_lin")), False),
-        ],
-        ids=["miso_hyp", "mimo_hyp", "mu_hyp_lin"],
-    )
-    def test_kde_is_estimated_per_power_point(self, overrides, repeats):
-        config = tiny_config(
-            n_realizations=6, power_grid_dbw=(-90.0, -70.0, -50.0, -30.0), **overrides
-        )
-        result = mp.run_scenario(config)
-        columns = result.alpha_samples.T
-        same = [np.array_equal(a, b) for a, b in zip(columns[:-1], columns[1:])]
-        assert all(same) if repeats else not any(same)
-        assert len(result.alpha_kde) == len(columns)
-        for (grid, density), column in zip(result.alpha_kde, columns):
-            expected_grid, expected_density = mp.gaussian_kde(column)
-            assert np.array_equal(grid, expected_grid)
-            assert np.array_equal(density, expected_density)
 
     def test_multi_user_run(self):
         config = tiny_config(

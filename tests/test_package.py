@@ -52,6 +52,16 @@ def test_readme_quick_start_runs(capsys):
     assert len(lines) == 2 and lines[1].startswith("radiated/intended power:")
 
 
+def test_readme_scenario_example_runs(capsys):
+    text = README.read_text()
+    section = text[text.index("## Library quick start") : text.index("## Command line")]
+    code = re.findall(r"```python\n(.*?)```", section, re.S)[1]
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert namespace["density"].shape == (mp.montecarlo.KDE_GRID_POINTS,)
+
+
 def test_every_design_shares_one_contract():
     for build in (strategies.beam_design, strategies.mode_design, strategies.greedy_zf_design):
         params = inspect.signature(build).parameters
