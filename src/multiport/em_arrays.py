@@ -17,6 +17,7 @@ then ``re_ohm,im_ohm``, with one row per entry. It is written by
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -219,6 +220,10 @@ def write_impedance_rows(stream: TextIO, matrix: np.ndarray) -> None:
         )
 
 
+# numpy opens a path by its suffix and would decompress these.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_impedance_csv(path: str) -> np.ndarray:
     """Read a matrix or stack written by :func:`write_impedance_csv`.
 
@@ -227,44 +232,102 @@ def read_impedance_csv(path: str) -> np.ndarray:
     Raises ValueError unless the header is exactly one of these, every
     row has as many fields as the header and integer, nonnegative
     indices, and every index tuple of a complete grid appears exactly
-    once with a finite value. Blank lines are skipped.
+    once with a finite value. Rows may come in any order and blank
+    lines are skipped; ``#`` starts no comment. An error in a row names
+    its line of the file. A name ending in a compression suffix
+    (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) raises ValueError before
+    any read: the file is read as plain text only.
     """
+    if path.endswith(_COMPRESSED_SUFFIXES):
+        raise ValueError(f"compressed impedance CSV {path} is not read; decompress it first")
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
-        ndim = 3 if header == _csv_header(3) else 2
-        if header != _csv_header(ndim):
-            raise ValueError("unrecognized impedance CSV header")
-        dtype = [(f"k{a}", np.int64) for a in range(ndim)] + [("re", float), ("im", float)]
-        try:
-            with warnings.catch_warnings():
-                # A file without rows is reported below.
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"invalid CSV row, or one too short or too long: {exc}") from exc
+    ndim = 3 if header == _csv_header(3) else 2
+    if header != _csv_header(ndim):
+        raise ValueError("unrecognized impedance CSV header")
+    dtype = [(f"k{a}", np.int64) for a in range(ndim)] + [("re", float), ("im", float)]
+    try:
+        with warnings.catch_warnings():
+            # A file without rows is reported below.
+            warnings.simplefilter("ignore", UserWarning)
+            # Given a path, numpy reads the file in chunks, not line by
+            # line; an absolute path never parses as a URL to fetch.
+            rows = np.loadtxt(
+                os.path.abspath(path),
+                dtype=dtype,
+                delimiter=",",
+                comments=None,
+                skiprows=1,
+                ndmin=1,
+            )
+    except ValueError as exc:
+        raise ValueError(f"invalid CSV row at {_first_bad_row(path, ndim)}") from exc
     if not rows.size:
         raise ValueError("CSV holds no entries (no matrix entries, no realizations)")
     index = np.stack([rows[f"k{a}"] for a in range(ndim)])
     if index.min() < 0:
         bad = int(np.argmin(index.min(axis=0)))
         raise ValueError(f"negative index in CSV entry {tuple(index[:, bad].tolist())}")
-    order = np.lexsort(index[::-1])
-    repeated = (np.diff(index[:, order], axis=1) == 0).all(axis=0)
-    if repeated.any():
-        key = tuple(index[:, order[np.argmax(repeated)]].tolist())
-        raise ValueError(f"duplicate CSV entry {key}")
     shape = tuple(int(v) + 1 for v in index.max(axis=1))
-    if rows.size != math.prod(shape):
+    size = math.prod(shape)
+    # Rows that fit a grid no larger than their count can be counted per
+    # cell; a larger grid cannot be complete, and no array is sized by it.
+    if size > rows.size:
         raise ValueError(
             f"CSV holds {rows.size} entries, not the complete "
             f"{' x '.join(map(str, shape))} grid"
         )
+    flat = np.ravel_multi_index(tuple(index), shape)
+    repeated = np.bincount(flat, minlength=size) > 1
+    if repeated.any():
+        key = np.unravel_index(int(np.argmax(repeated)), shape)
+        raise ValueError(f"duplicate CSV entry {tuple(int(k) for k in key)}")
+    # With no cell twice, the rows fill all size <= rows.size cells.
     values = np.empty(rows.size, dtype=complex)
     values.real, values.imag = rows["re"], rows["im"]
     finite = np.isfinite(values)
     if not finite.all():
         key = tuple(index[:, np.argmin(finite)].tolist())
         raise ValueError(f"non-finite value (NaN or infinite) in CSV entry {key}")
-    out = np.empty(shape, dtype=complex)
-    out[tuple(index)] = values
-    return out
+    out = np.empty(size, dtype=complex)
+    out[flat] = values
+    return out.reshape(shape)
+
+
+def _first_bad_row(path: str, ndim: int) -> str:
+    """Line number and fault of the first row of an impedance CSV that does not parse.
+
+    Mirrors the rules numpy's reader applies: only empty lines are
+    skipped, fields split at commas, indices are int64 and values
+    ASCII floats. Runs only after numpy has rejected the file.
+    """
+    width = ndim + 2
+    with open(path) as fh:
+        fh.readline()
+        for number, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != width:
+                size = "short" if len(fields) < width else "long"
+                return f"line {number}: too {size}, {len(fields)} fields for {width} columns"
+            for k, text in enumerate(fields):
+                if not _parses(text, k < ndim):
+                    noun = "an integer index" if k < ndim else "a number"
+                    return f"line {number}: {text.strip()!r} is not {noun}"
+    return "a line numpy's reader rejects"
+
+
+def _parses(text: str, integer: bool) -> bool:
+    """Whether numpy's reader parses ``text`` as an int64 index or a float."""
+    # Python also reads digit separators and non-ASCII digits; numpy does not.
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        if integer:
+            return -(2**63) <= int(text) < 2**63
+        float(text)
+    except ValueError:
+        return False
+    return True

@@ -333,17 +333,21 @@ def _draw_couplings(
 
     One Philox generator serves all indices. Setting its counter to
     (0, 0, attempt, realization) with an empty output buffer gives the
-    state of a fresh generator with that counter.
+    state of a fresh generator with that counter, which draws the real
+    and then the imaginary parts straight into the realization's slot.
     """
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     state = bitgen.state
+    counters = np.zeros((len(realizations), 4), dtype=np.uint64)
+    counters[:, 2] = attempt
+    counters[:, 3] = realizations
     parts = np.empty((len(realizations), 2, n_rx, n_tx))
-    for i, r in enumerate(realizations):
-        state["state"]["counter"] = np.array([0, 0, attempt, r], dtype=np.uint64)
+    for counter, out in zip(counters, parts):
+        state["state"]["counter"] = counter
         state["buffer_pos"], state["has_uint32"] = 4, 0
         bitgen.state = state
-        parts[i] = rng.standard_normal((2, n_rx, n_tx))
+        rng.standard_normal(out=out)
     return std / math.sqrt(2.0) * (parts[:, 0] + 1j * parts[:, 1])
 
 
@@ -370,8 +374,6 @@ def read_coupling_file(path: str) -> np.ndarray:
         raise ConfigError(f"coupling CSV: {exc}") from exc
     if out.ndim != 3:
         raise ConfigError("coupling CSV header must be realization,i,j,re_ohm,im_ohm")
-    if not np.all(np.isfinite(out)):
-        raise ConfigError("coupling file holds a NaN or infinite value")
     return out
 
 
@@ -397,9 +399,12 @@ def _read_coupling_json(path: str) -> np.ndarray:
     if not {type(v) for v in parts.flat} <= {int, float}:
         raise ConfigError("coupling JSON values must be JSON numbers")
     try:
-        return parts.astype(float).view(complex)[..., 0]
+        out = parts.astype(float).view(complex)[..., 0]
     except OverflowError:
         raise ConfigError("coupling file holds a NaN or infinite value") from None
+    if not np.isfinite(out).all():
+        raise ConfigError("coupling file holds a NaN or infinite value")
+    return out
 
 
 def write_coupling_file(path: str, realizations: np.ndarray) -> None:

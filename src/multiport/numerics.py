@@ -109,9 +109,10 @@ def waterfill(gains: np.ndarray, budgets: float | np.ndarray) -> np.ndarray:
     # Work with inverse gains shifted by their minimum so the water
     # level stays resolvable when 1/g dwarfs the budget. The cap keeps
     # every breakpoint finite; a capped channel would need a budget
-    # beyond 1e300 W to turn on. Inactive entries are masked.
+    # beyond 1e300 W to turn on. Inactive entries stay 0, out of the
+    # shift, so sums over a padded row cannot overflow; they are masked.
     inv = 1.0 / np.where(active, gs, np.inf)
-    inv -= inv[..., :1]
+    np.subtract(inv, inv[..., :1], out=inv, where=active)
     np.minimum(inv, _MAX_INV / width, out=inv)
     csum = np.cumsum(inv, axis=-1)
     breaks = np.arange(1, width) * inv[..., 1:] - csum[..., :-1]

@@ -251,6 +251,66 @@ class TestImpedanceCsv:
     def test_rejects_short_row(self, tmp_path):
         self._rejects(tmp_path, "i,j,re_ohm,im_ohm\n0,0,5.0\n", "short")
 
+    @pytest.mark.parametrize(
+        "row, fault",
+        [
+            ("0,1,1.0,2.0,9", "too long, 5 fields for 4 columns"),
+            ("0,1,1.0,2.0j", "'2.0j' is not a number"),
+            ("0,1.0,1.0,2.0", "'1.0' is not an integer index"),
+        ],
+    )
+    def test_row_errors_name_the_file_line(self, tmp_path, row, fault):
+        # Line 4 of the file; numpy's own row count starts at 0 after the
+        # header and leaves out the blank line.
+        path = tmp_path / "z.csv"
+        path.write_text(f"i,j,re_ohm,im_ohm\n0,0,1.0,2.0\n\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            read_impedance_csv(str(path))
+        assert str(info.value) == f"invalid CSV row at line 4: {fault}"
+
+    def test_duplicate_names_the_smallest_repeated_entry(self, tmp_path):
+        rows = ["1,1,1.0,0.0", "1,0,2.0,0.0", "1,0,3.0,0.0", "0,1,4.0,0.0", "0,1,5.0,0.0"]
+        self._rejects(
+            tmp_path, "\n".join(["i,j,re_ohm,im_ohm", *rows, "0,0,6.0,0.0"]), r"entry \(0, 1\)$"
+        )
+
+    def test_index_beyond_the_row_count_allocates_no_grid(self, tmp_path):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            self._rejects(
+                tmp_path, "i,j,re_ohm,im_ohm\n0,0,5.0,0.0\n999999999999,0,5.0,0.0\n", "complete"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_rows_in_any_order_read_back_exactly(self, tmp_path):
+        rng = np.random.default_rng(5)
+        shape = (60, 9, 33)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z[7, 3, 5] = complex(-0.0, -0.0)
+        path = tmp_path / "z.csv"
+        write_impedance_csv(str(path), z)
+        header, *rows = path.read_text().splitlines()
+        assert len(rows) == z.size
+        rng.shuffle(rows)
+        path.write_text("\n".join([header, *rows, ""]))
+        back = read_impedance_csv(str(path))
+        assert back.shape == shape and np.array_equal(back, z)
+        assert np.signbit(back[7, 3, 5].real) and np.signbit(back[7, 3, 5].imag)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_names_are_rejected_before_any_read(self, tmp_path, suffix):
+        path = str(tmp_path / f"c.csv{suffix}")
+        write_impedance_csv(path, np.ones((1, 2, 2)))
+        with pytest.raises(ValueError, match=suffix):
+            read_impedance_csv(path)
+        with pytest.raises(ConfigError, match=suffix):
+            read_coupling_file(path)
+
 
 # Malformed bodies of a one-realization coupling CSV, each with the match
 # both readers' messages satisfy. The 2-D form drops the leading "0,".
@@ -260,6 +320,9 @@ MALFORMED_CSV = {
     "extra header column": ("realization,i,j,re_ohm,im_ohm,comment", ["0,0,0,1.0,0.5"], "header"),
     "short row": (None, ["0,0,0,1.0,0.5", "0,0,1,2.0"], "invalid CSV row"),
     "long row": (None, ["0,0,0,1.0,2.0,9"], "invalid CSV row"),
+    # "#" is an invalid field, not the start of a comment.
+    "comment line": (None, ["#,# exported by a field solver", "0,0,0,1.0,0.5"], "invalid CSV row"),
+    "trailing comment": (None, ["0,0,0,1.5,2.5#x"], "invalid CSV row"),
     "non-integer index": (None, ["0,0,0,1.0,0.5", "0,0,1.5,2.0,0.0"], "invalid"),
     "negative index": (None, ["0,0,0,1.0,0.5", "0,-1,0,2.0,0.0"], "negative"),
     "duplicate": (None, ["0,0,0,1.0,0.5", "0,0,0,2.0,0.0"], "duplicate"),

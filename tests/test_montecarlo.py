@@ -743,11 +743,27 @@ class TestChunks:
 
 
 class TestRunScenario:
-    def test_deterministic_and_worker_invariant(self):
-        config = tiny_config(n_realizations=8)
+    def test_deterministic_and_worker_invariant(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        # Two chunks and two usable CPUs: the two-worker run starts a pool.
+        monkeypatch.setattr(
+            montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        config = tiny_config(n_realizations=montecarlo.CHUNK_REALIZATIONS + 3)
         serial_a = mp.run_scenario(config)
         serial_b = mp.run_scenario(config)
+        assert pools == []
         parallel = mp.run_scenario(config, n_workers=2)
+        assert pools == [2]
         for s in config.strategies:
             assert np.array_equal(
                 serial_a.per_realization_rates[s], serial_b.per_realization_rates[s]

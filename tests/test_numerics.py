@@ -216,6 +216,20 @@ class TestWaterfillGainRows:
             assert np.array_equal(grid[r, j], waterfill(gains[r, 0], budgets[j]))
 
     @pytest.mark.parametrize(
+        "gains, budgets",
+        [
+            ([[0.0, 1e-308, 1e-308], [1e-308] * 3], [1.0, 2.0]),
+            ([[0.0, 0.0, 1e-308], [1e-308] * 3], [1.0, 1.0]),
+        ],
+    )
+    def test_rows_padded_past_tiny_gains_match_scalar_calls(self, gains, budgets):
+        # Padding past a row's active gains, next to a strongest gain near
+        # 1e-308, must not overflow (a RuntimeWarning, an error here).
+        rows = waterfill(gains, budgets)
+        for row, g, budget in zip(rows, gains, budgets):
+            assert np.array_equal(row, waterfill(g, budget))
+
+    @pytest.mark.parametrize(
         "budgets", [np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 2.0, 3.0]), np.ones((2, 3))]
     )
     def test_rejects_budget_count_mismatch(self, budgets):
