@@ -283,7 +283,8 @@ def cmd_dump_impedance(args: argparse.Namespace) -> int:
 
 def cmd_kde(args: argparse.Namespace) -> int:
     samples, header_allowed = [], True
-    with open(args.input, newline="") as fh:
+    # An undecodable byte becomes a lone surrogate, which float() rejects.
+    with open(args.input, newline="", errors="surrogateescape") as fh:
         rows = csv.reader(fh)
         for row in rows:
             if not row:

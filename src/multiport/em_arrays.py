@@ -233,14 +233,16 @@ def read_impedance_csv(path: str) -> np.ndarray:
     row has as many fields as the header and integer, nonnegative
     indices, and every index tuple of a complete grid appears exactly
     once with a finite value. Rows may come in any order and blank
-    lines are skipped; ``#`` starts no comment. An error in a row names
-    its line of the file. A name ending in a compression suffix
+    lines are skipped; ``#`` starts no comment, and a byte that does not
+    decode is an invalid field. An error in a row names its line of the
+    file. A name ending in a compression suffix
     (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) raises ValueError before
     any read: the file is read as plain text only.
     """
     if path.endswith(_COMPRESSED_SUFFIXES):
         raise ValueError(f"compressed impedance CSV {path} is not read; decompress it first")
-    with open(path, newline="") as fh:
+    # A header byte outside ASCII decodes to U+FFFD: the header is unrecognized.
+    with open(path, newline="", encoding="ascii", errors="replace") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
     ndim = 3 if header == _csv_header(3) else 2
     if header != _csv_header(ndim):
@@ -302,7 +304,8 @@ def _first_bad_row(path: str, ndim: int) -> str:
     ASCII floats. Runs only after numpy has rejected the file.
     """
     width = ndim + 2
-    with open(path) as fh:
+    # An undecodable byte becomes a lone surrogate, which _parses rejects.
+    with open(path, errors="surrogateescape") as fh:
         fh.readline()
         for number, line in enumerate(fh, start=2):
             line = line.rstrip("\n")

@@ -2,8 +2,8 @@
 
 A scenario fixes both array geometries and terminations, draws the
 trans-impedance coupling matrix i.i.d. complex Gaussian per
-realization (or imports externally generated realizations, as JSON or
-as a three-index impedance CSV of :mod:`multiport.em_arrays`), builds the
+realization (or imports externally generated realizations as a
+three-index impedance CSV of :mod:`multiport.em_arrays`), builds the
 physically consistent forward and reverse channels, and evaluates the
 configured transmit strategies over a transmit power grid. Results are
 ergodic averages plus per-realization samples of rates, active stream
@@ -354,56 +354,20 @@ def _draw_couplings(
 def read_coupling_file(path: str) -> np.ndarray:
     """Load externally generated coupling realizations.
 
-    JSON files carry {"n_rx", "n_tx", "realizations": [[[re, im], ...]]};
-    CSV files are impedance CSVs (:func:`~multiport.em_arrays.read_impedance_csv`)
+    The file is an impedance CSV (:func:`~multiport.em_arrays.read_impedance_csv`)
     with the header ``realization,i,j,re_ohm,im_ohm``. Returns an
     (n_realizations, n_rx, n_tx) array. Raises ConfigError unless the
     file can be read and holds exactly one finite value for every
     (realization, i, j) of a complete grid.
     """
     try:
-        if path.endswith(".json"):
-            out = _read_coupling_json(path)
-        else:
-            out = read_impedance_csv(path)
+        out = read_impedance_csv(path)
     except OSError as exc:
         raise ConfigError(f"cannot read coupling file {path}: {exc.strerror}") from exc
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"coupling CSV: {exc}") from exc
     if out.ndim != 3:
         raise ConfigError("coupling CSV header must be realization,i,j,re_ohm,im_ohm")
-    return out
-
-
-def _read_coupling_json(path: str) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        reals = data["realizations"]
-        n_rx, n_tx = (_json_value(int, name, data[name]) for name in ("n_rx", "n_tx"))
-        shape = (len(reals), n_rx, n_tx, 2)
-        parts = np.array(reals, dtype=object)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid coupling JSON: {exc}") from exc
-    if not reals:
-        raise ConfigError("coupling file holds no realizations")
-    if parts.shape != shape:
-        raise ConfigError(
-            f"coupling JSON realizations have shape {parts.shape}, expected {shape}"
-        )
-    # Booleans and strings would convert to floats silently.
-    if not {type(v) for v in parts.flat} <= {int, float}:
-        raise ConfigError("coupling JSON values must be JSON numbers")
-    try:
-        out = parts.astype(float).view(complex)[..., 0]
-    except OverflowError:
-        raise ConfigError("coupling file holds a NaN or infinite value") from None
-    if not np.isfinite(out).all():
-        raise ConfigError("coupling file holds a NaN or infinite value")
     return out
 
 

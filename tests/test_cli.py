@@ -224,14 +224,28 @@ class TestRun:
         bad_workers = write_run_config(tmp_path / "bw.json", n_workers=0)
         assert main(["run", bad_workers]) == 2
 
-        coupling = tmp_path / "coupling.json"
-        rows = [[[[True, 0.0]] * 4]] * 3  # a boolean coupling value
-        coupling.write_text(json.dumps({"n_rx": 1, "n_tx": 4, "realizations": rows}))
+        coupling = tmp_path / "coupling.csv"
+        mp.write_coupling_file(str(coupling), np.ones((3, 1, 4)))
+        rows = coupling.read_text().splitlines()
+        rows[2] = "0,0,1,true,0"  # a boolean coupling value
+        coupling.write_text("\n".join(rows) + "\n")
         bool_coupling = write_run_config(
             tmp_path / "bc.json", scenario=scenario_dict(coupling_file=str(coupling))
         )
         assert main(["run", bool_coupling, "--output-dir", str(tmp_path / "out")]) == 2
-        assert "JSON numbers" in capsys.readouterr().err
+        assert "invalid CSV row at line 3: 'true' is not a number" in capsys.readouterr().err
+
+        # The JSON coupling layout of earlier releases is no longer read.
+        coupling = tmp_path / "coupling.json"
+        rows = [[[[1.0, 0.0]] * 4]] * 3
+        coupling.write_text(json.dumps({"n_rx": 1, "n_tx": 4, "realizations": rows}))
+        json_coupling = write_run_config(
+            tmp_path / "jc.json", scenario=scenario_dict(coupling_file=str(coupling))
+        )
+        assert main(["run", json_coupling, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: coupling CSV: unrecognized impedance CSV header\n"
+        )
 
         for suffix in ("csv", "json"):
             absent = str(tmp_path / f"nope.{suffix}")
@@ -643,6 +657,13 @@ class TestKde:
         assert main(["kde", str(src), str(tmp_path / "bad.csv")]) == 2
         assert capsys.readouterr().err == f"config error: {src} line 3: '0.3x' is not a number\n"
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_undecodable_byte_is_not_a_number(self, tmp_path, capsys):
+        src = tmp_path / "samples.csv"
+        src.write_bytes(b"value\n1.0\n2.5\n\xff\n")
+        assert main(["kde", str(src), str(tmp_path / "kde.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {src} line 4: '\\udcff' is not a number\n"
+        assert not (tmp_path / "kde.csv").exists()
 
     def test_degenerate_and_missing_inputs(self, tmp_path):
         constant = tmp_path / "const.csv"

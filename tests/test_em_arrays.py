@@ -370,6 +370,34 @@ class TestImpedanceCsvFormat:
             with pytest.raises(ValueError, match="2-D or 3-D"):
                 write_impedance_csv(str(tmp_path / "z.csv"), bad)
 
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize(
+        "line, fault",
+        [
+            (1, "unrecognized impedance CSV header"),
+            (3, r"invalid CSV row at line 3: '\udcff' is not a number"),
+            (1002, r"invalid CSV row at line 1002: '\udcff' is not a number"),
+        ],
+        ids=["header", "first 8 KiB", "past 8 KiB"],
+    )
+    def test_undecodable_byte_is_a_row_error(self, tmp_path, ndim, line, fault):
+        path = tmp_path / "z.csv"
+        write_impedance_csv(str(path), np.ones((1200, 1) if ndim == 2 else (1200, 1, 1)))
+        lines = path.read_bytes().split(b"\r\n")
+        fields = lines[line - 1].split(b",")
+        fields[-2] = b"\xff"  # the real part, or re_ohm in the header
+        lines[line - 1] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(lines))
+        # Line 1002 starts beyond the first 8 KiB buffer of a text read.
+        assert (len(b"\r\n".join(lines[: line - 1])) > 8192) == (line == 1002)
+        with pytest.raises(ValueError) as info:
+            read_impedance_csv(str(path))
+        assert str(info.value) == fault
+        if ndim == 3:
+            with pytest.raises(ConfigError) as info:
+                read_coupling_file(str(path))
+            assert str(info.value) == f"coupling CSV: {fault}"
+
     def test_coupling_reader_requires_rank_3(self, tmp_path):
         path = str(tmp_path / "z.csv")
         write_impedance_csv(path, np.eye(2))

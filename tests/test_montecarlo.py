@@ -321,42 +321,16 @@ class TestCouplingFiles:
         mp.write_coupling_file(path, reals)
         assert np.array_equal(mp.read_coupling_file(path), reals)
 
-    def test_json_import(self, tmp_path):
-        rng = np.random.default_rng(4)
-        reals = rng.standard_normal((2, 1, 3)) + 1j * rng.standard_normal((2, 1, 3))
-        payload = {
-            "n_rx": 1,
-            "n_tx": 3,
-            "realizations": [
-                [[[z.real, z.imag] for z in row] for row in mat] for mat in reals
-            ],
-        }
-        path = tmp_path / "coupling.json"
-        path.write_text(json.dumps(payload))
-        assert np.allclose(mp.read_coupling_file(str(path)), reals)
-
     def test_bad_files(self, tmp_path):
         bad_header = tmp_path / "bad.csv"
         bad_header.write_text("a,b,c\n")
         with pytest.raises(mp.ConfigError):
             mp.read_coupling_file(str(bad_header))
-        empty_json = tmp_path / "empty.json"
-        empty_json.write_text(json.dumps({"n_rx": 1, "n_tx": 1, "realizations": []}))
-        with pytest.raises(mp.ConfigError):
-            mp.read_coupling_file(str(empty_json))
 
     @staticmethod
     def write_csv(path, rows) -> str:
         lines = ["realization,i,j,re_ohm,im_ohm"] + [",".join(map(str, r)) for r in rows]
         path.write_text("\n".join(lines) + "\n")
-        return str(path)
-
-    @staticmethod
-    def write_json(path, realizations, n_rx=1, n_tx=2) -> str:
-        # json.dumps writes NaN and Infinity literals, which json.load reads back.
-        path.write_text(
-            json.dumps({"n_rx": n_rx, "n_tx": n_tx, "realizations": realizations})
-        )
         return str(path)
 
     GRID = [(0, 0, 0, 1.0, 0.5), (0, 0, 1, 2.0, -0.5)]
@@ -406,57 +380,6 @@ class TestCouplingFiles:
         assert np.array_equal(
             mp.read_coupling_file(str(path)), np.array([[[1.0 + 0.5j, 2.0 - 0.5j]]])
         )
-
-    def test_json_negative_index(self, tmp_path):
-        path = self.write_json(tmp_path / "c.json", [[[[1.0, 0.0], [2.0, 0.0]]]], n_rx=-1)
-        with pytest.raises(mp.ConfigError):
-            mp.read_coupling_file(path)
-
-    @pytest.mark.parametrize(
-        "realizations",
-        [
-            [[[[1.0, 0.0]]]],  # row shorter than n_tx
-            [[[[1.0, 0.0], [2.0, 0.0]]], [[[1.0, 0.0]]]],  # ragged realizations
-            [[[[1.0, 0.0], [2.0]]]],  # entry without imaginary part
-        ],
-    )
-    def test_json_incomplete_grid(self, tmp_path, realizations):
-        path = self.write_json(tmp_path / "c.json", realizations)
-        with pytest.raises(mp.ConfigError):
-            mp.read_coupling_file(path)
-
-    def test_json_extra_entry(self, tmp_path):
-        # The JSON grid has no explicit indices; an entry beyond n_tx is
-        # the JSON form of a duplicate and must not be dropped silently.
-        path = self.write_json(
-            tmp_path / "c.json", [[[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]]]
-        )
-        with pytest.raises(mp.ConfigError, match="shape"):
-            mp.read_coupling_file(path)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_json_non_finite_value(self, tmp_path, bad):
-        path = self.write_json(tmp_path / "c.json", [[[[1.0, 0.0], [2.0, bad]]]])
-        with pytest.raises(mp.ConfigError, match="NaN or infinite"):
-            mp.read_coupling_file(path)
-
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"n_rx": 1.9},
-            {"n_rx": "1"},
-            {"n_rx": True},
-            {"realizations": [[[["0.1", "0"], [2.0, 0.0]]]]},
-            {"realizations": [[[[True, 0.0], [2.0, 0.0]]]]},
-            {"realizations": [[[[1.0, None], [2.0, 0.0]]]]},
-            {"realizations": [[[[10**400, 0.0], [2.0, 0.0]]]]},
-        ],
-    )
-    def test_json_values_must_have_json_types(self, tmp_path, fields):
-        data = {"realizations": [[[[1.0, 0.0], [2.0, 0.0]]]], **fields}
-        path = self.write_json(tmp_path / "c.json", **data)
-        with pytest.raises(mp.ConfigError):
-            mp.read_coupling_file(path)
 
 
 class TestBoundedWorkers:
