@@ -350,11 +350,58 @@ class TestCouplingFiles:
         with pytest.raises(mp.ConfigError, match="duplicate"):
             mp.read_coupling_file(path)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            # One row of the first realization is longer than the other.
+            (
+                GRID + [(0, 0, 2, 3.0, 0.0), (0, 1, 0, 1.0, 0.0), (0, 1, 1, 1.0, 0.0)],
+                "CSV holds 5 entries, not the complete 1 x 2 x 3 grid",
+            ),
+            # The second realization is longer than the first.
+            (
+                GRID + [(1, 0, 0, 1.0, 0.0), (1, 0, 1, 1.0, 0.0), (1, 0, 2, 1.0, 0.0)],
+                "CSV holds 5 entries, not the complete 2 x 1 x 3 grid",
+            ),
+            # A realization in the middle is missing.
+            (
+                GRID + [(2, 0, 0, 1.0, 0.0), (2, 0, 1, 1.0, 0.0)],
+                "CSV holds 4 entries, not the complete 3 x 1 x 2 grid",
+            ),
+        ],
+        ids=["long row", "long realization", "missing realization"],
+    )
+    def test_csv_ragged_realizations(self, tmp_path, rows, fault):
+        path = self.write_csv(tmp_path / "c.csv", rows)
+        with pytest.raises(mp.ConfigError) as info:
+            mp.read_coupling_file(path)
+        assert str(info.value) == f"coupling CSV: {fault}"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "-1e400"])
     def test_csv_non_finite_value(self, tmp_path, bad):
+        # A literal beyond the float range reads as infinite.
         path = self.write_csv(tmp_path / "c.csv", [self.GRID[0], (0, 0, 1, 2.0, bad)])
         with pytest.raises(mp.ConfigError, match="NaN or infinite"):
             mp.read_coupling_file(path)
+
+    # A value is an ASCII float literal: no boolean, empty field, quoted
+    # string, hex literal, digit separator or non-ASCII digit.
+    @pytest.mark.parametrize("bad", ["true", "", '"0.1"', "None", "0x1", "1_0", "١"])
+    def test_csv_value_must_be_a_number(self, tmp_path, bad):
+        path = self.write_csv(tmp_path / "c.csv", [self.GRID[0], (0, 0, 1, 2.0, bad)])
+        with pytest.raises(mp.ConfigError) as info:
+            mp.read_coupling_file(path)
+        assert str(info.value) == (
+            f"coupling CSV: invalid CSV row at line 3: {bad!r} is not a number"
+        )
+
+    def test_csv_index_beyond_int64(self, tmp_path):
+        path = self.write_csv(tmp_path / "c.csv", [self.GRID[0], (0, 0, 2**63, 2.0, 0.0)])
+        with pytest.raises(mp.ConfigError) as info:
+            mp.read_coupling_file(path)
+        assert str(info.value) == (
+            f"coupling CSV: invalid CSV row at line 3: '{2**63}' is not an integer index"
+        )
 
     @pytest.mark.parametrize("bad", ["1.5", "1.0", "x"])
     def test_csv_non_integer_index(self, tmp_path, bad):
