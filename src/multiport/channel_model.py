@@ -152,6 +152,11 @@ def voltage_transfer(system: ImpedanceSystem) -> np.ndarray:
     return system.z_load * np.linalg.solve(a_rx, right)
 
 
+def _source_inverse(system: ImpedanceSystem) -> np.ndarray:
+    """(Z_tx + z_source I)^-1, the inverse of the loaded transmit array."""
+    return np.linalg.inv(system.z_tx + system.z_source * np.eye(system.n_tx))
+
+
 def power_coupling(system: ImpedanceSystem) -> np.ndarray:
     """Hermitian form mapping generator-voltage covariance to radiated power.
 
@@ -159,8 +164,10 @@ def power_coupling(system: ImpedanceSystem) -> np.ndarray:
     the radiated power is tr(power_coupling @ R) / source_resistance
     scaled consistently; the matrix itself is PSD.
     """
-    n = system.n_tx
-    a_inv = np.linalg.inv(system.z_tx + system.z_source * np.eye(n))
+    return _power_coupling(system, _source_inverse(system))
+
+
+def _power_coupling(system: ImpedanceSystem, a_inv: np.ndarray) -> np.ndarray:
     r_tx = (0.5 * (system.z_tx + system.z_tx.conj().T)).real
     core = a_inv.conj().T @ r_tx @ a_inv
     return system.z_source.real * hermitize(core, tol=1e-6)
@@ -168,8 +175,10 @@ def power_coupling(system: ImpedanceSystem) -> np.ndarray:
 
 def power_coupling_root(system: ImpedanceSystem) -> np.ndarray:
     """Non-Hermitian root G with G @ G^H equal to the power coupling."""
-    n = system.n_tx
-    a_inv = np.linalg.inv(system.z_tx + system.z_source * np.eye(n))
+    return _power_coupling_root(system, _source_inverse(system))
+
+
+def _power_coupling_root(system: ImpedanceSystem, a_inv: np.ndarray) -> np.ndarray:
     r_tx = 0.5 * (system.z_tx + system.z_tx.conj().T)
     return sqrt(system.z_source.real) * a_inv.conj().T @ principal_sqrt_psd(r_tx)
 
@@ -259,9 +268,10 @@ def front_end(system: ImpedanceSystem, noise: NoiseConfig) -> FrontEnd:
     the receive-noise covariance cannot be factored or a map is
     singular; this cannot depend on the coupling realization.
     """
-    n, m = system.n_tx, system.n_rx
-    b = power_coupling(system)
-    b_root = power_coupling_root(system)
+    m = system.n_rx
+    a_tx_inv = _source_inverse(system)
+    b = _power_coupling(system, a_tx_inv)
+    b_root = _power_coupling_root(system, a_tx_inv)
     b_diag_root = decoupled_power_root(system)
     q = port_noise_covariance(system, noise)
 
@@ -287,7 +297,6 @@ def front_end(system: ImpedanceSystem, noise: NoiseConfig) -> FrontEnd:
 
     try:
         a_rx_inv = np.linalg.inv(a_rx)
-        a_tx_inv = np.linalg.inv(system.z_tx + system.z_source * np.eye(n))
         rx_map = (sigma_theta * z_load) * np.linalg.solve(noise_root, a_rx_inv)
         tx_map = a_tx_inv @ np.linalg.inv(b_root.conj().T)
     except np.linalg.LinAlgError as exc:

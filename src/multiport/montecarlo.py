@@ -26,9 +26,10 @@ that (R, ...) stack with every strategy and returns a ChunkOutcome,
 which run_scenario concatenates field by field in chunk order.
 
 Reproducibility: every realization uses a counter-based random stream
-keyed by (seed, realization index, attempt 0), and the chunk size does
-not depend on the worker count, so results are byte-identical across
-worker counts.
+keyed by (seed, realization index, attempt 0), and its results depend
+on its own coupling only, not on the chunk it is rated in, so results
+are byte-identical across worker counts and chunk sizes, and a longer
+run repeats the realizations of a shorter one.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ FAR_FIELD_DISTANCE_WAVELENGTHS = 1000.0
 SINGLE_USER_STRATEGIES = ("cap", "recip", "hyp")
 MULTI_USER_STRATEGIES = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
 KDE_GRID_POINTS = 128
-# Realizations per worker call. Fixed, so outputs do not depend on the
-# worker count; it also bounds the memory of the stacked intermediates.
-CHUNK_REALIZATIONS = 32
+# Realizations per worker call. Outputs do not depend on it; it trades
+# per-call numpy overhead against the memory of the stacked intermediates.
+CHUNK_REALIZATIONS = 128
 
 
 class ConfigError(ValueError):
@@ -463,8 +464,9 @@ def _evaluate_chunk(
     rating, with the mismatched power model only when hyp_lin is
     requested. Each strategy reads its own slice. Single-user beams and
     eigenmodes stay one design per strategy: a stacked beam design would
-    rate the unrated cap beam by |h f|^2 instead of |h|^2, and
-    ``_channel_modes`` picks its Gram or SVD route once per stack.
+    rate the unrated cap beam by |h f|^2 instead of |h|^2.
+    Every realization's rates, streams and alpha are bit for bit those
+    of the same realization evaluated alone.
     """
     h, h_mismatched, h_assumed, h_up = channels
     # Per strategy family: the channel it is designed on, the channel it
@@ -568,9 +570,10 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     distributes the chunks over processes, at most one per chunk and per
     CPU this process may run on; each task carries the front ends and
     its own chunk's couplings, which this process reads or draws.
-    Outputs are identical to the serial run because every realization
-    owns a counter-based random stream, the chunks do not depend on the
-    worker count and results are reduced in index order. Raises
+    Outputs are identical to the serial run, and to a run with any other
+    chunk size, because every realization owns a counter-based random
+    stream, its results do not depend on its chunk and results are
+    reduced in index order. Raises
     SimulationAbort when the link front ends cannot be built, before
     any coupling is read or drawn.
     """

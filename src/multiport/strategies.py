@@ -9,7 +9,7 @@ on the mismatched channel under the mismatched power model. Each
 precoder algorithm therefore has one constructor that takes those
 three inputs as ``(design, rated=None, mismatch_power=None)``:
 ``beam_design`` (matched filter, one receive antenna), ``mode_design``
-(eigenmodes with water-filling; a wide, well-conditioned stack takes
+(eigenmodes with water-filling; a well-conditioned wide channel takes
 them from ``eigh`` of the small Gram H H^H, any other from the SVD, see
 ``_channel_modes``) and ``greedy_zf_design`` (greedy
 zero-forcing for several users, with rate evaluation under residual
@@ -19,7 +19,8 @@ by sum-power iterative water-filling.
 
 Every strategy splits into a power-independent design and an
 evaluation that covers a whole grid of power budgets at once; both
-take a stack of channel realizations along leading axes. A design
+take a stack of channel realizations along leading axes, and each
+entry's result depends only on its own realization. A design
 (``BeamDesign``, ``ModeDesign``, ``ZfDesign``) holds its beams or
 eigenbasis, ready to rate on its rated channel, and its
 ``evaluate(powers_w, noise_std)`` returns one :class:`Grid`: (..., P)
@@ -239,22 +240,31 @@ def _channel_modes(channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A wide stack (m <= n_tx) takes them from the m x m Gram: H H^H =
     U diag(lambda) U^H gives gains lambda and modes V = H^H U / sqrt(lambda),
     about twice as fast as the SVD. The gain error of that route grows
-    like eps * kappa^2 in the condition number kappa, so the whole stack
-    falls back to the SVD when it is tall or when any realization has
-    lambda_min <= _GRAM_MIN_GAIN_RATIO * lambda_max (kappa >= 100, and
-    every rank-deficient or zero channel). Below that bound rates, alpha
-    and stream powers stay within about 5 * eps * kappa^2 relative of
-    the SVD route (under 1e-11 at kappa 99, 1.6e-13 at kappa 12).
+    like eps * kappa^2 in the condition number kappa, so each realization
+    with lambda_min <= _GRAM_MIN_GAIN_RATIO * lambda_max (kappa >= 100,
+    and every rank-deficient or zero channel) is decomposed again by the
+    SVD and written back in place; a tall stack takes the SVD whole.
+    Below that bound rates, alpha and stream powers stay within about
+    5 * eps * kappa^2 relative of the SVD route (under 1e-11 at kappa 99,
+    1.6e-13 at kappa 12). The route and the memory layout of the result
+    depend only on the realization and the shape, never on the rest of
+    the stack.
     """
     m, n_tx = channel.shape[-2:]
-    if m <= n_tx:
-        herm = channel.conj().swapaxes(-1, -2)
-        lam, u = np.linalg.eigh(channel @ herm)
-        if (lam[..., 0] > _GRAM_MIN_GAIN_RATIO * lam[..., -1]).all():
-            basis = herm @ (u / np.sqrt(lam)[..., None, :])
-            return basis[..., ::-1], lam[..., ::-1]
-    _, s, vh = np.linalg.svd(channel, full_matrices=False)
-    return vh.conj().swapaxes(-1, -2), s * s
+    if m > n_tx:
+        _, s, vh = np.linalg.svd(channel, full_matrices=False)
+        return vh.conj().swapaxes(-1, -2), s * s
+    herm = channel.conj().swapaxes(-1, -2)
+    lam, u = np.linalg.eigh(channel @ herm)
+    bad = ~(lam[..., 0] > _GRAM_MIN_GAIN_RATIO * lam[..., -1])
+    # A failing row's Gram modes are discarded; 1.0 keeps its sqrt finite.
+    basis = herm @ (u / np.sqrt(np.where(bad[..., None], 1.0, lam))[..., None, :])
+    basis, gains = basis[..., ::-1], lam[..., ::-1]
+    if bad.any():
+        _, s, vh = np.linalg.svd(channel[bad], full_matrices=False)
+        basis[bad] = vh.conj().swapaxes(-1, -2)
+        gains[bad] = s * s
+    return basis, gains
 
 
 def su_mimo_capacity(
@@ -521,12 +531,12 @@ class ZfDesign(NamedTuple):
     1 / (norm^2 sigma^2). ``forward`` (..., L+1, m, L) is the rated
     channel times each prefix's beams, its received matrices.
     ``radiated`` (..., L+1, L) holds b^H M b of the beams, or is None
-    for designs against the true power model. Padding is zero, and inf
-    in ``norms``; a realization with fewer streams than the longest has
-    owner -1 past its last stream and pads its missing prefixes whole.
-    The leading axes may stack strategies as well as realizations, as
-    the chunk evaluator stacks its ``_lin`` strategies; every array then
-    pads to the longest order of the whole stack.
+    for designs against the true power model. The width L is
+    min(n_tx, m), the longest order the shapes allow. Padding is zero,
+    and inf in ``norms``; a realization with fewer streams has owner -1
+    past its last stream and pads its missing prefixes whole. The
+    leading axes may stack strategies as well as realizations, as the
+    chunk evaluator stacks its ``_lin`` strategies.
     """
 
     partition: tuple[int, ...]
@@ -599,21 +609,20 @@ def greedy_zf_design(
     prefix's precoder zero-forces its stacked virtual rows via
     pseudo-inverse. Selection stops when no user has a direction left.
     ``design`` may be a stack (..., m, n_tx) of realizations, each with
-    its own greedy order; every prefix fills its row of fixed-width
-    arrays as long as the longest order (see :class:`ZfDesign`). The
-    received matrices ``forward`` are the ``rated`` channel (None: the
-    design channel) times the beams, formed once for all budgets. With
+    its own greedy order; every prefix fills its row of arrays as wide
+    as the shapes allow (see :class:`ZfDesign`). The received matrices
+    ``forward`` are the ``rated`` channel (None: the design channel)
+    times the beams, formed once for all budgets. With
     ``mismatch_power`` the design also records each beam's radiated
     power, for every entry of the stack.
 
-    An entry's result can differ in the last bits from the same channel
-    designed in another stack or memory layout: the padding width and
-    the layout of ``design`` select the BLAS path, and the rate of a
-    multi-antenna user with fewer streams than antennas grows an ulp of
-    its received matrix by up to the SNR, to about 1e-12 relative at
-    1e3 W.
+    The width and a contiguous copy of ``design`` fix the BLAS path
+    from the shapes, so an entry's bits do not depend on the rest of
+    the stack or on the layout of ``design``. That matters because the
+    rate of a multi-antenna user with fewer streams than antennas grows
+    an ulp of its received matrix by up to the SNR.
     """
-    h = np.asarray(design)
+    h = np.ascontiguousarray(design)
     partition = _check_partition(h, partition)
     rated = h if rated is None else np.asarray(rated)
     if rated.shape != h.shape:
@@ -629,7 +638,6 @@ def greedy_zf_design(
     owners = np.full((n, width), -1)
     beams = np.zeros((n, width + 1, n_tx, width), dtype=complex)
     norms = np.full((n, width + 1, width), np.inf)
-    length = 0  # streams of the longest greedy order
     for l in range(1, width + 1):
         proj = np.eye(n_tx) - basis @ basis.conj().swapaxes(1, 2)
         best = np.full(live.size, -1.0)
@@ -646,7 +654,6 @@ def greedy_zf_design(
         found = (best >= 0.0) & (best**2 > 1e-28)
         if not found.any():
             break
-        length = l
         live, pick = live[found], pick[found]
         rows = np.concatenate([rows[found], row[found, None, :]], axis=1)
         basis = np.concatenate([basis[found], direction[found, :, None]], axis=2)
@@ -656,9 +663,9 @@ def greedy_zf_design(
         per_user[live, pick] += 1
         beams[live, l, :, :l] = inverse / col_norms[:, None, :]
         norms[live, l, :l] = col_norms
-    owners = owners[:, :length].reshape(batch + (length,))
-    beams = beams[:, : length + 1, :, :length].reshape(batch + (length + 1, n_tx, length))
-    norms = norms[:, : length + 1, :length].reshape(batch + (length + 1, length))
+    owners = owners.reshape(batch + (width,))
+    beams = beams.reshape(batch + (width + 1, n_tx, width))
+    norms = norms.reshape(batch + (width + 1, width))
     forward = rated[..., None, :, :] @ beams
     radiated = None if mismatch_power is None else _radiated(beams, mismatch_power)
     return ZfDesign(partition, owners, beams, norms, forward, radiated)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -618,15 +619,33 @@ class TestMultiUserGrid:
                 ("hyp_lin", h_as, h_mm, mismatch),
             )
         }
-        # Alone, the recip design h_up^T is a transposed view; the stack
-        # holds a contiguous copy. That changes a multi-antenna user's
-        # beams in the last bit and its rates by 1.1e-15 relative here.
-        rtol = 0.0 if max(partition) == 1 else 1e-12
+        # Alone, the recip design h_up^T is a transposed view; the design
+        # copies it to the contiguous layout the stack holds.
         for s in tokens:
-            np.testing.assert_allclose(outcome.rates[s], alone[s].rates, rtol=rtol, atol=0.0)
+            assert np.array_equal(outcome.rates[s], alone[s].rates)
             assert np.array_equal(outcome.streams[s], alone[s].streams)
-        np.testing.assert_allclose(outcome.alpha, alone["hyp_lin"].alpha, rtol=rtol, atol=0.0)
+        assert np.array_equal(outcome.alpha, alone["hyp_lin"].alpha)
         assert outcome.mac_iterations.size == 0
+
+    @pytest.mark.parametrize("partition", [(1, 2), (2, 1)])
+    def test_each_realization_keeps_its_bits_alone(self, partition):
+        # A rank-one realization gives a multi-antenna user fewer streams
+        # than antennas, whose rate grows an ulp of its received matrix by
+        # up to the SNR: its bits must not depend on the other rows.
+        sigma = 0.7
+        channels, mismatch, _ = mixed_stack("random", sum(partition), 5, 7)
+        tokens = ("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin")
+        config = SimpleNamespace(strategies=tokens, rx_partition=partition, is_single_user=False)
+        down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
+        outcome = montecarlo._evaluate_chunk(config, down, channels, self.POWERS_W)
+        for r in range(len(channels[0])):
+            alone = montecarlo._evaluate_chunk(
+                config, down, tuple(c[r : r + 1] for c in channels), self.POWERS_W
+            )
+            for s in tokens:
+                assert np.array_equal(outcome.rates[s][r : r + 1], alone.rates[s])
+                assert np.array_equal(outcome.streams[s][r : r + 1], alone.streams[s])
+            assert np.array_equal(outcome.alpha[r : r + 1], alone.alpha)
 
 
 class TestChunks:
@@ -710,6 +729,87 @@ class TestChunks:
             outputs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
         assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def bundled_config(name: str, **overrides) -> mp.ScenarioConfig:
+    """A bundled scenario with some fields replaced, e.g. fewer realizations."""
+    scenario = json.loads((CONFIGS / f"{name}.json").read_text())["scenario"]
+    return mp.config_from_dict({**scenario, **overrides})
+
+
+# A square 9 x 9 single-user link: some realizations have kappa >= 100
+# and take the SVD route of _channel_modes, the others the Gram route.
+SQUARE_9X9 = dict(
+    name="square_9x9",
+    n_tx=9,
+    tx_spacing=0.35,
+    rx_partition=(9,),
+    rx_spacing=0.35,
+    strategies=("cap", "recip", "hyp"),
+    power_grid_dbw=(-100.0, -80.0, -60.0, -40.0),
+    seed=7,
+)
+
+
+def assert_same_realizations(got: mp.ScenarioResult, want: mp.ScenarioResult) -> None:
+    """Bit-equal per-realization rates, streams and alpha over ``got``'s realizations."""
+    n = got.config.n_realizations
+    for s in want.config.strategies:
+        assert np.array_equal(got.per_realization_rates[s], want.per_realization_rates[s][:n])
+        assert np.array_equal(got.per_realization_streams[s], want.per_realization_streams[s][:n])
+    if want.alpha_samples is None:
+        assert got.alpha_samples is None
+    else:
+        assert np.array_equal(got.alpha_samples, want.alpha_samples[:n])
+
+
+class TestChunkInvariance:
+    """A realization's result depends only on its own coupling."""
+
+    CASES = [
+        *(f.stem for f in sorted(CONFIGS.glob("*.json"))),
+        "square_9x9",
+    ]
+
+    @staticmethod
+    def config(case: str, n_realizations: int, **overrides) -> mp.ScenarioConfig:
+        if case == "square_9x9":
+            return mp.ScenarioConfig(**SQUARE_9X9, n_realizations=n_realizations, **overrides)
+        return bundled_config(case, n_realizations=n_realizations, **overrides)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch, case):
+        # Past a 32-realization boundary.
+        config = self.config(case, 96 if case == "square_9x9" else 40)
+        results = []
+        for chunk in (1, 7, 32, 128):
+            monkeypatch.setattr(montecarlo, "CHUNK_REALIZATIONS", chunk)
+            results.append(mp.run_scenario(config))
+        for result in results[1:]:
+            assert_same_realizations(result, results[0])
+
+    @pytest.mark.parametrize("chunk", [7, 32, 128])
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_longer_run_keeps_the_earlier_realizations(self, tmp_path, monkeypatch, case, chunk):
+        monkeypatch.setattr(montecarlo, "CHUNK_REALIZATIONS", chunk)
+        n = 100 if case == "square_9x9" else 30
+        longer = self.config(case, n + 10)
+        std = longer.coupling_std_ohm or mp.far_field_coupling_std()
+        path = str(tmp_path / "coupling.csv")
+        mp.write_coupling_file(
+            path,
+            montecarlo._draw_couplings(
+                longer.seed, 0, range(n + 10), longer.n_rx_total, longer.n_tx, std
+            ),
+        )
+        for coupling_file in (None, path):
+            assert_same_realizations(
+                mp.run_scenario(self.config(case, n, coupling_file=coupling_file)),
+                mp.run_scenario(self.config(case, n + 10, coupling_file=coupling_file)),
+            )
 
 
 class TestRunScenario:
