@@ -245,12 +245,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         path = os.path.join(out_dir, f"{config.name}_{suffix}")
         _write_atomically(path, lambda tmp: writer(tmp, result))
         written.append(path)
-    effective = {
-        "scenario": config_to_dict(config),
-        "emit": list(run.emit),
-        "n_workers": run.n_workers,
-        "output_dir": os.path.abspath(out_dir),
-    }
+    effective = config_to_dict(replace(run, output_dir=os.path.abspath(out_dir)))
     effective_path = os.path.join(out_dir, f"{config.name}_effective_config.json")
     _write_atomically(effective_path, lambda tmp: _write_json(tmp, effective))
     written.append(effective_path)

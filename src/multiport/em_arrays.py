@@ -3,8 +3,9 @@
 Self and mutual impedances come from the induced-EMF method for
 infinitely thin, perfectly conducting lambda/2 dipoles with sinusoidal
 current, arranged side by side. Distances are in wavelengths,
-impedances in ohm. Arrays are uniform circular arrays (UCA) whose
-radius is chosen so that adjacent elements sit a given spacing apart.
+impedances in ohm. Every array is the uniform circular array (UCA) of
+its element count and adjacent-element spacing; its element positions
+are derived from those two numbers.
 
 This module also owns the impedance CSV format, the one file format
 for impedance data: a header naming the index columns (``i,j`` for a
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -134,43 +135,38 @@ def dipole_mutual_impedance(spacing_wavelengths: float) -> complex:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Planar element layout of a dipole array.
+    """The uniform circular array of an element count and adjacent spacing.
 
-    Positions are 2-D coordinates in wavelengths. A single element sits
-    at the origin; two or more lie on a circle sized so that adjacent
-    elements are ``spacing_wavelengths`` apart.
+    :attr:`positions` is derived from the two, in wavelengths: a single
+    element sits at the origin; two or more lie on a circle of radius
+    d / (2 sin(pi/N)), element k at angle 2 pi k / N, so that adjacent
+    elements are ``spacing_wavelengths`` apart. Equal geometries compare
+    and hash equal.
     """
 
     n_elements: int
     spacing_wavelengths: float
-    positions: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.n_elements < 1:
             raise ValueError("need at least one element")
         if not 0.0 < self.spacing_wavelengths < math.inf:
             raise ValueError("spacing must be positive and finite")
-        if self.positions.shape != (self.n_elements, 2):
-            raise ValueError("positions must be (n_elements, 2)")
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Element coordinates (n_elements, 2) in wavelengths."""
+        n = self.n_elements
+        if n == 1:
+            return np.zeros((1, 2))
+        radius = self.spacing_wavelengths / (2 * math.sin(math.pi / n))
+        angles = 2 * math.pi * np.arange(n) / n
+        return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
 def uniform_circular_array(n_elements: int, spacing_wavelengths: float) -> ArrayGeometry:
-    """Build a UCA with the given adjacent-element spacing.
-
-    The circle radius is r = d / (2 sin(pi/N)); a single element is
-    placed at the origin.
-    """
-    if n_elements < 1:
-        raise ValueError("need at least one element")
-    if not 0.0 < spacing_wavelengths < math.inf:
-        raise ValueError("spacing must be positive and finite")
-    if n_elements == 1:
-        pos = np.zeros((1, 2))
-    else:
-        radius = spacing_wavelengths / (2 * math.sin(math.pi / n_elements))
-        angles = 2 * math.pi * np.arange(n_elements) / n_elements
-        pos = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return ArrayGeometry(n_elements, float(spacing_wavelengths), pos)
+    """Build a UCA with the given adjacent-element spacing."""
+    return ArrayGeometry(n_elements, float(spacing_wavelengths))
 
 
 def array_impedance_matrix(geometry: ArrayGeometry) -> np.ndarray:
@@ -184,9 +180,10 @@ def array_impedance_matrix(geometry: ArrayGeometry) -> np.ndarray:
     impedances between element 0 and elements 0 .. N // 2.
     """
     n = geometry.n_elements
+    positions = geometry.positions
     first = [dipole_self_impedance()]
     for k in range(1, n // 2 + 1):
-        dist = float(np.linalg.norm(geometry.positions[0] - geometry.positions[k]))
+        dist = float(np.linalg.norm(positions[0] - positions[k]))
         first.append(dipole_mutual_impedance(dist))
     offset = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     return np.array(first, dtype=complex)[np.minimum(offset, n - offset)]

@@ -149,13 +149,17 @@ class TestRun:
         assert not (out / "clirun_alpha.csv").exists()
         assert not (out / "clirun_effective_config.json").exists()
 
-    def test_effective_config_reproduces_run(self, tmp_path):
+    def test_effective_config_reproduces_run(self, tmp_path, monkeypatch):
         config = write_run_config(tmp_path / "run.json", emit=["rates_csv"])
-        out1 = tmp_path / "a"
+        monkeypatch.chdir(tmp_path)
+        out1 = Path("a")
         assert main(["run", config, "--output-dir", str(out1)]) == 0
         effective = out1 / "clirun_effective_config.json"
         replay = json.loads(effective.read_text())
+        assert replay.keys() == {f.name for f in dataclasses.fields(cli.RunConfig)}
         assert replay["emit"] == ["rates_csv"]
+        # A relative output directory is written resolved against the working directory.
+        assert replay["output_dir"] == str(Path.cwd() / "a")
         out2 = tmp_path / "b"
         assert main(["run", str(effective), "--output-dir", str(out2)]) == 0
         assert (out1 / "clirun_rates.csv").read_bytes() == (

@@ -157,15 +157,23 @@ class TestGeometry:
         assert np.allclose(np.linalg.norm(geom.positions, axis=1), radius, rtol=1e-12)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            uniform_circular_array(0, 0.5)
-        with pytest.raises(ValueError):
-            uniform_circular_array(4, 0.0)
-        for spacing in (math.inf, math.nan):
+        for build in (uniform_circular_array, ArrayGeometry):
             with pytest.raises(ValueError):
-                uniform_circular_array(4, spacing)
-        with pytest.raises(ValueError):
-            ArrayGeometry(2, 0.5, np.zeros((3, 2)))
+                build(0, 0.5)
+            with pytest.raises(ValueError):
+                build(4, 0.0)
+            for spacing in (math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    build(4, spacing)
+
+    def test_equal_geometries_compare_and_hash_equal(self):
+        built = uniform_circular_array(9, 0.35)
+        assert built == ArrayGeometry(9, 0.35)
+        assert hash(built) == hash(ArrayGeometry(9, 0.35))
+        assert built != ArrayGeometry(9, 0.4)
+        # A geometry is its count and spacing; positions are not an input.
+        with pytest.raises(TypeError):
+            ArrayGeometry(3, 0.5, np.zeros((3, 2)))
 
 
 class TestArrayMatrix:
@@ -195,14 +203,15 @@ class TestArrayMatrix:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 33])
     def test_matches_per_pair_reference(self, n):
-        # The circulant assembly against a mutual impedance for every pair.
-        geom = uniform_circular_array(n, 0.4)
-        ref = np.diag(np.full(n, dipole_self_impedance()))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist = float(np.linalg.norm(geom.positions[i] - geom.positions[j]))
-                ref[i, j] = ref[j, i] = dipole_mutual_impedance(dist)
-        np.testing.assert_allclose(array_impedance_matrix(geom), ref, rtol=1e-13, atol=0.0)
+        # The circulant assembly against a mutual impedance for every pair,
+        # on a geometry built directly and through uniform_circular_array.
+        for geom in (ArrayGeometry(n, 0.4), uniform_circular_array(n, 0.4)):
+            ref = np.diag(np.full(n, dipole_self_impedance()))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dist = float(np.linalg.norm(geom.positions[i] - geom.positions[j]))
+                    ref[i, j] = ref[j, i] = dipole_mutual_impedance(dist)
+            np.testing.assert_allclose(array_impedance_matrix(geom), ref, rtol=1e-13, atol=0.0)
 
 
 class TestImpedanceCsv:
