@@ -458,12 +458,12 @@ def _evaluate_chunk(
     stack, and the _lin strategies one greedy zero-forcing design and
     rating, with the mismatched power model only when hyp_lin is
     requested. Each strategy reads its own slice. Single-user beams and
-    eigenmodes stay one design per strategy: a stacked eigenmode design
-    would rate cap on its own channel through slogdet instead of log1p
-    of its gains, which loses up to 2e-5 relative at 1e-12 W. A log1p
-    rater for rated designs (ROADMAP.md item 2) would remove this.
-    Every realization's rates, streams and alpha are bit for bit those
-    of the same realization evaluated alone.
+    eigenmodes stay one design per strategy (stacking them is
+    ROADMAP.md item 7). A rated eigenmode design (recip, hyp) rates
+    through the precise log-det of its mode Gram, so a stack rating cap
+    the same way would no longer lose precision at tiny budgets. Every
+    realization's rates, streams and alpha are bit for bit those of
+    the same realization evaluated alone.
     """
     h, h_mismatched, h_assumed, h_up = channels
     # Per strategy family: the channel it is designed on, the channel it

@@ -1,8 +1,9 @@
 """Shared numerical building blocks.
 
 Water-filling power allocation over any stack of gain rows and
-budgets (leading axes broadcast) and guarded matrix factorizations
-used by the channel construction.
+budgets (leading axes broadcast), a batched log det(I + M) for rate
+evaluation and guarded matrix factorizations used by the channel
+construction.
 """
 
 from __future__ import annotations
@@ -53,6 +54,32 @@ def principal_sqrt_psd(matrix: np.ndarray) -> np.ndarray:
         raise FactorizationError("matrix has a significantly negative eigenvalue")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def log_det_eye_plus(matrices: np.ndarray) -> np.ndarray:
+    """Natural log det(I + M) of every Hermitian PSD M of a stack (..., n, n).
+
+    An LDL^H factorisation of I + M without pivoting, vectorised over
+    the leading axes; only the loop over the order n runs in Python.
+    Pivot i is 1 + d_i, where d_i is diagonal entry i of M after i
+    Schur-complement steps M_22 - m m^H / (1 + m_11), so the result is
+    the sum of log1p(d_i): as precise as log1p of ``eigvalsh`` when M
+    is tiny, where a determinant of I + M loses M's digits to the 1.
+    Like ``eigvalsh``, only the lower triangle and the real diagonal
+    are read. A zero M gives 0.
+    """
+    m = np.asarray(matrices)
+    n = m.shape[-1]
+    # Matrix indices first, so that every update runs over the stack contiguously.
+    a = np.moveaxis(m, (-2, -1), (0, 1)).copy()
+    total = np.zeros(m.shape[:-2])
+    for i in range(n):
+        d = a[i, i].real
+        total += np.log1p(d)
+        if i + 1 < n:
+            col = a[i + 1 :, i]
+            a[i + 1 :, i + 1 :] -= col[:, None] * (col.conj() / (1.0 + d))[None, :]
+    return total
 
 
 # Gains at or below this have an infinite reciprocal and get no power.

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import waterfill
+from .numerics import log_det_eye_plus, waterfill
 
 LN2 = math.log(2.0)
 STREAM_POWER_REL_TOL = 1e-12
@@ -156,10 +156,12 @@ class ModeDesign(NamedTuple):
     def evaluate(self, powers_w: np.ndarray, noise_std: float) -> Grid:
         """Water-fill every budget of ``powers_w`` at once and rate the result.
 
-        A rated design (``recip``, ``hyp``) rates by ``slogdet``, good to
-        about eps absolute: 2.6e-6 and 4.3e-6 relative error at 1e-12 W on
-        two 3x5 channels. log1p of ``eigvalsh``, as in ``_dpc_bits``, is
-        precise there but about twice as slow on a (32, 8, 9, 9) stack.
+        A rated design (``recip``, ``hyp``) rates log det(I + A P A^H /
+        sigma^2) with A = ``forward`` as log det(I + S A^H A S) with
+        S = sqrt(P) / sigma: the mode Gram A^H A is formed once for all
+        budgets and :func:`~multiport.numerics.log_det_eye_plus` rates
+        the k x k stack, as precisely as log1p of ``eigvalsh`` down to
+        budgets far below the noise.
         """
         budgets = np.asarray(powers_w, dtype=float)
         gains = self.gains[..., None, :] / noise_std**2
@@ -167,11 +169,10 @@ class ModeDesign(NamedTuple):
         if self.forward is None:
             rates = np.log1p(powers * gains).sum(axis=-1) / LN2
         else:
-            a = self.forward[..., None, :, :]
-            received = (a * powers[..., None, :]) @ a.conj().swapaxes(-1, -2)
-            received /= noise_std**2
-            received += np.eye(a.shape[-2])
-            rates = np.linalg.slogdet(received)[1] / LN2
+            gram = self.forward.conj().swapaxes(-1, -2) @ self.forward
+            scale = np.sqrt(powers) / noise_std
+            scaled = scale[..., :, None] * gram[..., None, :, :] * scale[..., None, :]
+            rates = log_det_eye_plus(scaled) / LN2
         alpha = np.ones(powers.shape[:-1])
         if self.radiated is not None:
             radiated = (powers @ self.radiated[..., :, None])[..., 0]
@@ -291,13 +292,14 @@ def _gram_root(channel: np.ndarray, noise_std: float) -> tuple[np.ndarray, np.nd
 
 
 def _dpc_bits(root: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """log2 det(I + R R^H Xi) via log1p of eig(R^H Xi R); precise for tiny Xi.
+    """log2 det(I + R R^H Xi) as log det(I + R^H Xi R); precise for tiny Xi.
 
     ``root`` and ``xi`` may be stacks that broadcast against each other;
-    the result has one value per covariance.
+    the result has one value per covariance. The log-det is
+    :func:`~multiport.numerics.log_det_eye_plus`, which sums log1p of
+    the LDL^H pivots' excess over 1.
     """
-    product = root.conj().swapaxes(-1, -2) @ xi @ root
-    return np.log1p(np.linalg.eigvalsh(product)).sum(axis=-1) / LN2
+    return log_det_eye_plus(root.conj().swapaxes(-1, -2) @ xi @ root) / LN2
 
 
 def _check_partition(channel: np.ndarray, partition: tuple[int, ...]) -> tuple[int, ...]:
@@ -334,6 +336,50 @@ class MacGrid(NamedTuple):
         return _dpc_bits(root[..., None, :, :], self.covariances)
 
 
+def _extrapolation(
+    f_start: np.ndarray,
+    f: np.ndarray,
+    n_users: int,
+    held: list[np.ndarray],
+    powers: np.ndarray,
+    blocks: list[slice],
+) -> np.ndarray:
+    """Step length t of the line search along Xi + t (W - Xi), one per row.
+
+    ``f_start`` and ``f`` (2, n) hold the objective at t = 0, 1/K (the
+    averaged step) and 1 (the raw water-fill W). The quadratic through
+    them is the model; t is its maximiser where that lies past 1. The
+    objective is concave along the line, so a row whose model is not
+    concave, or whose raw step gains no more than MAC_REL_TOL of the
+    objective, fits roundoff and keeps t = 1, as does every row with
+    t <= 1: those rows do not extrapolate.
+
+    The trace stays the budget for every t, so only PSD bounds t. Block
+    k stays PSD while (t - 1) / t <= 1 / tau_k with tau_k = sum_i q_i /
+    p_i, where p_i are W_k's mode powers and ``held`` q_i the powers
+    Xi_k puts on those modes. That bound is exact for a 1x1 block. For
+    a larger block tau_k is the trace of a PSD matrix whose largest
+    eigenvalue gives the exact bound, so it is safe, and a mode that W
+    leaves dark bounds t at 1. A row that no block bounds has W = Xi up
+    to roundoff and keeps t = 1.
+    """
+    h = 1.0 / n_users
+    d_avg, d_raw = f[0] - f_start, f[1] - f_start
+    curv = (d_raw - d_avg / h) / (1.0 - h)
+    slope = d_raw - curv
+    resolved = d_raw > MAC_REL_TOL * np.maximum(np.abs(f[1]), 1e-12)
+    peaks_past_1 = resolved & (curv < 0.0) & (slope + 2.0 * curv > 0.0)
+    t = np.ones(f_start.shape)
+    np.divide(-slope, 2.0 * curv, out=t, where=peaks_past_1)
+    q = np.concatenate(held, axis=1)
+    wide = np.concatenate([np.full(b.stop - b.start, b.stop - b.start > 1) for b in blocks])
+    ratio = np.divide(q, powers, out=np.where((q > 0.0) | wide, np.inf, 0.0), where=powers > 0.0)
+    tau = np.add.reduceat(ratio, [b.start for b in blocks], axis=1).max(axis=1)
+    t_max = np.ones(f_start.shape)
+    np.divide(tau, tau - 1.0, out=t_max, where=(tau > 1.0) & np.isfinite(tau))
+    return np.minimum(t, t_max)
+
+
 def mac_sum_capacity_grid(
     channel: np.ndarray,
     partition: tuple[int, ...],
@@ -353,9 +399,11 @@ def mac_sum_capacity_grid(
     one batched solve for all running rows and users, one eigh per
     multi-antenna block and one row-wise water-fill. From that
     water-fill it forms two candidates, the averaged step and the raw
-    block-diagonal water-fill, rates both in one batched call, and each
-    row keeps the better one. A row freezes once its stopping rule fires
-    or after MAC_MAX_ITERATIONS iterations.
+    block-diagonal water-fill, and rates both in one batched call. The
+    rows whose line search (:func:`_extrapolation`) steps past the raw
+    water-fill rate that third candidate in one more call. Each row
+    keeps the best of its candidates. A row freezes once its stopping
+    rule fires or after MAC_MAX_ITERATIONS iterations.
     """
     h = np.asarray(channel)
     partition = _check_partition(h, partition)
@@ -377,12 +425,14 @@ def mac_sum_capacity_grid(
     # outside[k] masks out user k's rows and columns: Xi * outside[k] is Xi_-k.
     outside = (owner[None, :, None] != users) & (owner[None, None, :] != users)
     eye = np.eye(m_total)
+    # Diagonal positions of the 1x1 blocks, which an extrapolated step clips at 0.
+    scalar = offsets[:-1][np.array(partition) == 1]
     xi = (budgets / m_total)[:, None, None] * np.eye(m_total, dtype=complex)
     fx = _dpc_bits(root, xi)
     history = [fx.copy()]
     iterations = np.zeros(budgets.size, dtype=int)
     # Streams come from the last water-fill: averaging never zeroes a user.
-    powers = np.linalg.eigvalsh(xi)
+    powers = np.repeat(budgets[:, None] / m_total, m_total, axis=1)
     running = np.arange(budgets.size)
     for iteration in range(1, MAC_MAX_ITERATIONS + 1):
         if not running.size:
@@ -390,16 +440,18 @@ def mac_sum_capacity_grid(
         x, g = xi[running], gram[running, None]
         # An equal-rank right-hand side is a matrix stack in numpy 1.x too.
         effective = np.linalg.solve(eye + g @ (x[:, None] * outside), g)
-        gains, bases = [], []
+        gains, bases, held = [], [], []
         for k, b in enumerate(blocks):
-            e_k = effective[:, k, b, b]
+            e_k, x_k = effective[:, k, b, b], x[:, b, b]
             if e_k.shape[1] == 1:
                 gains.append(e_k[:, 0].real)
                 bases.append(None)
+                held.append(x_k[:, 0].real)
             else:
                 w, v = np.linalg.eigh(0.5 * (e_k + e_k.conj().swapaxes(1, 2)))
                 gains.append(w)
                 bases.append(v)
+                held.append(np.maximum((v.conj() * (x_k @ v)).sum(axis=1).real, 0.0))
         p = waterfill(np.maximum(np.concatenate(gains, axis=1), 0.0), budgets[running])
         # Candidate 0 is the averaged step, candidate 1 the raw water-fill.
         cand = np.stack([x * ((n_users - 1) / n_users), np.zeros_like(x)])
@@ -412,15 +464,29 @@ def mac_sum_capacity_grid(
             cand[1, :, b, b] = fill
         f = _dpc_bits(root[running], cand)
         raw = f[1] > f[0]
-        cand = np.where(raw[:, None, None], cand[1], cand[0])
+        best = np.where(raw[:, None, None], cand[1], cand[0])
         fc = np.where(raw, f[1], f[0])
+        # One user's water-fill is optimal, and t = 1/K = 1 leaves no line to fit.
+        if n_users > 1:
+            t = _extrapolation(fx[running], f, n_users, held, p, blocks)
+            ext = np.flatnonzero(t > 1.0)
+            if ext.size:
+                step = x[ext] + t[ext, None, None] * (cand[1, ext] - x[ext])
+                step[:, scalar, scalar] = np.maximum(step[:, scalar, scalar].real, 0.0)
+                # t scales the roundoff of tr W - tr Xi; rescaling keeps the budget.
+                trace = np.trace(step, axis1=1, axis2=2).real
+                step *= (budgets[running[ext]] / trace)[:, None, None]
+                f_ext = _dpc_bits(root[running[ext]], step)
+                better = f_ext > fc[ext]
+                best[ext[better]] = step[better]
+                fc[ext[better]] = f_ext[better]
         powers[running] = p
         iterations[running] = iteration
         # A step that would lower the objective is rejected and ends its budget.
         up = ~(fc < fx[running])
         gain = fc[up] - fx[running[up]]
         kept = running[up]
-        xi[kept] = cand[up]
+        xi[kept] = best[up]
         fx[kept] = fc[up]
         history.append(np.full(budgets.size, np.nan))
         history[-1][kept] = fc[up]
@@ -431,7 +497,15 @@ def mac_sum_capacity_grid(
     # f* - f(Xi) in bits (Xi is block-diagonal); the clamp absorbs roundoff.
     core = np.linalg.solve(eye + gram @ xi, gram)
     grad = 0.5 * (core + core.conj().swapaxes(1, 2)) / LN2
-    top = np.max([np.linalg.eigvalsh(grad[:, b, b])[:, -1] for b in blocks], axis=0)
+    # A 1x1 block's largest eigenvalue is its diagonal entry.
+    top = np.max(
+        [
+            np.linalg.eigvalsh(grad[:, b, b])[:, -1] if b.stop - b.start > 1
+            else grad[:, b.start, b.start].real
+            for b in blocks
+        ],
+        axis=0,
+    )
     gap_bits = np.maximum(budgets * top - np.einsum("rij,rji->r", grad, xi).real, 0.0)
     converged = gap_bits <= MAC_GAP_TOL * np.maximum(fx, 1.0)
     history = np.array(history).T
@@ -453,14 +527,20 @@ def mac_sum_capacity(
     Rhee, Vishwanath, Jafar & Goldsmith, IEEE Trans. IT 51(4), 2005,
     Algorithm 1): water-fill the eigen-gains of every user's effective
     Gram [(I + G Xi_-k)^-1 G]_kk (Xi_-k: Xi without block k) jointly
-    over the full budget. Each iteration keeps the better of two
-    candidates built from that water-fill: the result averaged into Xi
-    with weight 1/K, and the raw block-diagonal water-fill covariance.
-    The averaged variant alone is the one Jindal et al. prove
+    over the full budget. Each iteration keeps the best of up to three
+    candidates on the line Xi + t (W - Xi) through the raw block-diagonal
+    water-fill covariance W: the result averaged into Xi with weight
+    1/K (t = 1/K), W itself (t = 1), and the maximiser of the quadratic
+    through the objective at t = 0, 1/K and 1 when that lies past
+    t = 1. The averaged variant alone is the one Jindal et al. prove
     convergent, but it closes in on a corner solution (a user switched
     off) by only (K - 1)/K per step; the raw step usually lands there at
-    once. Iterates are monotone nondecreasing because a step that would
-    lower the objective is rejected, not by that proof. Iteration stops
+    once. Where the raw steps approach an interior optimum
+    geometrically, the extrapolated step jumps close to it; it goes
+    only as far as every block stays PSD, which a mode that W leaves
+    dark stops at t = 1 (see :func:`_extrapolation`). Iterates are
+    monotone nondecreasing because a step that would lower the
+    objective is rejected, not by that proof. Iteration stops
     once a step gains at most MAC_REL_TOL times the objective (after
     step 2), or before a step that would lower it by roundoff.
 

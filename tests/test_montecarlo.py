@@ -932,6 +932,13 @@ class TestRunScenario:
         assert (single.mac_iterations_mean, single.mac_iterations_max) == (0.0, 0)
         assert single.mac_gap_bits_max == 0.0
 
+    def test_bundled_two_user_run_takes_three_iterations(self):
+        # The line search lands every solve of the bundled two-user run
+        # within the three iterations the stopping rule needs.
+        result = mp.run_scenario(bundled_config("mu_miso_n33_k2", n_realizations=20))
+        assert result.n_unconverged == 0
+        assert result.mac_iterations_max <= 3
+
     def test_rates_increase_with_power(self):
         config = tiny_config(
             n_realizations=3, power_grid_dbw=(-90.0, -75.0, -60.0, -45.0)

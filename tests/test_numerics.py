@@ -12,6 +12,7 @@ from multiport.numerics import (
     FactorizationError,
     cholesky_psd,
     hermitize,
+    log_det_eye_plus,
     principal_sqrt_psd,
     waterfill,
 )
@@ -235,6 +236,62 @@ class TestWaterfillGainRows:
     def test_rejects_budget_count_mismatch(self, budgets):
         with pytest.raises(ValueError):
             waterfill(np.ones((2, 3)), budgets)
+
+
+def log1p_eigvalsh(m):
+    return np.log1p(np.linalg.eigvalsh(m)).sum(axis=-1)
+
+
+def psd_stack(rng, shape, n, rank, scale):
+    a = rng.standard_normal(shape + (n, rank)) + 1j * rng.standard_normal(shape + (n, rank))
+    return scale * (a @ a.conj().swapaxes(-1, -2))
+
+
+class TestLogDetEyePlus:
+    """log det(I + M) by LDL^H pivots against log1p of the eigenvalues."""
+
+    SCALES = 10.0 ** np.arange(-14.0, 7.0, 2.0)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_full_rank_stacks_match_log1p_eigvalsh(self, n):
+        rng = np.random.default_rng(300 + n)
+        for scale in self.SCALES:
+            m = psd_stack(rng, (3, 4), n, n + 1, scale)
+            got = log_det_eye_plus(m)
+            assert got.shape == (3, 4)
+            np.testing.assert_allclose(got, log1p_eigvalsh(m), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_rank_deficient_stacks_match_log1p_eigvalsh(self, n):
+        # Both routes resolve a null direction only to about eps * |M|, so
+        # that is the absolute slack; tiny matrices are held to 1e-13 relative.
+        rng = np.random.default_rng(400 + n)
+        for scale in self.SCALES:
+            for rank in (1, n - 1):
+                m = psd_stack(rng, (5,), n, rank, scale)
+                slack = 4.0 * n * np.finfo(float).eps * np.linalg.norm(m, axis=(-2, -1))
+                error = np.abs(log_det_eye_plus(m) - log1p_eigvalsh(m))
+                assert (error <= 1e-13 * log1p_eigvalsh(m) + slack).all()
+
+    def test_zero_matrices_give_zero(self):
+        assert np.array_equal(log_det_eye_plus(np.zeros((2, 3, 4, 4), complex)), np.zeros((2, 3)))
+        assert log_det_eye_plus(np.zeros((1, 1))) == 0.0
+
+    def test_tiny_matrices_keep_their_digits(self):
+        # det(I + M) rounds to 1 here; the pivots' log1p keeps the rate.
+        m = psd_stack(np.random.default_rng(5), (), 3, 3, 1e-20)
+        assert np.linalg.slogdet(np.eye(3) + m)[1] == 0.0
+        assert log_det_eye_plus(m) == pytest.approx(np.trace(m).real, rel=1e-15)
+
+    def test_reads_the_lower_triangle_only(self):
+        m = psd_stack(np.random.default_rng(6), (4,), 5, 5, 1.0)
+        garbage = m + np.triu(np.full((5, 5), 7.0 - 3.0j), 1)
+        assert np.array_equal(log_det_eye_plus(garbage), log_det_eye_plus(m))
+
+    def test_real_matrices(self):
+        a = np.random.default_rng(7).standard_normal((6, 4, 4))
+        m = a @ a.swapaxes(-1, -2)
+        np.testing.assert_allclose(log_det_eye_plus(m), log1p_eigvalsh(m), rtol=1e-13)
 
 
 class TestFactorizations:

@@ -219,6 +219,19 @@ class TestLog1pRates:
             expected = np.log1p(mp.waterfill(gains, power) * gains).sum() / np.log(2.0)
             assert grid.rates[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    def test_rated_mode_rates(self):
+        # Modes designed on one channel and rated on another: log1p of the
+        # eigenvalues of A P A^H / sigma^2, A the rated channel times the basis.
+        rng = RNG(63)
+        for _ in range(20):
+            h = crandn(rng, 3, 5)
+            design = mode_design(h, h + 0.3 * crandn(rng, 3, 5))
+            grid = design.evaluate(self.BUDGETS, 0.7)
+            a = design.forward
+            received = (a * grid.powers[:, None, :]) @ a.conj().T / 0.7**2
+            expected = np.log1p(np.linalg.eigvalsh(received)).sum(axis=-1) / np.log(2.0)
+            np.testing.assert_allclose(grid.rates, expected, rtol=1e-12, atol=0.0)
+
     def test_zero_forcing_predicted_rates(self):
         scales = np.array([1.4, 1.0, 0.8])
         h = orthogonal_rows_channel(RNG(62), scales, 6)
@@ -456,14 +469,58 @@ class TestMacSumCapacity:
         # iterations on average here.
         rng = RNG(50 + len(partition))
         h = crandn(rng, 20, sum(partition), 8)
-        grid = mac_sum_capacity_grid(h, partition, np.logspace(-10.0, 2.0, 13), SIGMA)
+        budgets = np.logspace(-10.0, 2.0, 13)
+        grid = mac_sum_capacity_grid(h, partition, budgets, SIGMA)
         assert grid.converged.all()
         assert (grid.gap_bits <= 1e-6 * np.maximum(grid.rates, 1.0)).all()
         assert grid.iterations.mean() <= 6.0
         assert grid.iterations.max() <= 30
+        if partition == (1, 1):
+            # The line search lands two single-antenna users on the optimum
+            # within the three iterations the stopping rule needs.
+            assert grid.iterations.max() <= 3
+        # An extrapolated step keeps every covariance PSD at the full budget.
+        xi = grid.covariances
+        trace = np.trace(xi, axis1=-2, axis2=-1)
+        np.testing.assert_allclose(trace.real, np.broadcast_to(budgets, trace.shape), rtol=1e-13)
+        assert (np.linalg.eigvalsh(xi).min(axis=-1) >= -1e-13 * budgets).all()
         history = grid.objective_history
         assert history.shape[:-1] == grid.rates.shape
         assert not (np.diff(history, axis=-1) < 0.0).any()
+
+    def test_extrapolation_stops_where_a_block_turns_indefinite(self):
+        # Xi = diag(1, 1), W = diag(1.5, 0.5): the 1x1 block of user 2
+        # reaches 0 at t = 2. Objective values at t = 0, 1/2 and 1 of the
+        # concave quadratic 2 peak t - t^2.
+        blocks = [slice(0, 1), slice(1, 2)]
+        held = [np.array([[1.0]]), np.array([[1.0]])]
+        powers = np.array([[1.5, 0.5]])
+
+        def model(peak):
+            return np.array([0.0]), np.array([[peak - 0.25], [2.0 * peak - 1.0]])
+
+        t = strategies._extrapolation(*model(3.0), 2, held, powers, blocks)
+        assert t[0] == 2.0
+        t = strategies._extrapolation(*model(1.5), 2, held, powers, blocks)
+        assert t[0] == 1.5
+        # A peak before t = 1 does not extrapolate.
+        t = strategies._extrapolation(*model(0.8), 2, held, powers, blocks)
+        assert t[0] == 1.0
+
+    def test_extrapolation_stops_at_a_dark_mode(self):
+        # One 2x2 block whose water-fill leaves a mode dark: t stays 1,
+        # however far the model peaks, even when Xi holds no power there.
+        blocks = [slice(0, 2), slice(2, 3)]
+        # The quadratic 6 t - t^2 at t = 0, 1/3 and 1 peaks at t = 3.
+        f_start, f = np.array([0.0]), np.array([[2.0 - 1.0 / 9.0], [5.0]])
+        powers = np.array([[2.0, 0.0, 1.0]])
+        for dark_power in (1.0, 0.0):
+            held = [np.array([[1.0, dark_power]]), np.array([[2.0 - dark_power]])]
+            assert strategies._extrapolation(f_start, f, 3, held, powers, blocks)[0] == 1.0
+        # Lit, the same block (bound 4) lets the step reach the 1x1 block's bound 2.
+        held = [np.array([[1.0, 1.0]]), np.array([[1.0]])]
+        lit = np.array([[1.5, 1.5, 0.5]])
+        assert strategies._extrapolation(f_start, f, 3, held, lit, blocks)[0] == 2.0
 
     def test_validation(self):
         h = np.ones((3, 4), complex)
