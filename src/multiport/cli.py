@@ -17,7 +17,9 @@ Subcommands:
 - ``dump-impedance``: print or save the impedance matrix of a uniform
   circular dipole array.
 - ``kde``: compute a Gaussian kernel density estimate from a one-column
-  CSV of samples; only its first row may be a non-numeric header.
+  CSV of samples; only its first row may be a non-numeric header. A
+  sample is a number by the impedance CSV's rule: ASCII, without digit
+  separators.
 
 Exit codes: 0 on success, 2 for configuration or input errors (an
 input or output path that cannot be read, written or made among them),
@@ -39,13 +41,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em_arrays import (
+    _parses,
     array_impedance_matrix,
     uniform_circular_array,
     write_impedance_csv,
     write_impedance_rows,
 )
 from .montecarlo import (
-    KDE_GRID_POINTS,
     ConfigError,
     ScenarioConfig,
     ScenarioResult,
@@ -85,22 +87,26 @@ def _write_rates_csv(path: str, result: ScenarioResult) -> None:
 
 
 def _per_power_rows(
-    result: ScenarioResult, format_alpha: Callable[[np.ndarray], list[str]]
+    result: ScenarioResult, format_columns: Callable[[np.ndarray], list[list[str]]]
 ) -> list[str]:
     """Rows ``"{P!r},{body}"`` for each power point P and its alpha column's bodies.
 
-    ``format_alpha(column)`` runs only when a column differs from the one
-    before it in any bit: a repeat reuses the previous bodies, which
-    prints the same bytes. A single-receiver alpha does not depend on
-    the budget, so all its columns repeat.
+    ``format_columns(columns)`` gets the (k, R) stack of the columns
+    that differ in any bit from the column before them and returns each
+    one's bodies, in one call; a repeated column reuses the previous
+    bodies, which prints the same bytes. A single-receiver alpha does not
+    depend on the budget, so all its columns repeat.
     """
-    rows, bodies, previous = [], [], None
-    for p_dbw, column in zip(result.config.power_grid_dbw, result.alpha_samples.T):
-        key = column.tobytes()
-        if key != previous:
-            bodies, previous = format_alpha(column), key
+    distinct, index = [], []
+    for column in result.alpha_samples.T:
+        if not distinct or column.tobytes() != distinct[-1].tobytes():
+            distinct.append(column)
+        index.append(len(distinct) - 1)
+    bodies = format_columns(np.array(distinct))
+    rows = []
+    for p_dbw, i in zip(result.config.power_grid_dbw, index):
         prefix = f"{float(p_dbw)!r},"
-        rows += [prefix + body for body in bodies]
+        rows += [prefix + body for body in bodies[i]]
     return rows
 
 
@@ -110,20 +116,21 @@ def _alpha_rows(alpha: np.ndarray) -> list[str]:
 
 
 def _kde_rows(grid: np.ndarray, density: np.ndarray) -> list[str]:
-    """``"{g!r},{d!r}"`` rows of a KDE curve."""
+    """``"{g!r},{d!r}"`` rows of a KDE curve; a NaN curve gives ``nan,nan`` rows."""
     return [f"{g!r},{d!r}" for g, d in zip(grid.tolist(), density.tolist())]
 
 
-def _alpha_kde_rows(alpha: np.ndarray) -> list[str]:
-    """KDE rows of one power point's alpha; ``nan,nan`` rows when it has no density."""
-    try:
-        return _kde_rows(*gaussian_kde(alpha))
-    except ValueError:
-        return ["nan,nan"] * KDE_GRID_POINTS
+def _alpha_kde_rows(columns: np.ndarray) -> list[list[str]]:
+    """KDE rows of each alpha column, estimated in one :func:`gaussian_kde` call.
+
+    A column without a density (fewer than two realizations, a
+    non-finite alpha or zero spread) gets ``nan,nan`` rows.
+    """
+    return [_kde_rows(g, d) for g, d in zip(*gaussian_kde(columns))]
 
 
 def _write_alpha_csv(path: str, result: ScenarioResult) -> None:
-    rows = _per_power_rows(result, _alpha_rows)
+    rows = _per_power_rows(result, lambda columns: [_alpha_rows(c) for c in columns])
     _write_csv(path, ["P_dBW", "realization", "alpha"], rows)
 
 
@@ -284,13 +291,11 @@ def cmd_kde(args: argparse.Namespace) -> int:
         for row in rows:
             if not row:
                 continue
-            try:
+            # The impedance reader's float rule: no digit separators or non-ASCII digits.
+            if _parses(row[0], integer=False):
                 samples.append(float(row[0]))
-            except ValueError:
-                if not header_allowed:
-                    raise ConfigError(
-                        f"{args.input} line {rows.line_num}: {row[0]!r} is not a number"
-                    ) from None
+            elif not header_allowed:
+                raise ConfigError(f"{args.input} line {rows.line_num}: {row[0]!r} is not a number")
             header_allowed = False
     try:
         grid, density = gaussian_kde(np.array(samples))

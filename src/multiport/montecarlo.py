@@ -8,7 +8,7 @@ physically consistent forward and reverse channels, and evaluates the
 configured transmit strategies over a transmit power grid. Results are
 ergodic averages plus per-realization samples of rates, active stream
 counts, and radiated-power ratios alpha; :func:`gaussian_kde` estimates
-the density of one power point's alpha column.
+the density of each power point's alpha column.
 
 Configurations are frozen dataclasses. :func:`from_json` builds one
 from a JSON object and reads each field's JSON type from the field's
@@ -93,28 +93,52 @@ def far_field_coupling_std() -> float:
 
 
 def gaussian_kde(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian kernel density estimate on an automatic grid.
+    """Gaussian kernel density estimates on automatic grids.
 
-    Bandwidth is the Silverman rule 1.06 * std * n^(-1/5); the grid of
-    KDE_GRID_POINTS points spans the sample range extended by three
-    bandwidths on both sides.
-    Raises ValueError for fewer than two samples or zero spread.
+    ``samples`` is one sample set (n,) or a stack (k, n) of sets. Each
+    set's bandwidth is the Silverman rule 1.06 * std * n^(-1/5); its
+    grid of KDE_GRID_POINTS points spans the sample range extended by
+    three bandwidths on both sides. Returns the grid and the density,
+    (KDE_GRID_POINTS,) each for one set and (k, KDE_GRID_POINTS) for a
+    stack. Standard deviations, bandwidths and grids take one
+    vectorised pass over the stack; the kernel sums run set by set on
+    contiguous (KDE_GRID_POINTS, n) arrays, which beat one
+    (k, KDE_GRID_POINTS, n) exp at n = 100. Each set's estimate is bit
+    for bit the one it gets alone.
+
+    One set raises ValueError for fewer than two samples, a non-finite
+    sample or zero spread. In a stack such a set gets NaN grid and
+    density rows, and no warning.
     """
-    x = np.asarray(samples, dtype=float).reshape(-1)
-    if x.size < 2:
-        raise ValueError("need at least two samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
-    std = float(np.std(x, ddof=1))
-    if std == 0.0:
+    x = np.asarray(samples, dtype=float)
+    if x.ndim > 2:
+        raise ValueError("samples must be one set (n,) or a stack (k, n)")
+    single = x.ndim < 2
+    stack = x.reshape(1, -1) if single else x
+    k, n = stack.shape
+    if single:
+        if n < 2:
+            raise ValueError("need at least two samples")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("samples must be finite")
+    std = np.zeros(k)
+    usable = (n >= 2) & np.isfinite(stack).all(axis=1)
+    if usable.any():
+        std[usable] = np.std(stack[usable], axis=1, ddof=1)
+    if single and std[0] == 0.0:
         raise ValueError("samples are degenerate (zero spread)")
-    bandwidth = 1.06 * std * x.size ** (-1.0 / 5.0)
-    grid = np.linspace(x.min() - 3 * bandwidth, x.max() + 3 * bandwidth, KDE_GRID_POINTS)
-    z = (grid[:, None] - x[None, :]) / bandwidth
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (
-        x.size * bandwidth * math.sqrt(2 * math.pi)
-    )
-    return grid, density
+    bandwidth = 1.06 * std * n ** (-1.0 / 5.0)
+    rows = np.flatnonzero(std > 0.0)
+    grid, density = np.full((2, k, KDE_GRID_POINTS), np.nan)
+    if rows.size:
+        spread = 3 * bandwidth[rows]
+        low, high = stack[rows].min(axis=1) - spread, stack[rows].max(axis=1) + spread
+        grid[rows] = np.linspace(low, high, KDE_GRID_POINTS, axis=-1)
+    norm = n * bandwidth * math.sqrt(2 * math.pi)
+    for i in rows.tolist():
+        z = (grid[i][:, None] - stack[i][None, :]) / bandwidth[i]
+        density[i] = np.exp(-0.5 * z * z).sum(axis=1) / norm[i]
+    return (grid[0], density[0]) if single else (grid, density)
 
 
 @dataclass(frozen=True)
@@ -458,10 +482,8 @@ def _evaluate_chunk(
     stack, and the _lin strategies one greedy zero-forcing design and
     rating, with the mismatched power model only when hyp_lin is
     requested. Each strategy reads its own slice. Single-user beams and
-    eigenmodes stay one design per strategy (stacking them is
-    ROADMAP.md item 7). A rated eigenmode design (recip, hyp) rates
-    through the precise log-det of its mode Gram, so a stack rating cap
-    the same way would no longer lose precision at tiny budgets. Every
+    eigenmodes stay one design per strategy: one stacked design over
+    the three design channels measured slower than three designs. Every
     realization's rates, streams and alpha are bit for bit those of
     the same realization evaluated alone.
     """

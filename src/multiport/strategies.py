@@ -280,26 +280,40 @@ def su_mimo_capacity(
     )
 
 
-def _gram_root(channel: np.ndarray, noise_std: float) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian Gram G = H H^H / sigma^2 and a square root R with G = R R^H.
+def _gram_factor(
+    channel: np.ndarray, noise_std: float, diagonal: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian Gram G = H H^H / sigma^2 and the factor :func:`_dpc_bits` rates with.
 
+    The factor is G itself when ``diagonal`` (every user has one
+    antenna), else a square root R with G = R R^H from ``eigh``.
     ``channel`` may be a stack; so are the results.
     """
     gram = channel @ channel.conj().swapaxes(-1, -2) / noise_std**2
     gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
+    if diagonal:
+        return gram, gram
     lam, vec = np.linalg.eigh(gram)
     return gram, vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]
 
 
-def _dpc_bits(root: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """log2 det(I + R R^H Xi) as log det(I + R^H Xi R); precise for tiny Xi.
+def _dpc_bits(factor: np.ndarray, xi: np.ndarray, diagonal: bool) -> np.ndarray:
+    """log2 det(I + G Xi) of every covariance Xi; precise for tiny Xi.
 
-    ``root`` and ``xi`` may be stacks that broadcast against each other;
-    the result has one value per covariance. The log-det is
+    With ``diagonal`` every block of Xi is 1x1, so Xi is diagonal and
+    ``factor`` is G itself: the log-det is that of S G S with
+    S = sqrt(max(diag Xi, 0)), formed by elementwise products. Otherwise
+    ``factor`` is a root R with G = R R^H and the log-det is that of
+    R^H Xi R, for which numpy calls BLAS once per covariance.
+    ``factor`` and ``xi`` may be stacks that broadcast against each
+    other; the result has one value per covariance. The log-det is
     :func:`~multiport.numerics.log_det_eye_plus`, which sums log1p of
     the LDL^H pivots' excess over 1.
     """
-    return log_det_eye_plus(root.conj().swapaxes(-1, -2) @ xi @ root) / LN2
+    if diagonal:
+        s = np.sqrt(np.maximum(np.diagonal(xi, axis1=-2, axis2=-1).real, 0.0))
+        return log_det_eye_plus(s[..., :, None] * factor * s[..., None, :]) / LN2
+    return log_det_eye_plus(factor.conj().swapaxes(-1, -2) @ xi @ factor) / LN2
 
 
 def _check_partition(channel: np.ndarray, partition: tuple[int, ...]) -> tuple[int, ...]:
@@ -319,7 +333,8 @@ class MacGrid(NamedTuple):
     diagnostics (as in :func:`mac_sum_capacity`).
     ``objective_history`` (..., P, I+1) holds the objective at the start
     and after each of the I iterations the longest solve ran; an entry
-    is NaN after its last accepted iterate.
+    is NaN after its last accepted iterate. ``partition`` holds the
+    receive antennas per user.
     """
 
     rates: np.ndarray
@@ -329,11 +344,17 @@ class MacGrid(NamedTuple):
     gap_bits: np.ndarray
     converged: np.ndarray
     objective_history: np.ndarray
+    partition: tuple[int, ...]
 
     def rates_on(self, channel: np.ndarray, noise_std: float) -> np.ndarray:
-        """DPC sum rate of every covariance on another channel (or stack)."""
-        root = _gram_root(np.asarray(channel), noise_std)[1]
-        return _dpc_bits(root[..., None, :, :], self.covariances)
+        """DPC sum rate of every covariance on another channel (or stack).
+
+        Single-antenna users rate each diagonal covariance through the
+        scaled Gram S G S and need no ``eigh`` root (see :func:`_dpc_bits`).
+        """
+        diagonal = all(p == 1 for p in self.partition)
+        factor = _gram_factor(np.asarray(channel), noise_std, diagonal)[1]
+        return _dpc_bits(factor[..., None, :, :], self.covariances, diagonal)
 
 
 def _extrapolation(
@@ -395,11 +416,15 @@ def mac_sum_capacity_grid(
     same iteration, stops by the same rule and counts its streams on
     its own last water-fill.
 
-    Each pair is one row with its own Gram and root. Each iteration does
-    one batched solve for all running rows and users, one eigh per
+    Each pair is one row with its own Gram G. Each iteration does one
+    batched solve for all running rows and users, one eigh per
     multi-antenna block and one row-wise water-fill. From that
     water-fill it forms two candidates, the averaged step and the raw
-    block-diagonal water-fill, and rates both in one batched call. The
+    block-diagonal water-fill, and rates both in one batched call
+    (:func:`_dpc_bits`): when every user has one antenna, Xi is diagonal
+    and each candidate is rated as log det(I + S G S) with
+    S = sqrt(max(diag Xi, 0)), by elementwise products; other partitions
+    rate R^H Xi R on a root R of G from one eigh per row. The
     rows whose line search (:func:`_extrapolation`) steps past the raw
     water-fill rate that third candidate in one more call. Each row
     keeps the best of its candidates. A row freezes once its stopping
@@ -411,9 +436,10 @@ def mac_sum_capacity_grid(
     if budgets.ndim != 1 or not (budgets >= 0.0).all():
         raise ValueError("power budgets must be a 1-D array of nonnegative values")
     shape = h.shape[:-2] + budgets.shape
-    gram, root = (
+    diagonal = all(p == 1 for p in partition)
+    gram, factor = (
         np.broadcast_to(a[..., None, :, :], shape + a.shape[-2:]).reshape((-1,) + a.shape[-2:])
-        for a in _gram_root(h, noise_std)
+        for a in _gram_factor(h, noise_std, diagonal)
     )
     budgets = np.broadcast_to(budgets, shape).reshape(-1)
     n_users = len(partition)
@@ -428,7 +454,7 @@ def mac_sum_capacity_grid(
     # Diagonal positions of the 1x1 blocks, which an extrapolated step clips at 0.
     scalar = offsets[:-1][np.array(partition) == 1]
     xi = (budgets / m_total)[:, None, None] * np.eye(m_total, dtype=complex)
-    fx = _dpc_bits(root, xi)
+    fx = _dpc_bits(factor, xi, diagonal)
     history = [fx.copy()]
     iterations = np.zeros(budgets.size, dtype=int)
     # Streams come from the last water-fill: averaging never zeroes a user.
@@ -462,7 +488,7 @@ def mac_sum_capacity_grid(
                 fill = (v * p[:, None, b]) @ v.conj().swapaxes(1, 2)
             cand[0, :, b, b] += fill / n_users
             cand[1, :, b, b] = fill
-        f = _dpc_bits(root[running], cand)
+        f = _dpc_bits(factor[running], cand, diagonal)
         raw = f[1] > f[0]
         best = np.where(raw[:, None, None], cand[1], cand[0])
         fc = np.where(raw, f[1], f[0])
@@ -476,7 +502,7 @@ def mac_sum_capacity_grid(
                 # t scales the roundoff of tr W - tr Xi; rescaling keeps the budget.
                 trace = np.trace(step, axis1=1, axis2=2).real
                 step *= (budgets[running[ext]] / trace)[:, None, None]
-                f_ext = _dpc_bits(root[running[ext]], step)
+                f_ext = _dpc_bits(factor[running[ext]], step, diagonal)
                 better = f_ext > fc[ext]
                 best[ext[better]] = step[better]
                 fc[ext[better]] = f_ext[better]
@@ -510,7 +536,7 @@ def mac_sum_capacity_grid(
     converged = gap_bits <= MAC_GAP_TOL * np.maximum(fx, 1.0)
     history = np.array(history).T
     arrays = (fx, _count_active(powers, budgets), xi, iterations, gap_bits, converged, history)
-    return MacGrid(*(a.reshape(shape + a.shape[1:]) for a in arrays))
+    return MacGrid(*(a.reshape(shape + a.shape[1:]) for a in arrays), partition)
 
 
 def mac_sum_capacity(
@@ -685,7 +711,10 @@ def greedy_zf_design(
 
     Streams are added one at a time: each candidate user contributes
     the dominant singular direction of its channel projected on the
-    orthogonal complement of the already selected virtual streams. Each
+    orthogonal complement of the already selected virtual streams. With
+    B (n_tx, l) the l directions selected so far, the projection is the
+    rank-l update h - (h B) B^H, so no n_tx x n_tx projector is formed;
+    B is empty for the first stream, which takes h as it is. Each
     prefix's precoder zero-forces its stacked virtual rows via
     pseudo-inverse. Selection stops when no user has a direction left.
     ``design`` may be a stack (..., m, n_tx) of realizations, each with
@@ -719,17 +748,20 @@ def greedy_zf_design(
     beams = np.zeros((n, width + 1, n_tx, width), dtype=complex)
     norms = np.full((n, width + 1, width), np.inf)
     for l in range(1, width + 1):
-        proj = np.eye(n_tx) - basis @ basis.conj().swapaxes(1, 2)
+        basis_h = basis.conj().swapaxes(1, 2)
         best = np.full(live.size, -1.0)
         pick = np.zeros(live.size, dtype=int)
         row, direction = np.zeros((2, live.size, n_tx), dtype=complex)
         for k, hk in enumerate(users):
-            u, s, vh = np.linalg.svd(hk[live] @ proj, full_matrices=False)
+            h_live = hk[live]
+            # (I - B B^H) applied as a rank-(l-1) update; B is empty at l = 1.
+            projected = h_live - (h_live @ basis) @ basis_h
+            u, s, vh = np.linalg.svd(projected, full_matrices=False)
             # Only a strictly stronger user replaces the current pick.
             better = (per_user[live, k] < hk.shape[1]) & (s[:, 0] > best)
             best[better], pick[better] = s[better, 0], k
             left = u[better, :, 0].conj()[:, None, :]
-            row[better] = (left @ hk[live[better]])[:, 0]
+            row[better] = (left @ h_live[better])[:, 0]
             direction[better] = vh[better, 0].conj()
         found = (best >= 0.0) & (best**2 > 1e-28)
         if not found.any():

@@ -466,18 +466,39 @@ class TestCsvWriters:
     def test_repeated_columns_are_estimated_and_formatted_once(
         self, tmp_path, monkeypatch, repeating, target, counted_name
     ):
-        calls = []
+        columns = []
         original = getattr(cli, counted_name)
 
-        def counted(column):
-            calls.append(column)
-            return original(column)
+        def counted(samples):
+            # _alpha_rows takes one column, gaussian_kde the stack of all.
+            columns.extend(np.atleast_2d(samples))
+            return original(samples)
 
         monkeypatch.setattr(cli, counted_name, counted)
         _, writer = cli._EMIT_WRITERS[target]
         writer(str(tmp_path / "fast.csv"), repeating)
         # a, c, b, a, a': the second a and the second c repeat.
-        assert len(calls) == 5
+        alpha = repeating.alpha_samples
+        assert [c.tobytes() for c in columns] == [alpha[:, j].tobytes() for j in (0, 2, 4, 5, 6)]
+
+    def test_columns_without_density_write_nan_rows(self, tmp_path, result):
+        """Zero-spread and non-finite columns among valid ones: nan rows, no warning."""
+        a = result.alpha_samples[:, 0]
+        with_nan, with_inf = a.copy(), a.copy()
+        with_nan[1], with_inf[0] = np.nan, np.inf
+        alpha = np.column_stack([a, with_nan, np.full_like(a, 1.5), 2.0 * a, with_inf])
+        powers = (-80.0, -70.0, -60.0, -50.0, -40.0)
+        config = dataclasses.replace(result.config, power_grid_dbw=powers)
+        mixed = dataclasses.replace(result, config=config, alpha_samples=alpha)
+        cli._write_kde_csv(str(tmp_path / "kde.csv"), mixed)
+        curves = numeric_rows(tmp_path / "kde.csv")[:, 1:]
+        curves = curves.reshape(len(powers), montecarlo.KDE_GRID_POINTS, 2)
+        for j in (1, 2, 4):
+            assert np.isnan(curves[j]).all()
+        for j in (0, 3):
+            grid, density = mp.gaussian_kde(alpha[:, j])
+            assert np.array_equal(curves[j, :, 0], grid)
+            assert np.array_equal(curves[j, :, 1], density)
 
 
 def numeric_rows(path) -> np.ndarray:
@@ -528,7 +549,7 @@ class TestKdeCsv:
         columns = []
 
         def counted(samples):
-            columns.append(samples)
+            columns.extend(np.atleast_2d(samples))
             return mp.gaussian_kde(samples)
 
         monkeypatch.setattr(cli, "gaussian_kde", counted)
@@ -661,6 +682,16 @@ class TestKde:
         assert main(["kde", str(src), str(tmp_path / "bad.csv")]) == 2
         assert capsys.readouterr().err == f"config error: {src} line 3: '0.3x' is not a number\n"
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff13.5", "2.\u0665"])
+    def test_numbers_follow_the_impedance_csv_rule(self, tmp_path, capsys, text):
+        # Python's float() reads digit separators and non-ASCII digits;
+        # read_impedance_csv, and so kde, rejects them.
+        src = tmp_path / "samples.csv"
+        src.write_text(f"value\n1.0\n2.5\n{text}\n", encoding="utf-8")
+        assert main(["kde", str(src), str(tmp_path / "kde.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {src} line 4: {text!r} is not a number\n"
+        assert not (tmp_path / "kde.csv").exists()
 
     def test_undecodable_byte_is_not_a_number(self, tmp_path, capsys):
         src = tmp_path / "samples.csv"

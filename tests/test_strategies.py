@@ -532,6 +532,70 @@ class TestMacSumCapacity:
             mp.mac_sum_capacity(h, (1, 1, 1), -1.0, SIGMA)
 
 
+class TestScaledGramRating:
+    """Single-antenna users: Xi is diagonal and is rated as log det(I + S G S)."""
+
+    BUDGETS_W = np.logspace(-12.0, 3.0, 16)
+
+    @staticmethod
+    def diagonal_covariances(rng, n_real, k, budgets):
+        """(R, B, k, k) diagonal covariances of trace b; one user dark in a quarter."""
+        weights = rng.dirichlet(np.ones(k), size=(n_real, budgets.size))
+        weights[: n_real // 4, :, 0] = 0.0
+        weights /= weights.sum(axis=-1, keepdims=True)
+        return np.einsum("rbi,ij->rbij", weights * budgets[:, None], np.eye(k)).astype(complex)
+
+    @staticmethod
+    def eig_bits(gram, xi):
+        """log2 det(I + G Xi) as log1p of the eigenvalues of Xi^1/2 G Xi^1/2."""
+        root = np.sqrt(np.diagonal(xi, axis1=-2, axis2=-1).real)
+        scaled = root[..., :, None] * gram * root[..., None, :]
+        return np.log1p(np.linalg.eigvalsh(scaled)).sum(axis=-1) / np.log(2.0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_root_route_and_eigenvalues(self, k):
+        rng = RNG(70 + k)
+        h = crandn(rng, 40, k, 6) * rng.uniform(0.1, 3.0, size=(40, k, 1))
+        xi = self.diagonal_covariances(rng, 40, k, self.BUDGETS_W)
+        gram, factor = strategies._gram_factor(h, 0.7, True)
+        assert factor is gram
+        _, root = strategies._gram_factor(h, 0.7, False)
+        scaled = strategies._dpc_bits(gram[:, None], xi, True)
+        np.testing.assert_allclose(scaled, self.eig_bits(gram[:, None], xi), rtol=1e-13, atol=0.0)
+        if k == 2:
+            # det(I + G diag(p1, p2)) = 1 + g11 p1 + g22 p2 + det(G) p1 p2.
+            p1, p2 = np.moveaxis(np.diagonal(xi, axis1=-2, axis2=-1).real, -1, 0)
+            g11, g22 = gram[:, None, 0, 0].real, gram[:, None, 1, 1].real
+            det = g11 * g22 - np.abs(gram[:, None, 0, 1]) ** 2
+            closed = np.log1p(g11 * p1 + g22 * p2 + det * p1 * p2) / np.log(2.0)
+            np.testing.assert_allclose(scaled, closed, rtol=1e-13, atol=0.0)
+        # The root route loses up to about 4e-13 relative at 1e3 W with a
+        # user dark, where the closed form sides with the scaled Gram.
+        via_root = strategies._dpc_bits(root[:, None], xi, False)
+        np.testing.assert_allclose(scaled, via_root, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rates_on_matches_root_route_without_eigh(self, monkeypatch, k):
+        rng = RNG(80 + k)
+        h = crandn(rng, 5, k, 6)
+        other = h + 0.3 * crandn(rng, *h.shape)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("single-antenna users need no eigh")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", refuse)
+            grid = mac_sum_capacity_grid(h, (1,) * k, self.BUDGETS_W, 0.7)
+            on_other = grid.rates_on(other, 0.7)
+        gram = strategies._gram_factor(other, 0.7, True)[0]
+        reference = self.eig_bits(gram[:, None], grid.covariances)
+        np.testing.assert_allclose(on_other, reference, rtol=1e-13, atol=0.0)
+        _, root = strategies._gram_factor(other, 0.7, False)
+        via_root = strategies._dpc_bits(root[:, None], grid.covariances, False)
+        np.testing.assert_allclose(on_other, via_root, rtol=1e-12, atol=0.0)
+        assert grid.converged.all()
+
+
 def greedy_zf_reference(h, partition, total_power, noise_std):
     """Greedy ZF as one loop per budget: the predicted rate and stream count.
 
@@ -725,6 +789,73 @@ class TestMultiUserGrid:
             self.POWERS_W, SIGMA
         )
         assert not grid.rates.any() and not grid.streams.any() and (grid.alpha == 1.0).all()
+
+
+def projector_greedy_zf(h, partition):
+    """Greedy order, beams and norms of a stack, projecting with I - B B^H.
+
+    The stream loop of ``greedy_zf_design`` written with the explicit
+    n_tx x n_tx projector of the selected directions B, as the reference
+    for its rank-l update.
+    """
+    n, m_total, n_tx = h.shape
+    offsets = np.cumsum((0,) + partition)
+    users = [h[:, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    live = np.arange(n)
+    basis = np.zeros((n, n_tx, 0), dtype=complex)
+    rows = np.zeros((n, 0, n_tx), dtype=complex)
+    per_user = np.zeros((n, len(partition)), dtype=int)
+    width = min(n_tx, m_total)
+    owners = np.full((n, width), -1)
+    beams = np.zeros((n, width + 1, n_tx, width), dtype=complex)
+    norms = np.full((n, width + 1, width), np.inf)
+    for l in range(1, width + 1):
+        proj = np.eye(n_tx) - basis @ basis.conj().swapaxes(1, 2)
+        best = np.full(live.size, -1.0)
+        pick = np.zeros(live.size, dtype=int)
+        row, direction = np.zeros((2, live.size, n_tx), dtype=complex)
+        for k, hk in enumerate(users):
+            u, s, vh = np.linalg.svd(hk[live] @ proj, full_matrices=False)
+            better = (per_user[live, k] < hk.shape[1]) & (s[:, 0] > best)
+            best[better], pick[better] = s[better, 0], k
+            row[better] = (u[better, :, 0].conj()[:, None, :] @ hk[live[better]])[:, 0]
+            direction[better] = vh[better, 0].conj()
+        found = (best >= 0.0) & (best**2 > 1e-28)
+        if not found.any():
+            break
+        live, pick = live[found], pick[found]
+        rows = np.concatenate([rows[found], row[found, None, :]], axis=1)
+        basis = np.concatenate([basis[found], direction[found, :, None]], axis=2)
+        inverse = np.linalg.pinv(rows)
+        col_norms = np.linalg.norm(inverse, axis=1)
+        owners[live, l - 1] = pick
+        per_user[live, pick] += 1
+        beams[live, l, :, :l] = inverse / col_norms[:, None, :]
+        norms[live, l, :l] = col_norms
+    return owners, beams, norms
+
+
+class TestGreedyProjection:
+    """The rank-l projection of greedy ZF against the explicit projector."""
+
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 1, 1), (1, 2), (2, 1), (2, 2, 2)])
+    def test_matches_explicit_projector(self, partition):
+        # Random, rank-one (colinear rows) and zero realizations in one stack.
+        rng = RNG(90 + len(partition))
+        m = sum(partition)
+        random = crandn(rng, 6, m, 7)
+        rank_one = crandn(rng, 3, m, 1) * crandn(rng, 3, 1, 7)
+        h = np.concatenate([random, rank_one, np.zeros((1, m, 7), complex)])
+        design = greedy_zf_design(h, partition)
+        owners, beams, norms = projector_greedy_zf(h, partition)
+        np.testing.assert_array_equal(design.owners, owners)
+        # B is empty for the first stream, which keeps its bits.
+        np.testing.assert_array_equal(design.beams[:, 1], beams[:, 1])
+        np.testing.assert_array_equal(design.norms[:, 1], norms[:, 1])
+        np.testing.assert_allclose(design.norms, norms, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(design.beams, beams, rtol=1e-13, atol=1e-13)
+        assert (owners[:6] >= 0).sum() > 6 and (owners[6:9] >= 0).sum(axis=1).max() == 1
+        assert (owners[9] == -1).all()
 
 
 class TestGreedyZf:
