@@ -9,17 +9,22 @@ Subcommands:
   gap stayed above MAC_GAP_TOL * max(1, rate) bits, a
   ``mac_iterations: mean M max N`` line with their iteration counts
   and a ``mac_gap_bits: max G`` line: every solve is within G bits of
-  sum capacity (both 0 without any solves). The output directory is
-  made once the run has finished, and each output is written to a
-  temporary file in it and renamed into place, so a failed run leaves
-  no empty directory and an aborted write no half-written file. An
-  output path blocked by an existing file is rejected before the run.
+  sum capacity (both 0 without any solves). Two single-antenna users
+  are solved in closed form, so such a run reads
+  ``mac_iterations: mean 0.00 max 0`` and a gap at roundoff. The
+  output directory is made once the run has finished, and each output
+  is written to a temporary file in it and renamed into place, so a
+  failed run leaves no empty directory and an aborted write no
+  half-written file. An output path blocked by an existing file is
+  rejected before the run.
 - ``dump-impedance``: print or save the impedance matrix of a uniform
   circular dipole array.
 - ``kde``: compute a Gaussian kernel density estimate from a one-column
   CSV of samples; only its first row may be a non-numeric header. A
   sample is a number by the impedance CSV's rule: ASCII, without digit
-  separators.
+  separators. A header is text that Python's ``float`` rejects too, so
+  a first cell such as ``1_0``, which ``float`` reads as 10.0, is an
+  input error that names its line, not a header.
 
 Exit codes: 0 on success, 2 for configuration or input errors (an
 input or output path that cannot be read, written or made among them),
@@ -283,6 +288,15 @@ def cmd_dump_impedance(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_text(cell: str) -> bool:
+    """Whether Python's ``float`` rejects ``cell``, as it does a header's name."""
+    try:
+        float(cell)
+    except ValueError:
+        return True
+    return False
+
+
 def cmd_kde(args: argparse.Namespace) -> int:
     samples, header_allowed = [], True
     # An undecodable byte becomes a lone surrogate, which float() rejects.
@@ -294,7 +308,7 @@ def cmd_kde(args: argparse.Namespace) -> int:
             # The impedance reader's float rule: no digit separators or non-ASCII digits.
             if _parses(row[0], integer=False):
                 samples.append(float(row[0]))
-            elif not header_allowed:
+            elif not (header_allowed and _is_text(row[0])):
                 raise ConfigError(f"{args.input} line {rows.line_num}: {row[0]!r} is not a number")
             header_allowed = False
     try:

@@ -15,7 +15,8 @@ them from ``eigh`` of the small Gram H H^H, any other from the SVD, see
 zero-forcing for several users, with rate evaluation under residual
 interference; the user partition follows the design channel).
 Multi-user sum capacity uses the dual multiple-access problem, solved
-by sum-power iterative water-filling.
+in closed form for two single-antenna users and by sum-power
+iterative water-filling for every other partition.
 
 Every strategy splits into a power-independent design and an
 evaluation that covers a whole grid of power budgets at once; both
@@ -27,9 +28,11 @@ eigenbasis, ready to rate on its rated channel, and its
 rates, streams and alpha and (..., P, k) stream powers. The
 water-filling over the budgets is one broadcasting
 :func:`~multiport.numerics.waterfill` call. Sum capacity
-(``mac_sum_capacity_grid``) iterates one stack of covariances, one per
-realization and budget. ``su_mimo_capacity`` and ``mac_sum_capacity``
-are one-budget views of the same code on one channel.
+(``mac_sum_capacity_grid``) solves one stack of covariances, one per
+realization and budget: two single-antenna users in closed form, any
+other partition by iterating the whole stack. ``su_mimo_capacity``
+and ``mac_sum_capacity`` are one-budget views of the same code on one
+channel.
 
 Rates are in bits per channel use throughout. The scalar noise level
 is the per-port standard deviation of the whitened receive noise.
@@ -333,8 +336,10 @@ class MacGrid(NamedTuple):
     diagnostics (as in :func:`mac_sum_capacity`).
     ``objective_history`` (..., P, I+1) holds the objective at the start
     and after each of the I iterations the longest solve ran; an entry
-    is NaN after its last accepted iterate. ``partition`` holds the
-    receive antennas per user.
+    is NaN after its last accepted iterate. Two single-antenna users
+    are solved in closed form: I = 0, so ``iterations`` reads 0 and the
+    history (..., P, 1) holds the rate. ``partition`` holds the receive
+    antennas per user.
     """
 
     rates: np.ndarray
@@ -412,9 +417,85 @@ def mac_sum_capacity_grid(
     ``channel`` is one stacked channel (m, n) or a stack (..., m, n) of
     realizations; all (realization, budget) pairs are solved together.
     Entry (..., j) equals :func:`mac_sum_capacity` at budget
-    ``powers_w[j]``: every entry starts at P/m I, runs the
-    same iteration, stops by the same rule and counts its streams on
-    its own last water-fill.
+    ``powers_w[j]``. Two single-antenna users, partition (1, 1), are
+    solved in closed form (:func:`_two_user_grid`): no iteration, and
+    ``iterations`` reads 0. Every other partition runs the sum-power
+    iterative water-filling (:func:`_iterated_grid`). Either way the
+    Frank-Wolfe duality gap certifies each entry.
+    """
+    h = np.asarray(channel)
+    partition = _check_partition(h, partition)
+    budgets = np.asarray(powers_w, dtype=float)
+    if budgets.ndim != 1 or not (budgets >= 0.0).all():
+        raise ValueError("power budgets must be a 1-D array of nonnegative values")
+    if partition == (1, 1):
+        return _two_user_grid(h, budgets, noise_std)
+    return _iterated_grid(h, partition, budgets, noise_std)
+
+
+def _two_user_bits(
+    g11: np.ndarray, g22: np.ndarray, d: np.ndarray, p1: np.ndarray, total: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rate and Frank-Wolfe gap, in bits, of Xi = diag(p1, P - p1) for two users.
+
+    ``g11``, ``g22`` and ``d`` = D describe the Gram G as in
+    :func:`_two_user_grid`; all arguments broadcast. The rate is
+    log1p(g11 p1 + g22 p2 + D p1 p2) / ln 2, exact for tiny budgets.
+    The gradient's diagonal [(I + G Xi)^-1 G]_kk is a_k / f, with
+    a1 = g11 + D p2, a2 = g22 + D p1 and f = det(I + G Xi), so the gap
+    is (P max(a1, a2) - p1 a1 - p2 a2) / (f ln 2), clamped at 0.
+    """
+    p2 = total - p1
+    excess = g11 * p1 + g22 * p2 + d * p1 * p2
+    a1, a2 = g11 + d * p2, g22 + d * p1
+    gap = np.maximum(total * np.maximum(a1, a2) - p1 * a1 - p2 * a2, 0.0)
+    return np.log1p(excess) / LN2, gap / ((1.0 + excess) * LN2)
+
+
+def _two_user_grid(h: np.ndarray, budgets: np.ndarray, noise_std: float) -> MacGrid:
+    """Sum capacity of two single-antenna users at every budget, in closed form.
+
+    With Xi = diag(p1, p2), p2 = P - p1, and G = H H^H / sigma^2,
+    det(I + G Xi) = 1 + g11 p1 + g22 p2 + D p1 p2 with
+    D = g11 g22 - |g12|^2 >= 0 (clamped at 0 against roundoff): a
+    concave quadratic in p1, maximised at
+    p1 = clip((g11 - g22 + D P) / (2 D), 0, P). With D = 0 it is linear
+    in p1, so the stronger user takes the whole budget; an exact tie
+    splits it in half, as the iteration does. :func:`_two_user_bits`
+    rates that split and computes its duality gap. A user counts as a
+    stream when its gain is positive and its power above
+    STREAM_POWER_REL_TOL of the budget.
+    """
+    gram = _gram_factor(h, noise_std, True)[0]
+    g11, g22 = (gram[..., k, k, None].real for k in (0, 1))
+    d = np.maximum(g11 * g22 - np.abs(gram[..., 0, 1, None]) ** 2, 0.0)
+    total = np.broadcast_to(budgets, h.shape[:-2] + budgets.shape)
+    linear = np.where(g11 > g22, total, np.where(g11 < g22, 0.0, 0.5 * total))
+    p1 = np.clip(np.divide(g11 - g22 + d * total, 2.0 * d, out=linear, where=d > 0.0), 0.0, total)
+    rates, gap_bits = _two_user_bits(g11, g22, d, p1, total)
+    powers = np.stack([p1, total - p1], axis=-1)
+    lit = np.stack([g11 > 0.0, g22 > 0.0], axis=-1)
+    return MacGrid(
+        rates,
+        _count_active(np.where(lit, powers, 0.0), total),
+        powers[..., None] * np.eye(2, dtype=complex),
+        np.zeros(total.shape, dtype=int),
+        gap_bits,
+        gap_bits <= MAC_GAP_TOL * np.maximum(rates, 1.0),
+        rates[..., None],
+        (1, 1),
+    )
+
+
+def _iterated_grid(
+    h: np.ndarray, partition: tuple[int, ...], budgets: np.ndarray, noise_std: float
+) -> MacGrid:
+    """Sum capacity of any partition by sum-power iterative water-filling.
+
+    ``h`` (..., m, n), a valid ``partition`` and the 1-D nonnegative
+    ``budgets`` are as :func:`mac_sum_capacity_grid` checks them. Every
+    entry starts at P/m I, runs the same iteration, stops by the same
+    rule and counts its streams on its own last water-fill.
 
     Each pair is one row with its own Gram G. Each iteration does one
     batched solve for all running rows and users, one eigh per
@@ -430,11 +511,6 @@ def mac_sum_capacity_grid(
     keeps the best of its candidates. A row freezes once its stopping
     rule fires or after MAC_MAX_ITERATIONS iterations.
     """
-    h = np.asarray(channel)
-    partition = _check_partition(h, partition)
-    budgets = np.asarray(powers_w, dtype=float)
-    if budgets.ndim != 1 or not (budgets >= 0.0).all():
-        raise ValueError("power budgets must be a 1-D array of nonnegative values")
     shape = h.shape[:-2] + budgets.shape
     diagonal = all(p == 1 for p in partition)
     gram, factor = (
@@ -569,9 +645,14 @@ def mac_sum_capacity(
     objective is rejected, not by that proof. Iteration stops
     once a step gains at most MAC_REL_TOL times the objective (after
     step 2), or before a step that would lower it by roundoff.
+    Two single-antenna users, partition (1, 1), skip the iteration:
+    their objective is a concave quadratic in one power split, solved
+    in closed form (:func:`_two_user_grid`), so ``iterations`` is 0 and
+    ``objective_trace`` holds the rate alone.
 
     ``gap_bits`` is the Frank-Wolfe duality gap of the final Xi (Jaggi,
-    ICML 2013): the rate is within ``gap_bits`` bits of sum capacity.
+    ICML 2013), in closed form for partition (1, 1): the rate is within
+    ``gap_bits`` bits of sum capacity.
     ``converged`` holds when that gap is at most MAC_GAP_TOL * max(1,
     rate), within 1e-5 bits or 1e-5 relative above 1 bit. A monotone
     objective alone does not show that a solve reached the optimum, so

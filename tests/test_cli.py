@@ -96,8 +96,9 @@ class TestRun:
             "R_erg_hyp_lin",
         ]
 
-    def test_bundled_multi_user_run_reports_no_unconverged_solves(self, tmp_path, capsys):
-        bundled = Path(__file__).resolve().parents[1] / "configs" / "mu_miso_n33_k2.json"
+    @pytest.mark.parametrize("name", ["mu_miso_n33_k2", "mu_mimo_n33_k2x2"])
+    def test_bundled_multi_user_run_reports_no_unconverged_solves(self, tmp_path, capsys, name):
+        bundled = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
         data = json.loads(bundled.read_text())
         data["scenario"]["n_realizations"] = 3
         data["emit"] = ["rates_csv"]
@@ -111,8 +112,12 @@ class TestRun:
         err_lines = captured.err.splitlines()
         assert "unconverged: 0" in err_lines
         (stats,) = [line for line in err_lines if line.startswith("mac_iterations:")]
-        _, _, mean, _, maximum = stats.split()
-        assert 1.0 <= float(mean) <= int(maximum)
+        if name == "mu_miso_n33_k2":
+            # Two single-antenna users are solved in closed form.
+            assert stats == "mac_iterations: mean 0.00 max 0"
+        else:
+            _, _, mean, _, maximum = stats.split()
+            assert 1.0 <= float(mean) <= int(maximum)
         (gap,) = [line for line in err_lines if line.startswith("mac_gap_bits:")]
         assert 0.0 <= float(gap.split()[-1]) < MAC_GAP_TOL
 
@@ -691,6 +696,16 @@ class TestKde:
         src.write_text(f"value\n1.0\n2.5\n{text}\n", encoding="utf-8")
         assert main(["kde", str(src), str(tmp_path / "kde.csv")]) == 2
         assert capsys.readouterr().err == f"config error: {src} line 4: {text!r} is not a number\n"
+        assert not (tmp_path / "kde.csv").exists()
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", " 2_5 "])
+    def test_a_malformed_first_sample_is_not_a_header(self, tmp_path, capsys, text):
+        # float() reads these, so they are samples that break the rule,
+        # not a header to skip.
+        src = tmp_path / "samples.csv"
+        src.write_text(f"{text}\n2.0\n3.5\n", encoding="utf-8")
+        assert main(["kde", str(src), str(tmp_path / "kde.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {src} line 1: {text!r} is not a number\n"
         assert not (tmp_path / "kde.csv").exists()
 
     def test_undecodable_byte_is_not_a_number(self, tmp_path, capsys):

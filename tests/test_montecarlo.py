@@ -896,8 +896,9 @@ class TestRunScenario:
 
         monkeypatch.setattr(montecarlo, "mac_sum_capacity_grid", recorded)
         monkeypatch.setattr(strategies, "MAC_MAX_ITERATIONS", 1)
+        # Three users iterate; two single-antenna users are solved in closed form.
         config = tiny_config(
-            rx_partition=(1, 1), strategies=("cap", "hyp", "cap_lin"), n_realizations=2
+            rx_partition=(1, 1, 1), strategies=("cap", "hyp", "cap_lin"), n_realizations=2
         )
         result = mp.run_scenario(config)
         # One grid solve per chunk: 2 MAC strategies x 2 realizations x 2 budgets.
@@ -918,7 +919,7 @@ class TestRunScenario:
         monkeypatch.setattr(montecarlo, "mac_sum_capacity_grid", recorded)
         monkeypatch.setattr(montecarlo, "CHUNK_REALIZATIONS", 2)
         config = tiny_config(
-            rx_partition=(1, 1), strategies=("cap", "hyp", "cap_lin"), n_realizations=3
+            rx_partition=(1, 1, 1), strategies=("cap", "hyp", "cap_lin"), n_realizations=3
         )
         result = mp.run_scenario(config)
         assert len(grids) == 2
@@ -932,12 +933,21 @@ class TestRunScenario:
         assert (single.mac_iterations_mean, single.mac_iterations_max) == (0.0, 0)
         assert single.mac_gap_bits_max == 0.0
 
-    def test_bundled_two_user_run_takes_three_iterations(self):
-        # The line search lands every solve of the bundled two-user run
-        # within the three iterations the stopping rule needs.
+    def test_bundled_two_user_run_is_solved_in_closed_form(self, monkeypatch):
+        # Two single-antenna users: no iteration, and a gap at roundoff.
+        solver = montecarlo.mac_sum_capacity_grid
+        grids = []
+
+        def recorded(*args, **kwargs):
+            grids.append(solver(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(montecarlo, "mac_sum_capacity_grid", recorded)
         result = mp.run_scenario(bundled_config("mu_miso_n33_k2", n_realizations=20))
         assert result.n_unconverged == 0
-        assert result.mac_iterations_max <= 3
+        assert (result.mac_iterations_mean, result.mac_iterations_max) == (0.0, 0)
+        (grid,) = grids
+        assert (grid.gap_bits <= 1e-12 * np.maximum(grid.rates, 1.0)).all()
 
     def test_rates_increase_with_power(self):
         config = tiny_config(

@@ -438,11 +438,12 @@ class TestMacSumCapacity:
             assert grid.rates_on(h, SIGMA)[0] == pytest.approx(best, rel=1e-10, abs=0.0)
             assert mac.rate.active_streams == (1 if corner else 2)
             assert mac.converged
-            # The gap bounds the distance to the optimum, also one step in;
-            # the slack covers roundoff in the rates.
+            # The gap bounds the distance to the optimum, also one step
+            # into the iteration, which (1, 1) grids skip; the slack
+            # covers roundoff in the rates.
             with monkeypatch.context() as patch:
                 patch.setattr(strategies, "MAC_MAX_ITERATIONS", 1)
-                one = mac_sum_capacity_grid(h, (1, 1), np.array([budget]), SIGMA)
+                one = strategies._iterated_grid(h, (1, 1), np.array([budget]), SIGMA)
             slack = 1e-12 * best
             for rate, gap in ((mac.rate.rate_bits, mac.gap_bits), (one.rates[0], one.gap_bits[0])):
                 assert -slack <= best - rate <= gap + slack
@@ -470,14 +471,16 @@ class TestMacSumCapacity:
         rng = RNG(50 + len(partition))
         h = crandn(rng, 20, sum(partition), 8)
         budgets = np.logspace(-10.0, 2.0, 13)
-        grid = mac_sum_capacity_grid(h, partition, budgets, SIGMA)
+        grid = strategies._iterated_grid(h, partition, budgets, SIGMA)
         assert grid.converged.all()
         assert (grid.gap_bits <= 1e-6 * np.maximum(grid.rates, 1.0)).all()
         assert grid.iterations.mean() <= 6.0
         assert grid.iterations.max() <= 30
         if partition == (1, 1):
-            # The line search lands two single-antenna users on the optimum
-            # within the three iterations the stopping rule needs.
+            # mac_sum_capacity_grid solves two single-antenna users in
+            # closed form; iterated, as the oracle against that form, the
+            # line search still lands them on the optimum within the three
+            # iterations the stopping rule needs.
             assert grid.iterations.max() <= 3
         # An extrapolated step keeps every covariance PSD at the full budget.
         xi = grid.covariances
@@ -530,6 +533,90 @@ class TestMacSumCapacity:
             mp.mac_sum_capacity(h, (3, 0), 1.0, SIGMA)
         with pytest.raises(ValueError):
             mp.mac_sum_capacity(h, (1, 1, 1), -1.0, SIGMA)
+
+
+class TestTwoUserClosedForm:
+    """Two single-antenna users: the closed form against the iteration it replaces."""
+
+    BUDGETS_W = np.concatenate([[0.0], np.logspace(-12.0, 3.0, 16)])
+
+    @staticmethod
+    def two_user_stack(rng, n_real):
+        """(R, 2, 6) channels: random, then a dark user, parallel, identical and zero."""
+        h = crandn(rng, n_real, 2, 6) * rng.uniform(0.05, 3.0, size=(n_real, 2, 1))
+        h[0, 1] = 0.0
+        h[1, 1] = (0.3 - 0.8j) * h[1, 0]
+        h[2, 1] = h[2, 0]
+        h[3] = 0.0
+        return h
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_iteration(self, seed):
+        h = self.two_user_stack(RNG(90 + seed), 60)
+        closed = mac_sum_capacity_grid(h, (1, 1), self.BUDGETS_W, 0.7)
+        iterated = strategies._iterated_grid(h, (1, 1), self.BUDGETS_W, 0.7)
+        # Within 1e-12 relative either way, so never behind by more.
+        np.testing.assert_allclose(closed.rates, iterated.rates, rtol=1e-12, atol=0.0)
+        assert np.array_equal(closed.streams, iterated.streams)
+        # Both gaps sit at roundoff (the iteration's clamps to 0 on most
+        # entries), so "no larger" holds up to a few ulps of the rate.
+        slack = 1e-15 * np.maximum(closed.rates, 1.0)
+        assert (closed.gap_bits <= iterated.gap_bits + slack).all()
+        assert closed.converged.all() and iterated.converged.all()
+        assert not closed.iterations.any()
+        np.testing.assert_array_equal(closed.objective_history, closed.rates[..., None])
+        powers = np.diagonal(closed.covariances, axis1=-2, axis2=-1)
+        trace = powers.sum(axis=-1).real
+        np.testing.assert_allclose(trace, np.broadcast_to(self.BUDGETS_W, trace.shape), rtol=1e-15)
+        assert (powers.real >= 0.0).all() and not powers.imag.any()
+        assert not closed.covariances[..., 0, 1].any() and not closed.covariances[..., 1, 0].any()
+        # Zero budget; a dark user; parallel users (D = 0); identical
+        # users (a tie: half each, as the iteration splits it); a zero channel.
+        assert not closed.rates[:, 0].any() and not closed.streams[:, 0].any()
+        assert (closed.streams[:3, 1:] == [[1], [1], [2]]).all()
+        assert not closed.rates[3].any() and not closed.streams[3].any()
+        np.testing.assert_array_equal(powers[2, :, 0], powers[2, :, 1])
+
+    def test_gap_bounds_the_loss_of_any_split(self):
+        # The closed-form certificate at splits off the optimum: it bounds
+        # the true loss and opens wherever that loss is resolvable.
+        rng = RNG(95)
+        h = self.two_user_stack(rng, 200)
+        gram = h @ h.conj().swapaxes(1, 2)
+        g11, g22 = gram[:, 0, 0, None].real, gram[:, 1, 1, None].real
+        d = np.maximum(g11 * g22 - np.abs(gram[:, 0, 1, None]) ** 2, 0.0)
+        best = mac_sum_capacity_grid(h, (1, 1), self.BUDGETS_W, 1.0)
+        total = np.broadcast_to(self.BUDGETS_W, best.rates.shape)
+        p1 = best.covariances[..., 0, 0].real
+        opened = 0
+        for shift in (-0.5, -1e-3, -1e-7, 1e-7, 1e-3, 0.5):
+            split = np.clip(p1 + shift * total, 0.0, total)
+            rate, gap = strategies._two_user_bits(g11, g22, d, split, total)
+            loss = best.rates - rate
+            slack = 1e-12 * np.maximum(best.rates, 1.0)
+            assert (loss <= gap + slack).all()
+            resolvable = loss > slack
+            assert (gap[resolvable] > 0.0).all()
+            opened += np.count_nonzero(resolvable)
+        assert opened > 1000
+
+    def test_route_needs_no_solve_eigh_or_waterfill(self, monkeypatch):
+        h = self.two_user_stack(RNG(97), 8)
+        other = h + 0.3 * crandn(RNG(98), *h.shape)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("two single-antenna users are solved in closed form")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", refuse)
+            patch.setattr(np.linalg, "eigh", refuse)
+            patch.setattr(strategies, "waterfill", refuse)
+            grid = mac_sum_capacity_grid(h, (1, 1), self.BUDGETS_W, 0.7)
+            on_other = grid.rates_on(other, 0.7)
+            one = mp.mac_sum_capacity(h[4], (1, 1), 2.0, 0.7)
+        assert grid.converged.all() and one.converged
+        assert one.iterations == 0 and one.objective_trace == (one.rate.rate_bits,)
+        assert np.isfinite(on_other).all()
 
 
 class TestScaledGramRating:
