@@ -457,10 +457,10 @@ def _two_user_grid(h: np.ndarray, budgets: np.ndarray, noise_std: float) -> MacG
 
     With Xi = diag(p1, p2), p2 = P - p1, and G = H H^H / sigma^2,
     det(I + G Xi) = 1 + g11 p1 + g22 p2 + D p1 p2 with
-    D = g11 g22 - |g12|^2 >= 0 (clamped at 0 against roundoff): a
-    concave quadratic in p1, maximised at
-    p1 = clip((g11 - g22 + D P) / (2 D), 0, P). With D = 0 it is linear
-    in p1, so the stronger user takes the whole budget; an exact tie
+    D = g11 g22 - |g12|^2 = g11 |h2 - (g21 / g11) h1|^2 / sigma^2, a form
+    that does not cancel on nearly parallel users: a concave quadratic
+    in p1, maximised at p1 = clip(P / 2 + (g11 - g22) / (2 D), 0, P).
+    With D = 0 the stronger user takes the whole budget; an exact tie
     splits it in half, as the iteration does. :func:`_two_user_bits`
     rates that split and computes its duality gap. A user counts as a
     stream when its gain is positive and its power above
@@ -468,10 +468,14 @@ def _two_user_grid(h: np.ndarray, budgets: np.ndarray, noise_std: float) -> MacG
     """
     gram = _gram_factor(h, noise_std, True)[0]
     g11, g22 = (gram[..., k, k, None].real for k in (0, 1))
-    d = np.maximum(g11 * g22 - np.abs(gram[..., 0, 1, None]) ** 2, 0.0)
+    along = np.divide(gram[..., 1, 0, None], g11, out=np.zeros_like(g11, complex), where=g11 > 0.0)
+    residual = h[..., 1, :] - along * h[..., 0, :]
+    d = g11 * (residual.real**2 + residual.imag**2).sum(axis=-1, keepdims=True) / noise_std**2
     total = np.broadcast_to(budgets, h.shape[:-2] + budgets.shape)
-    linear = np.where(g11 > g22, total, np.where(g11 < g22, 0.0, 0.5 * total))
-    p1 = np.clip(np.divide(g11 - g22 + d * total, 2.0 * d, out=linear, where=d > 0.0), 0.0, total)
+    # D = 0 leaves +-inf, so the stronger user takes the budget; a tie keeps 0.
+    tilt = np.where(g11 == g22, 0.0, np.copysign(np.inf, g11 - g22))
+    np.divide(g11 - g22, 2.0 * d, out=tilt, where=d > 0.0)
+    p1 = np.clip(0.5 * total + tilt, 0.0, total)
     rates, gap_bits = _two_user_bits(g11, g22, d, p1, total)
     powers = np.stack([p1, total - p1], axis=-1)
     lit = np.stack([g11 > 0.0, g22 > 0.0], axis=-1)
@@ -672,11 +676,6 @@ def mac_sum_capacity(
     )
 
 
-def _split_rows(channel: np.ndarray, partition: tuple[int, ...]) -> list[np.ndarray]:
-    offsets = np.cumsum((0,) + tuple(partition))
-    return [channel[..., offsets[k] : offsets[k + 1], :] for k in range(len(partition))]
-
-
 def _bc_rates(
     received: np.ndarray,
     partition: tuple[int, ...],
@@ -691,17 +690,20 @@ def _bc_rates(
     ``owner[..., i]`` with power ``powers[..., i]``. Leading axes
     broadcast. Each user decodes its own streams jointly; the other
     users' streams act as colored interference added to the thermal
-    noise. A user without streams gets rate 0.
+    noise: with N = C C^H that sum and A its own columns times
+    sqrt(power), W = C^-1 A gives log det(I + W W^H), rated by
+    :func:`~multiport.numerics.log_det_eye_plus` as precisely as log1p
+    of ``eigvalsh``. A user without streams gets rate 0.
     """
     per_user = []
-    for k, rk in enumerate(_split_rows(received, partition)):
-        eye = np.eye(rk.shape[-2])
-        weighted = rk * powers[..., None, :]
+    scaled = received * np.sqrt(powers)[..., None, :]
+    offsets = np.cumsum((0,) + tuple(partition))
+    for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
         own = (owner == k)[..., None, :]
-        noise_cov = noise_std**2 * eye + np.where(own, 0.0, weighted) @ rk.conj().swapaxes(-1, -2)
-        signal = np.where(own, weighted, 0.0) @ rk.conj().swapaxes(-1, -2)
-        _, logdet = np.linalg.slogdet(eye + np.linalg.solve(noise_cov, signal))
-        per_user.append(logdet / LN2)
+        others = np.where(own, 0.0, scaled[..., a:b, :])
+        noise = noise_std**2 * np.eye(b - a) + others @ others.conj().swapaxes(-1, -2)
+        white = np.linalg.solve(np.linalg.cholesky(noise), np.where(own, scaled[..., a:b, :], 0.0))
+        per_user.append(log_det_eye_plus(white @ white.conj().swapaxes(-1, -2)) / LN2)
     per_user = np.stack(per_user, axis=-1)
     return per_user, per_user.sum(axis=-1)
 
@@ -714,8 +716,8 @@ class ZfDesign(NamedTuple):
     lives in ``[..., l, :, :l]`` and prefix 0 is empty. Stream i belongs
     to user ``owners[..., i]`` (..., L). ``beams`` (..., L+1, n_tx, L)
     holds the unit-norm zero-forcing beams and ``norms`` (..., L+1, L)
-    their pseudo-inverse column norms, so stream gains are
-    1 / (norm^2 sigma^2). ``forward`` (..., L+1, m, L) is the rated
+    the column norms of L^-1 (:func:`greedy_zf_design`), so stream gains
+    are 1 / (norm^2 sigma^2). ``forward`` (..., L+1, m, L) is the rated
     channel times each prefix's beams, its received matrices.
     ``radiated`` (..., L+1, L) holds b^H M b of the beams, or is None
     for designs against the true power model. The width L is
@@ -738,28 +740,19 @@ class ZfDesign(NamedTuple):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each budget's prefix length, predicted rate and stream powers.
 
-        Every prefix is water-filled over all budgets; a budget moves to
-        the next prefix while the predicted rate still rises by more
-        than 1e-12 bits. Stream powers (..., P, L) follow the greedy
-        order and are zero beyond the chosen prefix.
+        Every prefix is water-filled over all budgets in one call; a
+        budget moves to the next prefix while the predicted rate still
+        rises by more than 1e-12 bits. Stream powers (..., P, L) follow
+        the greedy order and are zero beyond the chosen prefix.
         """
         budgets = np.asarray(powers_w, dtype=float)
-        shape = self.owners.shape[:-1] + budgets.shape
-        n_max = self.owners.shape[-1]
-        chosen = np.zeros(shape, dtype=int)
-        best = np.zeros(shape)
-        powers = np.zeros(shape + (n_max,))
-        for l in range(1, n_max + 1):
-            # A missing prefix has zero gains, hence zero rate.
-            gains = 1.0 / (self.norms[..., l, None, :l] ** 2 * noise_std**2)
-            p = waterfill(gains, budgets)
-            rate = np.log1p(p * gains).sum(axis=-1) / LN2
-            better = (chosen == l - 1) & (rate > best + 1e-12)
-            if not better.any():
-                break
-            chosen[better] = l
-            best[better] = rate[better]
-            powers[better, :l] = p[better]
+        # A padded or missing stream has norm inf, hence zero gain and power.
+        gains = 1.0 / (self.norms[..., None, :] ** 2 * noise_std**2)
+        powers = waterfill(gains, budgets)
+        rates = np.log1p(powers * gains).sum(axis=-1) / LN2
+        chosen = np.cumprod(rates[..., 1:, :] > rates[..., :-1, :] + 1e-12, axis=-2).sum(axis=-2)
+        best = np.take_along_axis(rates, chosen[..., None, :], axis=-2)[..., 0, :]
+        powers = np.take_along_axis(powers, chosen[..., None, :, None], axis=-3)[..., 0, :, :]
         return chosen, best, powers
 
     def evaluate(self, powers_w: np.ndarray, noise_std: float) -> Grid:
@@ -790,75 +783,82 @@ def greedy_zf_design(
 ) -> ZfDesign:
     """Greedy zero-forcing stream order and every prefix's beams.
 
-    Streams are added one at a time: each candidate user contributes
-    the dominant singular direction of its channel projected on the
-    orthogonal complement of the already selected virtual streams. With
-    B (n_tx, l) the l directions selected so far, the projection is the
-    rank-l update h - (h B) B^H, so no n_tx x n_tx projector is formed;
-    B is empty for the first stream, which takes h as it is. Each
-    prefix's precoder zero-forces its stacked virtual rows via
-    pseudo-inverse. Selection stops when no user has a direction left.
-    ``design`` may be a stack (..., m, n_tx) of realizations, each with
-    its own greedy order; every prefix fills its row of arrays as wide
-    as the shapes allow (see :class:`ZfDesign`). The received matrices
-    ``forward`` are the ``rated`` channel (None: the design channel)
-    times the beams, formed once for all budgets. With
-    ``mismatch_power`` the design also records each beam's radiated
-    power, for every entry of the stack.
+    Each step projects every user off the directions B chosen so far,
+    P = h - (h B) B^H, and adds the strongest user's row r: h itself for
+    one antenna (gain |P|), u^H h for the top eigenvector u of a larger
+    user's Gram P P^H. Then r = c B^H + s d^H, with c = r B, gain s and
+    new direction d (reorthogonalised once), so the stacked rows are
+    L B^H, L lower triangular, and their pseudo-inverse is B L^-1: L^-1
+    grows by [-(c L^-1) / s, 1 / s], a prefix's beams are B times its
+    block of L^-1 over that block's column norms (``norms``), and the
+    first beam is the matched filter. Selection stops when no user has
+    a direction left. A stack (..., m, n_tx) gives each entry its own
+    order (see :class:`ZfDesign`). ``forward`` is the ``rated`` channel
+    (None: the design one) times B and ``radiated`` B^H M B for
+    ``mismatch_power`` M, each reduced per prefix by l x l products.
 
-    The width and a contiguous copy of ``design`` fix the BLAS path
+    The width and contiguous copies of the channels fix the BLAS path
     from the shapes, so an entry's bits do not depend on the rest of
-    the stack or on the layout of ``design``. That matters because the
+    the stack or on the layout of its inputs. That matters because the
     rate of a multi-antenna user with fewer streams than antennas grows
     an ulp of its received matrix by up to the SNR.
     """
     h = np.ascontiguousarray(design)
     partition = _check_partition(h, partition)
-    rated = h if rated is None else np.asarray(rated)
+    rated = h if rated is None else np.ascontiguousarray(rated)
     if rated.shape != h.shape:
         raise ValueError("rated and design channels must have equal shapes")
     batch, (m_total, n_tx) = h.shape[:-2], h.shape[-2:]
-    users = _split_rows(h.reshape(-1, m_total, n_tx), partition)
-    n = len(users[0])
+    h, rated = h.reshape(-1, m_total, n_tx), rated.reshape(-1, m_total, n_tx)
+    n, sizes, width = len(h), np.array(partition), min(n_tx, m_total)
+    offsets = np.cumsum((0,) + partition)
+    # Row k combines the stacked rows into user k's row w h; one antenna: w = e_i.
+    template = np.eye(m_total, dtype=complex)[offsets[:-1]] * (sizes == 1)[:, None]
     live = np.arange(n)  # realizations still adding streams
-    basis = np.zeros((n, n_tx, 0), dtype=complex)
-    rows = np.zeros((n, 0, n_tx), dtype=complex)
-    per_user = np.zeros((n, len(partition)), dtype=int)
-    width = min(n_tx, m_total)
     owners = np.full((n, width), -1)
-    beams = np.zeros((n, width + 1, n_tx, width), dtype=complex)
+    directions = np.zeros((n, n_tx, width), dtype=complex)
+    inverse = np.zeros((n, width, width), dtype=complex)
+    factors = np.zeros((n, width + 1, width, width), dtype=complex)
     norms = np.full((n, width + 1, width), np.inf)
     for l in range(1, width + 1):
+        basis = directions[live, :, : l - 1]
         basis_h = basis.conj().swapaxes(1, 2)
-        best = np.full(live.size, -1.0)
-        pick = np.zeros(live.size, dtype=int)
-        row, direction = np.zeros((2, live.size, n_tx), dtype=complex)
-        for k, hk in enumerate(users):
-            h_live = hk[live]
-            # (I - B B^H) applied as a rank-(l-1) update; B is empty at l = 1.
-            projected = h_live - (h_live @ basis) @ basis_h
-            u, s, vh = np.linalg.svd(projected, full_matrices=False)
-            # Only a strictly stronger user replaces the current pick.
-            better = (per_user[live, k] < hk.shape[1]) & (s[:, 0] > best)
-            best[better], pick[better] = s[better, 0], k
-            left = u[better, :, 0].conj()[:, None, :]
-            row[better] = (left @ h_live[better])[:, 0]
-            direction[better] = vh[better, 0].conj()
-        found = (best >= 0.0) & (best**2 > 1e-28)
+        h_live = h[live]
+        along = h_live @ basis
+        projected = h_live - along @ basis_h
+        gains = np.sqrt((projected.real**2 + projected.imag**2).sum(axis=-1))[:, offsets[:-1]]
+        weights = np.repeat(template[None], live.size, axis=0)
+        for k in np.flatnonzero(sizes > 1):
+            own = projected[:, offsets[k] : offsets[k + 1]]
+            lam, u = np.linalg.eigh(own @ own.conj().swapaxes(1, 2))
+            gains[:, k] = np.sqrt(np.maximum(lam[:, -1], 0.0))
+            weights[:, k, offsets[k] : offsets[k + 1]] = u[:, :, -1].conj()
+        gains[(owners[live, :, None] == np.arange(len(sizes))).sum(axis=1) >= sizes] = 0.0
+        # argmax keeps the first of equal gains: only a strictly stronger user replaces it.
+        pick = np.argmax(gains, axis=1)
+        found = gains[np.arange(live.size), pick] ** 2 > 1e-28
         if not found.any():
             break
-        live, pick = live[found], pick[found]
-        rows = np.concatenate([rows[found], row[found, None, :]], axis=1)
-        basis = np.concatenate([basis[found], direction[found, :, None]], axis=2)
-        inverse = np.linalg.pinv(rows)
-        col_norms = np.linalg.norm(inverse, axis=1)
+        weight = weights[found, pick[found], None, :]
+        live, pick, basis, basis_h = (a[found] for a in (live, pick, basis, basis_h))
+        # The row r = c B^H + s d^H, its part off B projected once more (CGS2).
+        rest = weight @ projected[found]
+        again = rest @ basis
+        rest = rest - again @ basis_h
+        coeff = weight @ along[found] + again
+        s = np.sqrt((rest.real**2 + rest.imag**2).sum(axis=-1))
+        # L gains the row [c, s], so L^-1 gains [-(c L^-1) / s, 1 / s].
+        inverse[live, l - 1, : l - 1] = -(coeff @ inverse[live, : l - 1, : l - 1])[:, 0] / s
+        inverse[live, l - 1, l - 1] = 1.0 / s[:, 0]
+        directions[live, :, l - 1] = rest[:, 0].conj() / s
+        block = inverse[live, :l, :l]
+        col_norms = np.sqrt((block.real**2 + block.imag**2).sum(axis=1))
         owners[live, l - 1] = pick
-        per_user[live, pick] += 1
-        beams[live, l, :, :l] = inverse / col_norms[:, None, :]
+        factors[live, l, :l, :l] = block / col_norms[:, None, :]
         norms[live, l, :l] = col_norms
-    owners = owners.reshape(batch + (width,))
-    beams = beams.reshape(batch + (width + 1, n_tx, width))
-    norms = norms.reshape(batch + (width + 1, width))
-    forward = rated[..., None, :, :] @ beams
-    radiated = None if mismatch_power is None else _radiated(beams, mismatch_power)
-    return ZfDesign(partition, owners, beams, norms, forward, radiated)
+    beams, forward = (a[:, None] @ factors for a in (directions, rated @ directions))
+    arrays = [owners, beams, norms, forward]
+    if mismatch_power is not None:
+        gram = directions.conj().swapaxes(1, 2) @ (mismatch_power @ directions)
+        arrays.append(_radiated(factors, gram[:, None]))
+    return ZfDesign(partition, *(a.reshape(batch + a.shape[1:]) for a in arrays))

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import multiport as mp
 from multiport import strategies
 from multiport.strategies import beam_design, greedy_zf_design, mac_sum_capacity_grid, mode_design
+from test_montecarlo import mixed_stack
 
 RNG = np.random.default_rng
 SIGMA = 1.0
@@ -231,6 +235,35 @@ class TestLog1pRates:
             received = (a * grid.powers[:, None, :]) @ a.conj().T / 0.7**2
             expected = np.log1p(np.linalg.eigvalsh(received)).sum(axis=-1) / np.log(2.0)
             np.testing.assert_allclose(grid.rates, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("partition", [(1, 1), (2, 2), (1, 2)])
+    def test_zero_forcing_rates_under_interference(self, partition):
+        # Designed on h, rated on h + 0.3 noise, so every user hears the
+        # others: per user, log1p of the eigenvalues of N^-1/2 S N^-1/2,
+        # N the noise plus interference and S its own signal, with N^-1/2
+        # from eigh of N.
+        rng = RNG(64)
+        offsets = np.cumsum((0,) + partition)
+        h = crandn(rng, 20, offsets[-1], 5)
+        design = greedy_zf_design(h, partition, h + 0.3 * crandn(rng, *h.shape))
+        chosen, _, powers = design.allocate(self.BUDGETS, 0.7)
+        received = np.take_along_axis(design.forward, chosen[..., None, None], axis=-3)
+        per_user, total = strategies._bc_rates(
+            received, partition, design.owners[:, None, :], powers, 0.7
+        )
+        expected = np.zeros(per_user.shape)
+        for r, j in np.ndindex(chosen.shape):
+            for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+                rk, own, p = received[r, j, a:b], design.owners[r] == k, powers[r, j]
+                noise = 0.7**2 * np.eye(b - a) + (rk[:, ~own] * p[~own]) @ rk[:, ~own].conj().T
+                mu, v = np.linalg.eigh(noise)
+                root = (v / np.sqrt(mu)) @ v.conj().T
+                signal = root @ (rk[:, own] * p[own]) @ rk[:, own].conj().T @ root
+                lam = np.maximum(np.linalg.eigvalsh(signal), 0.0)
+                expected[r, j, k] = np.log1p(lam).sum() / np.log(2.0)
+        np.testing.assert_allclose(per_user, expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(total, expected.sum(axis=-1), rtol=1e-12, atol=0.0)
+        assert (chosen[:, 0] > 0).all() and (total[:, 0] < 1e-9).all()
 
     def test_zero_forcing_predicted_rates(self):
         scales = np.array([1.4, 1.0, 0.8])
@@ -600,6 +633,36 @@ class TestTwoUserClosedForm:
             opened += np.count_nonzero(resolvable)
         assert opened > 1000
 
+    def test_parallel_users_against_exact_arithmetic(self):
+        # Row 2 is row 1 times a unit phase: g11 g22 - |g12|^2 cancels to
+        # roundoff, and D's error would lead the rate at high budgets. The
+        # reference is the rate at the grid's own split in exact rational
+        # arithmetic, rounded once before log1p.
+        def exact(z):
+            return Fraction(float(z.real)), Fraction(float(z.imag))
+
+        def exact_bits(pair, p1, p2):
+            a, b = ([exact(z) for z in row] for row in pair)
+            var = Fraction(0.7) ** 2
+            g11 = sum(x * x + y * y for x, y in a) / var
+            g22 = sum(x * x + y * y for x, y in b) / var
+            re = sum(x * u + y * v for (x, y), (u, v) in zip(a, b))
+            im = sum(y * u - x * v for (x, y), (u, v) in zip(a, b))
+            d = g11 * g22 - (re * re + im * im) / var**2
+            p1, p2 = Fraction(float(p1)), Fraction(float(p2))
+            return math.log1p(float(g11 * p1 + g22 * p2 + d * p1 * p2)) / math.log(2.0)
+
+        rng = RNG(96)
+        h = crandn(rng, 60, 2, 6)
+        h[:, 1] = np.exp(2j * np.pi * rng.uniform(size=(60, 1))) * h[:, 0]
+        budgets = np.array([1e-12, 1e-3, 1.0, 1e3])
+        grid = mac_sum_capacity_grid(h, (1, 1), budgets, 0.7)
+        powers = np.diagonal(grid.covariances, axis1=-2, axis2=-1).real
+        expected = [
+            [exact_bits(h[r], *powers[r, j]) for j in range(budgets.size)] for r in range(60)
+        ]
+        np.testing.assert_allclose(grid.rates, expected, rtol=1e-14, atol=0.0)
+
     def test_route_needs_no_solve_eigh_or_waterfill(self, monkeypatch):
         h = self.two_user_stack(RNG(97), 8)
         other = h + 0.3 * crandn(RNG(98), *h.shape)
@@ -881,9 +944,13 @@ class TestMultiUserGrid:
 def projector_greedy_zf(h, partition):
     """Greedy order, beams and norms of a stack, projecting with I - B B^H.
 
-    The stream loop of ``greedy_zf_design`` written with the explicit
-    n_tx x n_tx projector of the selected directions B, as the reference
-    for its rank-l update.
+    The stream loop of ``greedy_zf_design`` written with the SVD, the
+    explicit n_tx x n_tx projector of the selected directions B and the
+    pseudo-inverse of the stacked rows, as the reference for its
+    triangular factor. The projector is applied twice: applied once, a
+    direction drawn from a small residual stays off B's span only to
+    about eps * kappa, and on nearly parallel users the next projection
+    then keeps components along B.
     """
     n, m_total, n_tx = h.shape
     offsets = np.cumsum((0,) + partition)
@@ -902,7 +969,7 @@ def projector_greedy_zf(h, partition):
         pick = np.zeros(live.size, dtype=int)
         row, direction = np.zeros((2, live.size, n_tx), dtype=complex)
         for k, hk in enumerate(users):
-            u, s, vh = np.linalg.svd(hk[live] @ proj, full_matrices=False)
+            u, s, vh = np.linalg.svd(hk[live] @ proj @ proj, full_matrices=False)
             better = (per_user[live, k] < hk.shape[1]) & (s[:, 0] > best)
             best[better], pick[better] = s[better, 0], k
             row[better] = (u[better, :, 0].conj()[:, None, :] @ hk[live[better]])[:, 0]
@@ -922,27 +989,93 @@ def projector_greedy_zf(h, partition):
     return owners, beams, norms
 
 
-class TestGreedyProjection:
-    """The rank-l projection of greedy ZF against the explicit projector."""
+def phase_aligned(beams, reference):
+    """Each column of ``beams`` turned by the unit phase that aligns it to ``reference``."""
+    inner = np.sum(beams.conj() * reference, axis=-2, keepdims=True)
+    size = np.abs(inner)
+    return beams * np.divide(inner, size, out=np.ones_like(inner), where=size > 0.0)
 
-    @pytest.mark.parametrize("partition", [(1, 1), (1, 1, 1), (1, 2), (2, 1), (2, 2, 2)])
+
+def near_parallel_stack(rng, partition, n_real, residual):
+    """Single-antenna users within ``residual`` (relative) of a shared span.
+
+    The first half of the stack holds rank-one channels plus ``residual``
+    noise, so every user is nearly parallel to every other; in the second
+    half the last user is a combination of the others plus that noise.
+    """
+    m = len(partition)
+    half = n_real // 2
+    h = crandn(rng, n_real, m, 7)
+    h[:half] = crandn(rng, half, m, 1) * crandn(rng, half, 1, 7)
+    h[half:, -1] = (crandn(rng, n_real - half, 1, m - 1) @ h[half:, :-1])[:, 0]
+    scale = np.linalg.norm(h, axis=-1, keepdims=True)
+    return h + residual * scale * crandn(rng, n_real, m, 7) / np.sqrt(14.0)
+
+
+ZF_PARTITIONS = [(1, 1), (1, 1, 1), (1, 2), (2, 1), (2, 2, 2)]
+
+
+class TestGreedyProjection:
+    """The triangular factor of greedy ZF against the projector-and-pinv reference."""
+
+    @pytest.mark.parametrize("partition", ZF_PARTITIONS)
     def test_matches_explicit_projector(self, partition):
-        # Random, rank-one (colinear rows) and zero realizations in one stack.
+        # Random, rank-one (colinear rows) and zero realizations in one
+        # stack, then every channel of a mixed_stack of each kind.
         rng = RNG(90 + len(partition))
         m = sum(partition)
         random = crandn(rng, 6, m, 7)
         rank_one = crandn(rng, 3, m, 1) * crandn(rng, 3, 1, 7)
-        h = np.concatenate([random, rank_one, np.zeros((1, m, 7), complex)])
+        *channels, h_up = mixed_stack("random", m, 7, 5)[0]
+        h = np.concatenate(
+            [random, rank_one, np.zeros((1, m, 7), complex), *channels, h_up.swapaxes(1, 2)]
+        )
         design = greedy_zf_design(h, partition)
         owners, beams, norms = projector_greedy_zf(h, partition)
         np.testing.assert_array_equal(design.owners, owners)
-        # B is empty for the first stream, which keeps its bits.
-        np.testing.assert_array_equal(design.beams[:, 1], beams[:, 1])
-        np.testing.assert_array_equal(design.norms[:, 1], norms[:, 1])
         np.testing.assert_allclose(design.norms, norms, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(design.beams, beams, rtol=1e-13, atol=1e-13)
+        # A beam's phase follows its row's, which the SVD fixes in the reference.
+        aligned = phase_aligned(design.beams, beams)
+        np.testing.assert_allclose(aligned, beams, rtol=1e-13, atol=1e-13)
         assert (owners[:6] >= 0).sum() > 6 and (owners[6:9] >= 0).sum(axis=1).max() == 1
         assert (owners[9] == -1).all()
+
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 1, 1), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("residual", [1e-6, 1e-8, 1e-10])
+    def test_nearly_parallel_users(self, partition, residual):
+        # Prefix l's norms and beams move by about eps * kappa_l in any
+        # backward-stable method, kappa_l = |h| max(norms_l) the condition
+        # of its stacked rows, so the reference is matched to a few
+        # eps * kappa_l. Without reorthogonalisation the design was off
+        # by up to 1e7 eps * kappa_l here.
+        h = near_parallel_stack(RNG(70), partition, 30, residual)
+        design = greedy_zf_design(h, partition)
+        owners, beams, norms = projector_greedy_zf(h, partition)
+        np.testing.assert_array_equal(design.owners, owners)
+        served = np.isfinite(norms)
+        kappa = np.linalg.norm(h, ord=2, axis=(-2, -1))[:, None, None] * np.where(
+            served, norms, 0.0
+        ).max(axis=-1, keepdims=True)
+        bound = 8.0 * np.finfo(float).eps * np.maximum(kappa, 1.0)
+        assert np.all(np.abs(design.norms[served] - norms[served]) <= (bound * norms)[served])
+        error = np.abs(phase_aligned(design.beams, beams) - beams).max(axis=-2)
+        assert np.all(error <= bound)
+        assert kappa.max() > 0.1 / residual
+
+    @pytest.mark.parametrize("partition", ZF_PARTITIONS + [(1, 1, 1, 1)])
+    def test_design_needs_no_svd_or_pinv(self, monkeypatch, partition):
+        m = sum(partition)
+        nearly_parallel = near_parallel_stack(RNG(72), (1,) * m, 4, 1e-8)
+        h = np.concatenate([crandn(RNG(71), 4, m, 7), nearly_parallel])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("greedy ZF grows a triangular factor")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", refuse)
+            patch.setattr(np.linalg, "pinv", refuse)
+            design = greedy_zf_design(h, partition, h, np.eye(7))
+        assert (design.owners >= 0).all()
 
 
 class TestGreedyZf:
