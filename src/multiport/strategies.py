@@ -77,8 +77,9 @@ class SuStrategyResult:
 class MacSolution:
     """Sum-capacity solution of the dual multiple-access problem.
 
-    ``objective_trace`` records the objective after every accepted
-    iteration (monotone nondecreasing by construction).
+    ``objective_trace`` records the objective at the start point
+    P/m I and after every accepted iteration (monotone nondecreasing by
+    construction); a closed-form solve holds the rate alone.
     """
 
     rate: RateResult
@@ -362,50 +363,6 @@ class MacGrid(NamedTuple):
         return _dpc_bits(factor[..., None, :, :], self.covariances, diagonal)
 
 
-def _extrapolation(
-    f_start: np.ndarray,
-    f: np.ndarray,
-    n_users: int,
-    held: list[np.ndarray],
-    powers: np.ndarray,
-    blocks: list[slice],
-) -> np.ndarray:
-    """Step length t of the line search along Xi + t (W - Xi), one per row.
-
-    ``f_start`` and ``f`` (2, n) hold the objective at t = 0, 1/K (the
-    averaged step) and 1 (the raw water-fill W). The quadratic through
-    them is the model; t is its maximiser where that lies past 1. The
-    objective is concave along the line, so a row whose model is not
-    concave, or whose raw step gains no more than MAC_REL_TOL of the
-    objective, fits roundoff and keeps t = 1, as does every row with
-    t <= 1: those rows do not extrapolate.
-
-    The trace stays the budget for every t, so only PSD bounds t. Block
-    k stays PSD while (t - 1) / t <= 1 / tau_k with tau_k = sum_i q_i /
-    p_i, where p_i are W_k's mode powers and ``held`` q_i the powers
-    Xi_k puts on those modes. That bound is exact for a 1x1 block. For
-    a larger block tau_k is the trace of a PSD matrix whose largest
-    eigenvalue gives the exact bound, so it is safe, and a mode that W
-    leaves dark bounds t at 1. A row that no block bounds has W = Xi up
-    to roundoff and keeps t = 1.
-    """
-    h = 1.0 / n_users
-    d_avg, d_raw = f[0] - f_start, f[1] - f_start
-    curv = (d_raw - d_avg / h) / (1.0 - h)
-    slope = d_raw - curv
-    resolved = d_raw > MAC_REL_TOL * np.maximum(np.abs(f[1]), 1e-12)
-    peaks_past_1 = resolved & (curv < 0.0) & (slope + 2.0 * curv > 0.0)
-    t = np.ones(f_start.shape)
-    np.divide(-slope, 2.0 * curv, out=t, where=peaks_past_1)
-    q = np.concatenate(held, axis=1)
-    wide = np.concatenate([np.full(b.stop - b.start, b.stop - b.start > 1) for b in blocks])
-    ratio = np.divide(q, powers, out=np.where((q > 0.0) | wide, np.inf, 0.0), where=powers > 0.0)
-    tau = np.add.reduceat(ratio, [b.start for b in blocks], axis=1).max(axis=1)
-    t_max = np.ones(f_start.shape)
-    np.divide(tau, tau - 1.0, out=t_max, where=(tau > 1.0) & np.isfinite(tau))
-    return np.minimum(t, t_max)
-
-
 def mac_sum_capacity_grid(
     channel: np.ndarray,
     partition: tuple[int, ...],
@@ -509,11 +466,9 @@ def _iterated_grid(
     (:func:`_dpc_bits`): when every user has one antenna, Xi is diagonal
     and each candidate is rated as log det(I + S G S) with
     S = sqrt(max(diag Xi, 0)), by elementwise products; other partitions
-    rate R^H Xi R on a root R of G from one eigh per row. The
-    rows whose line search (:func:`_extrapolation`) steps past the raw
-    water-fill rate that third candidate in one more call. Each row
-    keeps the best of its candidates. A row freezes once its stopping
-    rule fires or after MAC_MAX_ITERATIONS iterations.
+    rate R^H Xi R on a root R of G from one eigh per row. Each row
+    keeps the better of its two candidates. A row freezes once its
+    stopping rule fires or after MAC_MAX_ITERATIONS iterations.
     """
     shape = h.shape[:-2] + budgets.shape
     diagonal = all(p == 1 for p in partition)
@@ -531,8 +486,6 @@ def _iterated_grid(
     # outside[k] masks out user k's rows and columns: Xi * outside[k] is Xi_-k.
     outside = (owner[None, :, None] != users) & (owner[None, None, :] != users)
     eye = np.eye(m_total)
-    # Diagonal positions of the 1x1 blocks, which an extrapolated step clips at 0.
-    scalar = offsets[:-1][np.array(partition) == 1]
     xi = (budgets / m_total)[:, None, None] * np.eye(m_total, dtype=complex)
     fx = _dpc_bits(factor, xi, diagonal)
     history = [fx.copy()]
@@ -546,18 +499,16 @@ def _iterated_grid(
         x, g = xi[running], gram[running, None]
         # An equal-rank right-hand side is a matrix stack in numpy 1.x too.
         effective = np.linalg.solve(eye + g @ (x[:, None] * outside), g)
-        gains, bases, held = [], [], []
+        gains, bases = [], []
         for k, b in enumerate(blocks):
-            e_k, x_k = effective[:, k, b, b], x[:, b, b]
+            e_k = effective[:, k, b, b]
             if e_k.shape[1] == 1:
                 gains.append(e_k[:, 0].real)
                 bases.append(None)
-                held.append(x_k[:, 0].real)
             else:
                 w, v = np.linalg.eigh(0.5 * (e_k + e_k.conj().swapaxes(1, 2)))
                 gains.append(w)
                 bases.append(v)
-                held.append(np.maximum((v.conj() * (x_k @ v)).sum(axis=1).real, 0.0))
         p = waterfill(np.maximum(np.concatenate(gains, axis=1), 0.0), budgets[running])
         # Candidate 0 is the averaged step, candidate 1 the raw water-fill.
         cand = np.stack([x * ((n_users - 1) / n_users), np.zeros_like(x)])
@@ -572,20 +523,6 @@ def _iterated_grid(
         raw = f[1] > f[0]
         best = np.where(raw[:, None, None], cand[1], cand[0])
         fc = np.where(raw, f[1], f[0])
-        # One user's water-fill is optimal, and t = 1/K = 1 leaves no line to fit.
-        if n_users > 1:
-            t = _extrapolation(fx[running], f, n_users, held, p, blocks)
-            ext = np.flatnonzero(t > 1.0)
-            if ext.size:
-                step = x[ext] + t[ext, None, None] * (cand[1, ext] - x[ext])
-                step[:, scalar, scalar] = np.maximum(step[:, scalar, scalar].real, 0.0)
-                # t scales the roundoff of tr W - tr Xi; rescaling keeps the budget.
-                trace = np.trace(step, axis1=1, axis2=2).real
-                step *= (budgets[running[ext]] / trace)[:, None, None]
-                f_ext = _dpc_bits(factor[running[ext]], step, diagonal)
-                better = f_ext > fc[ext]
-                best[ext[better]] = step[better]
-                fc[ext[better]] = f_ext[better]
         powers[running] = p
         iterations[running] = iteration
         # A step that would lower the objective is rejected and ends its budget.
@@ -633,22 +570,16 @@ def mac_sum_capacity(
     Rhee, Vishwanath, Jafar & Goldsmith, IEEE Trans. IT 51(4), 2005,
     Algorithm 1): water-fill the eigen-gains of every user's effective
     Gram [(I + G Xi_-k)^-1 G]_kk (Xi_-k: Xi without block k) jointly
-    over the full budget. Each iteration keeps the best of up to three
-    candidates on the line Xi + t (W - Xi) through the raw block-diagonal
-    water-fill covariance W: the result averaged into Xi with weight
-    1/K (t = 1/K), W itself (t = 1), and the maximiser of the quadratic
-    through the objective at t = 0, 1/K and 1 when that lies past
-    t = 1. The averaged variant alone is the one Jindal et al. prove
-    convergent, but it closes in on a corner solution (a user switched
-    off) by only (K - 1)/K per step; the raw step usually lands there at
-    once. Where the raw steps approach an interior optimum
-    geometrically, the extrapolated step jumps close to it; it goes
-    only as far as every block stays PSD, which a mode that W leaves
-    dark stops at t = 1 (see :func:`_extrapolation`). Iterates are
-    monotone nondecreasing because a step that would lower the
-    objective is rejected, not by that proof. Iteration stops
-    once a step gains at most MAC_REL_TOL times the objective (after
-    step 2), or before a step that would lower it by roundoff.
+    over the full budget. Each iteration keeps the better of two
+    candidates built from the raw block-diagonal water-fill covariance
+    W: the result averaged into Xi with weight 1/K, and W itself. The
+    averaged variant alone is the one Jindal et al. prove convergent,
+    but it closes in on a corner solution (a user switched off) by only
+    (K - 1)/K per step; the raw step usually lands there at once.
+    Iterates are monotone nondecreasing because a step that would lower
+    the objective is rejected, not by that proof. Iteration stops once a
+    step gains at most MAC_REL_TOL times the objective (after step 2),
+    or before a step that would lower it by roundoff.
     Two single-antenna users, partition (1, 1), skip the iteration:
     their objective is a concave quadratic in one power split, solved
     in closed form (:func:`_two_user_grid`), so ``iterations`` is 0 and

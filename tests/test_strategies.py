@@ -509,13 +509,8 @@ class TestMacSumCapacity:
         assert (grid.gap_bits <= 1e-6 * np.maximum(grid.rates, 1.0)).all()
         assert grid.iterations.mean() <= 6.0
         assert grid.iterations.max() <= 30
-        if partition == (1, 1):
-            # mac_sum_capacity_grid solves two single-antenna users in
-            # closed form; iterated, as the oracle against that form, the
-            # line search still lands them on the optimum within the three
-            # iterations the stopping rule needs.
-            assert grid.iterations.max() <= 3
-        # An extrapolated step keeps every covariance PSD at the full budget.
+        # The averaged step and the raw water-fill both keep every
+        # covariance PSD at the full budget.
         xi = grid.covariances
         trace = np.trace(xi, axis1=-2, axis2=-1)
         np.testing.assert_allclose(trace.real, np.broadcast_to(budgets, trace.shape), rtol=1e-13)
@@ -524,39 +519,22 @@ class TestMacSumCapacity:
         assert history.shape[:-1] == grid.rates.shape
         assert not (np.diff(history, axis=-1) < 0.0).any()
 
-    def test_extrapolation_stops_where_a_block_turns_indefinite(self):
-        # Xi = diag(1, 1), W = diag(1.5, 0.5): the 1x1 block of user 2
-        # reaches 0 at t = 2. Objective values at t = 0, 1/2 and 1 of the
-        # concave quadratic 2 peak t - t^2.
-        blocks = [slice(0, 1), slice(1, 2)]
-        held = [np.array([[1.0]]), np.array([[1.0]])]
-        powers = np.array([[1.5, 0.5]])
+    @pytest.mark.parametrize("partition", [(1, 1, 1), (2, 2)])
+    def test_each_iteration_rates_once(self, partition, monkeypatch):
+        # One rating of the start point, then one batched rating of both
+        # candidates per iteration of the longest solve.
+        calls = []
+        rate = strategies._dpc_bits
 
-        def model(peak):
-            return np.array([0.0]), np.array([[peak - 0.25], [2.0 * peak - 1.0]])
+        def counted(*args):
+            calls.append(None)
+            return rate(*args)
 
-        t = strategies._extrapolation(*model(3.0), 2, held, powers, blocks)
-        assert t[0] == 2.0
-        t = strategies._extrapolation(*model(1.5), 2, held, powers, blocks)
-        assert t[0] == 1.5
-        # A peak before t = 1 does not extrapolate.
-        t = strategies._extrapolation(*model(0.8), 2, held, powers, blocks)
-        assert t[0] == 1.0
-
-    def test_extrapolation_stops_at_a_dark_mode(self):
-        # One 2x2 block whose water-fill leaves a mode dark: t stays 1,
-        # however far the model peaks, even when Xi holds no power there.
-        blocks = [slice(0, 2), slice(2, 3)]
-        # The quadratic 6 t - t^2 at t = 0, 1/3 and 1 peaks at t = 3.
-        f_start, f = np.array([0.0]), np.array([[2.0 - 1.0 / 9.0], [5.0]])
-        powers = np.array([[2.0, 0.0, 1.0]])
-        for dark_power in (1.0, 0.0):
-            held = [np.array([[1.0, dark_power]]), np.array([[2.0 - dark_power]])]
-            assert strategies._extrapolation(f_start, f, 3, held, powers, blocks)[0] == 1.0
-        # Lit, the same block (bound 4) lets the step reach the 1x1 block's bound 2.
-        held = [np.array([[1.0, 1.0]]), np.array([[1.0]])]
-        lit = np.array([[1.5, 1.5, 0.5]])
-        assert strategies._extrapolation(f_start, f, 3, held, lit, blocks)[0] == 2.0
+        monkeypatch.setattr(strategies, "_dpc_bits", counted)
+        h = crandn(RNG(51), 20, sum(partition), 8)
+        grid = strategies._iterated_grid(h, partition, np.logspace(-10.0, 2.0, 13), SIGMA)
+        assert grid.converged.all()
+        assert len(calls) == 1 + grid.iterations.max()
 
     def test_validation(self):
         h = np.ones((3, 4), complex)
