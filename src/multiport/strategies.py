@@ -355,9 +355,15 @@ class MacGrid(NamedTuple):
     def rates_on(self, channel: np.ndarray, noise_std: float) -> np.ndarray:
         """DPC sum rate of every covariance on another channel (or stack).
 
-        Single-antenna users rate each diagonal covariance through the
-        scaled Gram S G S and need no ``eigh`` root (see :func:`_dpc_bits`).
+        Two single-antenna users are rated in closed form, as
+        :func:`_two_user_grid` rates them; more single-antenna users on
+        the scaled Gram S G S, others on a root of G (see :func:`_dpc_bits`).
         """
+        if self.partition == (1, 1):
+            p1, p2 = np.moveaxis(np.diagonal(self.covariances, axis1=-2, axis2=-1).real, -1, 0)
+            terms = _two_user_terms(np.asarray(channel), noise_std)
+            # p2 = P - p1 in the solve, so (p1 + p2) - p1 gives p2 back bit for bit.
+            return _two_user_bits(*terms, p1, p1 + p2)[0]
         diagonal = all(p == 1 for p in self.partition)
         factor = _gram_factor(np.asarray(channel), noise_std, diagonal)[1]
         return _dpc_bits(factor[..., None, :, :], self.covariances, diagonal)
@@ -409,25 +415,34 @@ def _two_user_bits(
     return np.log1p(excess) / LN2, gap / ((1.0 + excess) * LN2)
 
 
-def _two_user_grid(h: np.ndarray, budgets: np.ndarray, noise_std: float) -> MacGrid:
-    """Sum capacity of two single-antenna users at every budget, in closed form.
+def _two_user_terms(h: np.ndarray, noise_std: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g11, g22 and D = det G (..., 1) of two single-antenna users, G = H H^H / sigma^2.
 
-    With Xi = diag(p1, p2), p2 = P - p1, and G = H H^H / sigma^2,
-    det(I + G Xi) = 1 + g11 p1 + g22 p2 + D p1 p2 with
-    D = g11 g22 - |g12|^2 = g11 |h2 - (g21 / g11) h1|^2 / sigma^2, a form
-    that does not cancel on nearly parallel users: a concave quadratic
-    in p1, maximised at p1 = clip(P / 2 + (g11 - g22) / (2 D), 0, P).
-    With D = 0 the stronger user takes the whole budget; an exact tie
-    splits it in half, as the iteration does. :func:`_two_user_bits`
-    rates that split and computes its duality gap. A user counts as a
-    stream when its gain is positive and its power above
-    STREAM_POWER_REL_TOL of the budget.
+    D is formed as g11 |h2 - (g21 / g11) h1|^2 / sigma^2, from user 2's
+    residual off user 1, which does not cancel on nearly parallel users.
     """
     gram = _gram_factor(h, noise_std, True)[0]
     g11, g22 = (gram[..., k, k, None].real for k in (0, 1))
     along = np.divide(gram[..., 1, 0, None], g11, out=np.zeros_like(g11, complex), where=g11 > 0.0)
     residual = h[..., 1, :] - along * h[..., 0, :]
     d = g11 * (residual.real**2 + residual.imag**2).sum(axis=-1, keepdims=True) / noise_std**2
+    return g11, g22, d
+
+
+def _two_user_grid(h: np.ndarray, budgets: np.ndarray, noise_std: float) -> MacGrid:
+    """Sum capacity of two single-antenna users at every budget, in closed form.
+
+    With Xi = diag(p1, p2), p2 = P - p1, and G = H H^H / sigma^2,
+    det(I + G Xi) = 1 + g11 p1 + g22 p2 + D p1 p2 with D = det G
+    (:func:`_two_user_terms`): a concave quadratic in p1, maximised at
+    p1 = clip(P / 2 + (g11 - g22) / (2 D), 0, P). With D = 0 the
+    stronger user takes the whole budget; an exact tie splits it in
+    half, as the iteration does. :func:`_two_user_bits` rates that
+    split (as ``MacGrid.rates_on`` does) and computes its duality gap.
+    A user counts as a stream when its gain is positive and its power
+    above STREAM_POWER_REL_TOL of the budget.
+    """
+    g11, g22, d = _two_user_terms(h, noise_std)
     total = np.broadcast_to(budgets, h.shape[:-2] + budgets.shape)
     # D = 0 leaves +-inf, so the stronger user takes the budget; a tie keeps 0.
     tilt = np.where(g11 == g22, 0.0, np.copysign(np.inf, g11 - g22))
@@ -459,8 +474,8 @@ def _iterated_grid(
     rule and counts its streams on its own last water-fill.
 
     Each pair is one row with its own Gram G. Each iteration does one
-    batched solve for all running rows and users, one eigh per
-    multi-antenna block and one row-wise water-fill. From that
+    batched solve for all running rows and users, one eigh per block,
+    1x1 blocks included, and one row-wise water-fill. From that
     water-fill it forms two candidates, the averaged step and the raw
     block-diagonal water-fill, and rates both in one batched call
     (:func:`_dpc_bits`): when every user has one antenna, Xi is diagonal
@@ -468,7 +483,8 @@ def _iterated_grid(
     S = sqrt(max(diag Xi, 0)), by elementwise products; other partitions
     rate R^H Xi R on a root R of G from one eigh per row. Each row
     keeps the better of its two candidates. A row freezes once its
-    stopping rule fires or after MAC_MAX_ITERATIONS iterations.
+    stopping rule fires or after MAC_MAX_ITERATIONS iterations. On
+    partition (1, 1) it is only the closed form's test oracle.
     """
     shape = h.shape[:-2] + budgets.shape
     diagonal = all(p == 1 for p in partition)
@@ -499,24 +515,14 @@ def _iterated_grid(
         x, g = xi[running], gram[running, None]
         # An equal-rank right-hand side is a matrix stack in numpy 1.x too.
         effective = np.linalg.solve(eye + g @ (x[:, None] * outside), g)
-        gains, bases = [], []
-        for k, b in enumerate(blocks):
-            e_k = effective[:, k, b, b]
-            if e_k.shape[1] == 1:
-                gains.append(e_k[:, 0].real)
-                bases.append(None)
-            else:
-                w, v = np.linalg.eigh(0.5 * (e_k + e_k.conj().swapaxes(1, 2)))
-                gains.append(w)
-                bases.append(v)
-        p = waterfill(np.maximum(np.concatenate(gains, axis=1), 0.0), budgets[running])
+        own = [effective[:, k, b, b] for k, b in enumerate(blocks)]
+        eigs = [np.linalg.eigh(0.5 * (e + e.conj().swapaxes(1, 2))) for e in own]
+        gains = np.concatenate([w for w, _ in eigs], axis=1)
+        p = waterfill(np.maximum(gains, 0.0), budgets[running])
         # Candidate 0 is the averaged step, candidate 1 the raw water-fill.
         cand = np.stack([x * ((n_users - 1) / n_users), np.zeros_like(x)])
-        for b, v in zip(blocks, bases):
-            if v is None:
-                fill = p[:, b, None]
-            else:
-                fill = (v * p[:, None, b]) @ v.conj().swapaxes(1, 2)
+        for b, (_, v) in zip(blocks, eigs):
+            fill = (v * p[:, None, b]) @ v.conj().swapaxes(1, 2)
             cand[0, :, b, b] += fill / n_users
             cand[1, :, b, b] = fill
         f = _dpc_bits(factor[running], cand, diagonal)
@@ -540,15 +546,7 @@ def _iterated_grid(
     # f* - f(Xi) in bits (Xi is block-diagonal); the clamp absorbs roundoff.
     core = np.linalg.solve(eye + gram @ xi, gram)
     grad = 0.5 * (core + core.conj().swapaxes(1, 2)) / LN2
-    # A 1x1 block's largest eigenvalue is its diagonal entry.
-    top = np.max(
-        [
-            np.linalg.eigvalsh(grad[:, b, b])[:, -1] if b.stop - b.start > 1
-            else grad[:, b.start, b.start].real
-            for b in blocks
-        ],
-        axis=0,
-    )
+    top = np.max([np.linalg.eigvalsh(grad[:, b, b])[:, -1] for b in blocks], axis=0)
     gap_bits = np.maximum(budgets * top - np.einsum("rij,rji->r", grad, xi).real, 0.0)
     converged = gap_bits <= MAC_GAP_TOL * np.maximum(fx, 1.0)
     history = np.array(history).T
@@ -715,18 +713,19 @@ def greedy_zf_design(
     """Greedy zero-forcing stream order and every prefix's beams.
 
     Each step projects every user off the directions B chosen so far,
-    P = h - (h B) B^H, and adds the strongest user's row r: h itself for
-    one antenna (gain |P|), u^H h for the top eigenvector u of a larger
-    user's Gram P P^H. Then r = c B^H + s d^H, with c = r B, gain s and
-    new direction d (reorthogonalised once), so the stacked rows are
-    L B^H, L lower triangular, and their pseudo-inverse is B L^-1: L^-1
-    grows by [-(c L^-1) / s, 1 / s], a prefix's beams are B times its
-    block of L^-1 over that block's column norms (``norms``), and the
-    first beam is the matched filter. Selection stops when no user has
-    a direction left. A stack (..., m, n_tx) gives each entry its own
-    order (see :class:`ZfDesign`). ``forward`` is the ``rated`` channel
-    (None: the design one) times B and ``radiated`` B^H M B for
-    ``mismatch_power`` M, each reduced per prefix by l x l products.
+    P = h - (h B) B^H, and adds the strongest user's row r = u^H h, with
+    u the top eigenvector of the user's p x p Gram P P^H and gain the
+    root of its eigenvalue (for one antenna u = 1, and r is h itself).
+    Then r = c B^H + s d^H, with c = r B, gain s and new direction d
+    (reorthogonalised once), so the stacked rows are L B^H, L lower
+    triangular, and their pseudo-inverse is B L^-1: L^-1 grows by
+    [-(c L^-1) / s, 1 / s], a prefix's beams are B times its block of
+    L^-1 over that block's column norms (``norms``), and the first beam
+    is the matched filter. Selection stops when no user has a direction
+    left. A stack (..., m, n_tx) gives each entry its own order (see
+    :class:`ZfDesign`). ``forward`` is the ``rated`` channel (None: the
+    design one) times B and ``radiated`` B^H M B for ``mismatch_power``
+    M, each reduced per prefix by l x l products.
 
     The width and contiguous copies of the channels fix the BLAS path
     from the shapes, so an entry's bits do not depend on the rest of
@@ -743,8 +742,6 @@ def greedy_zf_design(
     h, rated = h.reshape(-1, m_total, n_tx), rated.reshape(-1, m_total, n_tx)
     n, sizes, width = len(h), np.array(partition), min(n_tx, m_total)
     offsets = np.cumsum((0,) + partition)
-    # Row k combines the stacked rows into user k's row w h; one antenna: w = e_i.
-    template = np.eye(m_total, dtype=complex)[offsets[:-1]] * (sizes == 1)[:, None]
     live = np.arange(n)  # realizations still adding streams
     owners = np.full((n, width), -1)
     directions = np.zeros((n, n_tx, width), dtype=complex)
@@ -757,13 +754,14 @@ def greedy_zf_design(
         h_live = h[live]
         along = h_live @ basis
         projected = h_live - along @ basis_h
-        gains = np.sqrt((projected.real**2 + projected.imag**2).sum(axis=-1))[:, offsets[:-1]]
-        weights = np.repeat(template[None], live.size, axis=0)
-        for k in np.flatnonzero(sizes > 1):
-            own = projected[:, offsets[k] : offsets[k + 1]]
+        gains = np.empty((live.size, len(sizes)))
+        # Row k combines the stacked rows into user k's row w h.
+        weights = np.zeros((live.size, len(sizes), m_total), dtype=complex)
+        for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+            own = projected[:, a:b]
             lam, u = np.linalg.eigh(own @ own.conj().swapaxes(1, 2))
             gains[:, k] = np.sqrt(np.maximum(lam[:, -1], 0.0))
-            weights[:, k, offsets[k] : offsets[k + 1]] = u[:, :, -1].conj()
+            weights[:, k, a:b] = u[:, :, -1].conj()
         gains[(owners[live, :, None] == np.arange(len(sizes))).sum(axis=1) >= sizes] = 0.0
         # argmax keeps the first of equal gains: only a strictly stronger user replaces it.
         pick = np.argmax(gains, axis=1)

@@ -576,6 +576,8 @@ class TestTwoUserClosedForm:
         assert closed.converged.all() and iterated.converged.all()
         assert not closed.iterations.any()
         np.testing.assert_array_equal(closed.objective_history, closed.rates[..., None])
+        # Rated on its own channel, the closed form returns its own rates bit for bit.
+        np.testing.assert_array_equal(closed.rates_on(h, 0.7), closed.rates)
         powers = np.diagonal(closed.covariances, axis1=-2, axis2=-1)
         trace = powers.sum(axis=-1).real
         np.testing.assert_allclose(trace, np.broadcast_to(self.BUDGETS_W, trace.shape), rtol=1e-15)
@@ -630,16 +632,25 @@ class TestTwoUserClosedForm:
             p1, p2 = Fraction(float(p1)), Fraction(float(p2))
             return math.log1p(float(g11 * p1 + g22 * p2 + d * p1 * p2)) / math.log(2.0)
 
+        def unit_phase_pairs(rng):
+            h = crandn(rng, 60, 2, 6)
+            h[:, 1] = np.exp(2j * np.pi * rng.uniform(size=(60, 1))) * h[:, 0]
+            return h
+
         rng = RNG(96)
-        h = crandn(rng, 60, 2, 6)
-        h[:, 1] = np.exp(2j * np.pi * rng.uniform(size=(60, 1))) * h[:, 0]
+        h = unit_phase_pairs(rng)
         budgets = np.array([1e-12, 1e-3, 1.0, 1e3])
         grid = mac_sum_capacity_grid(h, (1, 1), budgets, 0.7)
         powers = np.diagonal(grid.covariances, axis1=-2, axis2=-1).real
-        expected = [
-            [exact_bits(h[r], *powers[r, j]) for j in range(budgets.size)] for r in range(60)
-        ]
-        np.testing.assert_allclose(grid.rates, expected, rtol=1e-14, atol=0.0)
+        other = unit_phase_pairs(rng)
+        # The grid's splits as solved, and rated on its own channel and on a second one.
+        rated = [(h, grid.rates), (h, grid.rates_on(h, 0.7)), (other, grid.rates_on(other, 0.7))]
+        for channel, rates in rated:
+            expected = [
+                [exact_bits(channel[r], *powers[r, j]) for j in range(budgets.size)]
+                for r in range(60)
+            ]
+            np.testing.assert_allclose(rates, expected, rtol=1e-14, atol=0.0)
 
     def test_route_needs_no_solve_eigh_or_waterfill(self, monkeypatch):
         h = self.two_user_stack(RNG(97), 8)
@@ -711,9 +722,10 @@ class TestScaledGramRating:
         def refuse(*args, **kwargs):
             raise AssertionError("single-antenna users need no eigh")
 
+        # The iteration takes each block's eigh, 1x1 blocks too; the rating needs none.
+        grid = mac_sum_capacity_grid(h, (1,) * k, self.BUDGETS_W, 0.7)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", refuse)
-            grid = mac_sum_capacity_grid(h, (1,) * k, self.BUDGETS_W, 0.7)
             on_other = grid.rates_on(other, 0.7)
         gram = strategies._gram_factor(other, 0.7, True)[0]
         reference = self.eig_bits(gram[:, None], grid.covariances)
