@@ -145,16 +145,16 @@ def is_scalar_matrix(matrix: np.ndarray) -> bool:
 
 def voltage_transfer(system: ImpedanceSystem) -> np.ndarray:
     """Transfer matrix from generator voltages to receive load voltages."""
-    n, m = system.n_tx, system.n_rx
-    a_tx = system.z_tx + system.z_source * np.eye(n)
-    a_rx = system.z_rx + system.z_load * np.eye(m)
-    right = system.z_coupling @ np.linalg.inv(a_tx)
-    return system.z_load * np.linalg.solve(a_rx, right)
+    right = system.z_coupling @ _inverse(system.z_tx, system.z_source)
+    return system.z_load * (_inverse(system.z_rx, system.z_load) @ right)
 
 
-def _source_inverse(system: ImpedanceSystem) -> np.ndarray:
-    """(Z_tx + z_source I)^-1, the inverse of the loaded transmit array."""
-    return np.linalg.inv(system.z_tx + system.z_source * np.eye(system.n_tx))
+def _inverse(matrix: np.ndarray, shift: complex = 0.0) -> np.ndarray:
+    """(matrix + shift I)^-1, raising FactorizationError when it is singular."""
+    try:
+        return np.linalg.inv(matrix + shift * np.eye(matrix.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(str(exc)) from exc
 
 
 def power_coupling(system: ImpedanceSystem) -> np.ndarray:
@@ -164,18 +164,13 @@ def power_coupling(system: ImpedanceSystem) -> np.ndarray:
     the radiated power is tr(power_coupling @ R) / source_resistance
     scaled consistently; the matrix itself is PSD.
     """
-    return _power_coupling(system, _source_inverse(system))
-
-
-def _power_coupling(system: ImpedanceSystem, a_inv: np.ndarray) -> np.ndarray:
-    r_tx = (0.5 * (system.z_tx + system.z_tx.conj().T)).real
-    core = a_inv.conj().T @ r_tx @ a_inv
-    return system.z_source.real * hermitize(core, tol=1e-6)
+    root = power_coupling_root(system)
+    return hermitize(root @ root.conj().T, tol=1e-6)
 
 
 def power_coupling_root(system: ImpedanceSystem) -> np.ndarray:
     """Non-Hermitian root G with G @ G^H equal to the power coupling."""
-    return _power_coupling_root(system, _source_inverse(system))
+    return _power_coupling_root(system, _inverse(system.z_tx, system.z_source))
 
 
 def _power_coupling_root(system: ImpedanceSystem, a_inv: np.ndarray) -> np.ndarray:
@@ -235,8 +230,13 @@ class FrontEnd:
     channels are linear in Z21 (see :func:`link_channel` and
     :func:`naive_channels`):
 
-    - ``rx_map`` = noise_scale * z_load * output_noise_root^-1 * (Z_rx + z_load I)^-1
-    - ``tx_map`` = (Z_tx + z_source I)^-1 * (power_coupling_root^H)^-1
+    - ``rx_map`` = noise_scale * z_load * output_noise_root^-1 * (Z_rx + z_load I)^-1.
+      Unless the receive side is scalar, ``output_noise_root`` is (z_load / sqrt(r_load))
+      (Z_rx + z_load I)^-1 L_q, L_q the lower Cholesky factor of ``port_noise_covariance``
+      and r_load = Re z_load, so ``rx_map`` = noise_scale * sqrt(r_load) * L_q^-1.
+    - ``tx_map`` = (Z_tx + z_source I)^-1 * (power_coupling_root^H)^-1, where
+      ``power_coupling_root`` G = sqrt(Re z_source) (Z_tx + z_source I)^-H R_tx^1/2,
+      R_tx the Hermitian part of Z_tx, and ``power_coupling`` = G G^H.
     - ``tx_map_decoupled`` = (Z_tx + z_source I)^-1 * diag(1 / conj(decoupled_power_root))
     - ``rx_map_assumed`` replaces the output noise root by the square
       root of the diagonal of its covariance, as a designer ignoring
@@ -268,16 +268,32 @@ def front_end(system: ImpedanceSystem, noise: NoiseConfig) -> FrontEnd:
     the receive-noise covariance cannot be factored or a map is
     singular; this cannot depend on the coupling realization.
     """
+    a_tx_inv = _inverse(system.z_tx, system.z_source)
+    return _front_end(system, noise, a_tx_inv, _inverse(system.z_rx, system.z_load))
+
+
+def link_front_ends(system: ImpedanceSystem, noise: NoiseConfig) -> tuple[FrontEnd, FrontEnd]:
+    """:func:`front_end` of both directions, inverting each array once per distinct termination."""
+    tx = {z: _inverse(system.z_tx, z) for z in {system.z_source, system.z_load}}
+    rx = {z: _inverse(system.z_rx, z) for z in {system.z_source, system.z_load}}
+    return (
+        _front_end(system, noise, tx[system.z_source], rx[system.z_load]),
+        _front_end(reversed_link(system), noise, rx[system.z_source], tx[system.z_load]),
+    )
+
+
+def _front_end(
+    system: ImpedanceSystem, noise: NoiseConfig, a_tx_inv: np.ndarray, a_rx_inv: np.ndarray
+) -> FrontEnd:
+    """:func:`front_end`, given the loaded inverses of the transmit and receive arrays."""
     m = system.n_rx
-    a_tx_inv = _source_inverse(system)
-    b = _power_coupling(system, a_tx_inv)
     b_root = _power_coupling_root(system, a_tx_inv)
+    b = hermitize(b_root @ b_root.conj().T, tol=1e-6)
     b_diag_root = decoupled_power_root(system)
     q = port_noise_covariance(system, noise)
 
     z_load = system.z_load
     r_load = z_load.real
-    a_rx = system.z_rx + z_load * np.eye(m)
     if is_scalar_matrix(system.z_rx):
         # Scalar receive side: pick the real scalar root so the
         # normalized channel carries no spurious global phase.
@@ -288,19 +304,15 @@ def front_end(system: ImpedanceSystem, noise: NoiseConfig) -> FrontEnd:
             abs(z_load) * sqrt(sigma_q) / (sqrt(r_load) * abs(system.z_rx[0, 0] + z_load))
         )
         noise_root = sigma_out * np.eye(m)
-        r_out = (sigma_out * sigma_out) * np.eye(m)
+        rx_scale, whitener = z_load, a_rx_inv / sigma_out
     else:
         q_chol = cholesky_psd(q)
-        noise_root = (z_load / sqrt(r_load)) * np.linalg.solve(a_rx, q_chol)
-        r_out = noise_root @ noise_root.conj().T
+        noise_root = (z_load / sqrt(r_load)) * (a_rx_inv @ q_chol)
+        rx_scale, whitener = sqrt(r_load), _inverse(q_chol)
+    r_out = noise_root @ noise_root.conj().T
     sigma_theta = sqrt(float(np.trace(r_out).real) / m)
 
-    try:
-        a_rx_inv = np.linalg.inv(a_rx)
-        rx_map = (sigma_theta * z_load) * np.linalg.solve(noise_root, a_rx_inv)
-        tx_map = a_tx_inv @ np.linalg.inv(b_root.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(str(exc)) from exc
+    tx_map = a_tx_inv @ _inverse(b_root.conj().T)
     diag_out_root = np.sqrt(np.diag(r_out).real)
     inv_root = 1.0 / b_diag_root
     mismatch = (inv_root[:, None] * b) * np.conj(inv_root)[None, :]
@@ -314,7 +326,7 @@ def front_end(system: ImpedanceSystem, noise: NoiseConfig) -> FrontEnd:
         output_noise_covariance=hermitize(r_out, tol=1e-6),
         output_noise_root=noise_root,
         noise_scale=sigma_theta,
-        rx_map=rx_map,
+        rx_map=(sigma_theta * rx_scale) * whitener,
         rx_map_assumed=(sigma_theta * z_load) * a_rx_inv / diag_out_root[:, None],
         tx_map=tx_map,
         tx_map_decoupled=a_tx_inv / np.conj(b_diag_root)[None, :],

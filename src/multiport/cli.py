@@ -157,8 +157,7 @@ def _write_kde_csv(path: str, result: ScenarioResult) -> None:
 
 def _write_json(path: str, data: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_atomically(path: str, write: Callable[[str], None]) -> None:

@@ -49,15 +49,13 @@ from .channel_model import (
     ImpedanceSystem,
     NoiseConfig,
     build_bundle,  # noqa: F401  # bench/tests/test_bench.py reads montecarlo.build_bundle
-    front_end,
     link_channel,
+    link_front_ends,
     naive_channels,
-    reversed_link,
 )
 from .em_arrays import (
     array_impedance_matrix,
     dipole_mutual_impedance,
-    dipole_self_impedance,
     read_impedance_csv,
     uniform_circular_array,
     write_impedance_csv,
@@ -82,12 +80,13 @@ class SimulationAbort(RuntimeError):
     """The scenario's link front ends cannot be built."""
 
 
+@cache
 def far_field_coupling_std() -> float:
     """Calibrated coupling standard deviation in ohm.
 
     Matches the magnitude of the dipole mutual impedance at a far-field
     reference distance, so random realizations carry a physically
-    plausible path scale.
+    plausible path scale. Computed once per process.
     """
     return abs(dipole_mutual_impedance(FAR_FIELD_DISTANCE_WAVELENGTHS))
 
@@ -403,9 +402,8 @@ def write_coupling_file(path: str, realizations: np.ndarray) -> None:
     write_impedance_csv(path, realizations)
 
 
-def _receive_impedance(config: ScenarioConfig) -> np.ndarray:
+def _receive_impedance(config: ScenarioConfig, z_self: complex) -> np.ndarray:
     """Block-diagonal receive impedance: one UCA block per user."""
-    z_self = dipole_self_impedance()
     z_rx = np.zeros((config.n_rx_total, config.n_rx_total), dtype=complex)
     offset = 0
     for m in config.rx_partition:
@@ -420,17 +418,18 @@ def _receive_impedance(config: ScenarioConfig) -> np.ndarray:
 
 def _front_ends(config: ScenarioConfig) -> tuple[FrontEnd, FrontEnd]:
     """Forward and reverse link front ends; SimulationAbort if one cannot be built."""
-    geom = uniform_circular_array(config.n_tx, config.tx_spacing)
-    termination = complex(dipole_self_impedance().real)
+    z_tx = array_impedance_matrix(uniform_circular_array(config.n_tx, config.tx_spacing))
+    # The diagonal of an array's impedance matrix is the dipole self impedance.
+    termination = complex(z_tx[0, 0].real)
     forward = ImpedanceSystem(
-        z_tx=array_impedance_matrix(geom),
-        z_rx=_receive_impedance(config),
+        z_tx=z_tx,
+        z_rx=_receive_impedance(config, z_tx[0, 0]),
         z_coupling=np.zeros((config.n_rx_total, config.n_tx), dtype=complex),
         z_source=termination,
         z_load=termination,
     )
     try:
-        return front_end(forward, config.noise), front_end(reversed_link(forward), config.noise)
+        return link_front_ends(forward, config.noise)
     except FactorizationError as exc:
         raise SimulationAbort(f"link front end cannot be built: {exc}") from exc
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import sici
 
 from multiport.em_arrays import (
     FREE_SPACE_IMPEDANCE_OHM,
@@ -90,6 +91,65 @@ class TestSineCosineIntegrals:
         # |Ci(x)| <= 2/x for x beyond the first zero crossing region
         if x > 10.0:
             assert abs(ci) <= 2.0 / x
+
+
+def uca_arguments(n: int, spacing: float) -> np.ndarray:
+    """The Si/Ci arguments of one UCA's impedance matrix: 2 pi, then each distance's three."""
+    positions = uniform_circular_array(n, spacing).positions
+    s = np.linalg.norm(positions[1 : n // 2 + 1] - positions[0], axis=1)
+    mid = np.sqrt(s * s + 0.25)
+    return 2 * math.pi * np.concatenate([[1.0], s, mid + 0.5, mid - 0.5])
+
+
+class TestSineCosineIntegralArrays:
+    """The one-pass array evaluation against scipy's sici, per regime."""
+
+    # The series loses digits to cancellation near the cutoff, where its
+    # terms reach about 400: up to about 50 eps there, as before it was
+    # vectorised. The continued fraction stays within a few eps.
+    @pytest.mark.parametrize(
+        "x, atol",
+        [
+            (np.concatenate([np.geomspace(1e-8, 1.0, 100), np.linspace(1.0, 8.0, 400)]), 2e-14),
+            (np.geomspace(8.0, 1e4, 401)[1:], 1e-15),
+            (np.array([8.0 - 1e-9, 8.0, 8.0 + 1e-9]), 2e-14),
+            (uca_arguments(33, 0.4), 1e-14),
+        ],
+        ids=["series (0, 8]", "continued fraction (8, 1e4]", "8 +- 1e-9", "UCA(33, 0.4)"],
+    )
+    def test_matches_scipy(self, x, atol):
+        si, ci = sine_cosine_integrals(x)
+        ref_si, ref_ci = sici(x)
+        np.testing.assert_allclose(si, ref_si, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(ci, ref_ci, rtol=0.0, atol=atol)
+
+    def test_uca_has_49_arguments_on_both_sides_of_the_cutoff(self):
+        x = uca_arguments(33, 0.4)
+        assert x.size == 49 and (x <= 8.0).any() and (x > 8.0).any()
+
+    def test_array_shape_and_scalar_contract(self):
+        x = np.array([[0.5, 9.0], [8.0, 100.0]])
+        si, ci = sine_cosine_integrals(x)
+        assert si.shape == ci.shape == (2, 2)
+        for i, j in np.ndindex(2, 2):
+            scalar = sine_cosine_integrals(float(x[i, j]))
+            assert all(type(v) is float for v in scalar)
+            np.testing.assert_allclose(scalar, (si[i, j], ci[i, j]), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [-2.0, 3.0], [1.0, math.nan]])
+    def test_rejects_any_nonpositive_element(self, bad):
+        with pytest.raises(ValueError):
+            sine_cosine_integrals(np.array(bad))
+        with pytest.raises(ValueError):
+            dipole_mutual_impedance(np.array(bad))
+
+    def test_mutual_impedance_of_an_array_matches_scalar_calls(self):
+        s = np.array([[0.1, 0.5], [2.5, 1000.0]])
+        z = dipole_mutual_impedance(s)
+        assert z.shape == s.shape and z.dtype == complex
+        scalar = np.array([dipole_mutual_impedance(float(v)) for v in s.ravel()])
+        np.testing.assert_allclose(z.ravel(), scalar, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert type(dipole_mutual_impedance(0.5)) is complex
 
 
 class TestDipoleImpedances:
@@ -212,6 +272,18 @@ class TestArrayMatrix:
                     dist = float(np.linalg.norm(geom.positions[i] - geom.positions[j]))
                     ref[i, j] = ref[j, i] = dipole_mutual_impedance(dist)
             np.testing.assert_allclose(array_impedance_matrix(geom), ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 33, 64])
+    def test_matches_per_entry_scalar_reference(self, n):
+        # Each entry against a scalar call at the distance of its element
+        # offset; the one-pass evaluation is within a few ulp of it.
+        positions = uniform_circular_array(n, 0.4).positions
+        distances = np.linalg.norm(positions[1 : n // 2 + 1] - positions[0], axis=1)
+        first = [dipole_self_impedance()] + [dipole_mutual_impedance(float(d)) for d in distances]
+        offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        ref = np.array(first)[np.minimum(offset, n - offset)]
+        z = array_impedance_matrix(uniform_circular_array(n, 0.4))
+        assert np.all(np.abs(z - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
 
 
 class TestImpedanceCsv:

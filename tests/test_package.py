@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import multiport as mp
 from multiport import strategies
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SOURCE = Path(mp.__file__).resolve().parent
 
 # Read as attributes of the package by the benchmark harness, the
@@ -91,3 +95,19 @@ def test_every_public_definition_is_exported_or_used():
             if sum(len(word.findall(text)) for text in sources) < 2:
                 unused.append(f"{info.name}.{name}")
     assert unused == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy and mpmath serve the tests as oracles; the package loads neither.
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[(.*)\]$", text, re.M).group(1) == '"numpy>=1.24"'
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, multiport; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    ).stdout.split()
+    assert "numpy" in loaded
+    assert [m for m in loaded if m.split(".")[0] in ("scipy", "mpmath")] == []
