@@ -42,6 +42,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -319,7 +320,14 @@ def cmd_kde(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    ``set_defaults(func=...)`` binds each subcommand's ``cmd_*``
+    function when the parser is first built, so a later patch of
+    ``cli.cmd_*`` does not reach the cached parser.
+    """
     parser = argparse.ArgumentParser(
         prog="multiport",
         description="Physically consistent MIMO link simulator",

@@ -17,13 +17,16 @@ line's run config) share one parser; each class's ``__post_init__``
 checks the values.
 
 Only the coupling block varies between realizations, so both link
-front ends are built once per scenario; a front end that cannot be
-built aborts the run before any coupling is drawn.
+front ends are built once per process for each geometry and noise, and
+later runs that share them (another seed, size or power grid) reuse
+them; a front end that cannot be built aborts every run that needs it
+before any coupling is read or drawn.
 
 Realizations run in chunks of fixed size. The calling process reads or
 draws each chunk's couplings; one worker call, serial or pooled, rates
 that (R, ...) stack with every strategy and returns a ChunkOutcome,
-which run_scenario concatenates field by field in chunk order.
+which run_scenario concatenates field by field in chunk order. A pool
+task carries only the config and its chunk's couplings.
 
 Reproducibility: every realization uses a counter-based random stream
 keyed by (seed, realization index, attempt 0), and its results depend
@@ -38,7 +41,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from types import MappingProxyType
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -402,36 +405,63 @@ def write_coupling_file(path: str, realizations: np.ndarray) -> None:
     write_impedance_csv(path, realizations)
 
 
-def _receive_impedance(config: ScenarioConfig, z_self: complex) -> np.ndarray:
+def _receive_impedance(partition: tuple[int, ...], spacing: float, z_self: complex) -> np.ndarray:
     """Block-diagonal receive impedance: one UCA block per user."""
-    z_rx = np.zeros((config.n_rx_total, config.n_rx_total), dtype=complex)
+    n_rx = sum(partition)
+    z_rx = np.zeros((n_rx, n_rx), dtype=complex)
     offset = 0
-    for m in config.rx_partition:
+    for m in partition:
         if m == 1:
             z_rx[offset, offset] = z_self
         else:
-            geom = uniform_circular_array(m, config.rx_spacing)
+            geom = uniform_circular_array(m, spacing)
             z_rx[offset : offset + m, offset : offset + m] = array_impedance_matrix(geom)
         offset += m
     return z_rx
 
 
 def _front_ends(config: ScenarioConfig) -> tuple[FrontEnd, FrontEnd]:
-    """Forward and reverse link front ends; SimulationAbort if one cannot be built."""
-    z_tx = array_impedance_matrix(uniform_circular_array(config.n_tx, config.tx_spacing))
+    """Forward and reverse link front ends; SimulationAbort if one cannot be built.
+
+    A one-entry process cache keyed on the fields they read holds them, so
+    runs that differ only in seed, size, power grid or coupling file share them.
+    """
+    return _built_front_ends(
+        config.n_tx, config.tx_spacing, config.rx_partition, config.rx_spacing, config.noise
+    )
+
+
+@lru_cache(maxsize=1)
+def _built_front_ends(
+    n_tx: int,
+    tx_spacing: float,
+    rx_partition: tuple[int, ...],
+    rx_spacing: float,
+    noise: NoiseConfig,
+) -> tuple[FrontEnd, FrontEnd]:
+    """:func:`_front_ends` of one geometry and noise.
+
+    Later runs share the arrays, so all are read-only. The cache stores
+    no exception, so a failure raises SimulationAbort on every call.
+    """
+    z_tx = array_impedance_matrix(uniform_circular_array(n_tx, tx_spacing))
     # The diagonal of an array's impedance matrix is the dipole self impedance.
     termination = complex(z_tx[0, 0].real)
     forward = ImpedanceSystem(
         z_tx=z_tx,
-        z_rx=_receive_impedance(config, z_tx[0, 0]),
-        z_coupling=np.zeros((config.n_rx_total, config.n_tx), dtype=complex),
+        z_rx=_receive_impedance(rx_partition, rx_spacing, z_tx[0, 0]),
+        z_coupling=np.zeros((sum(rx_partition), n_tx), dtype=complex),
         z_source=termination,
         z_load=termination,
     )
     try:
-        return link_front_ends(forward, config.noise)
+        fronts = link_front_ends(forward, noise)
     except FactorizationError as exc:
         raise SimulationAbort(f"link front end cannot be built: {exc}") from exc
+    for value in (*vars(fronts[0]).values(), *vars(fronts[1]).values()):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return fronts
 
 
 def bounded_workers(requested: int, n_chunks: int, cpu_count: int | None) -> int:
@@ -544,10 +574,13 @@ def _evaluate_chunk(
     return ChunkOutcome(rates, streams, alphas, iterations, gaps, converged)
 
 
-def _run_chunk(
-    config: ScenarioConfig, down: FrontEnd, up: FrontEnd, z21: np.ndarray
-) -> ChunkOutcome:
-    """Every strategy on the chunk of couplings ``z21`` (R, n_rx, n_tx)."""
+def _run_chunk(config: ScenarioConfig, z21: np.ndarray) -> ChunkOutcome:
+    """Every strategy on the chunk of couplings ``z21`` (R, n_rx, n_tx).
+
+    The front ends come from this process's cache, which a fork-started
+    worker inherits and a spawn-started one fills once.
+    """
+    down, up = _front_ends(config)
     channels = (
         link_channel(down, z21),
         *naive_channels(down, z21),
@@ -586,8 +619,9 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
 
     Realizations run in chunks of CHUNK_REALIZATIONS. ``n_workers`` > 1
     distributes the chunks over processes, at most one per chunk and per
-    CPU this process may run on; each task carries the front ends and
-    its own chunk's couplings, which this process reads or draws.
+    CPU this process may run on; each task carries only the config and
+    its own chunk's couplings, which this process reads or draws. Front
+    ends are built once per process for each geometry and noise.
     Outputs are identical to the serial run, and to a run with any other
     chunk size, because every realization owns a counter-based random
     stream, its results do not depend on its chunk and results are
@@ -595,11 +629,11 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     SimulationAbort when the link front ends cannot be built, before
     any coupling is read or drawn.
     """
-    down, up = _front_ends(config)
+    _front_ends(config)  # aborts before any coupling is read or drawn
     n = config.n_realizations
     chunks = [range(a, min(a + CHUNK_REALIZATIONS, n)) for a in range(0, n, CHUNK_REALIZATIONS)]
     stacks = _couplings(config, chunks)
-    worker = partial(_run_chunk, config, down, up)
+    worker = partial(_run_chunk, config)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:

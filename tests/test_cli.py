@@ -357,6 +357,19 @@ class TestRun:
         assert main(["run", config, "--output-dir", str(out)]) == code
         assert not out.exists()
 
+    def test_a_rejected_call_leaves_the_cached_parser_usable(self, tmp_path, capsys):
+        config = write_run_config(tmp_path / "run.json")
+        out = tmp_path / "out"
+        # argparse has read --workers 2 when it meets the unknown option.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", config, "--workers", "2", "--bogus"])
+        assert exc.value.code == 2
+        assert "--bogus" in capsys.readouterr().err
+        assert main(["run", config, "--output-dir", str(out)]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        effective = json.loads((out / "clirun_effective_config.json").read_text())
+        assert effective["n_workers"] == 1
+
     def test_emit_choices_follow_writers(self):
         assert cli.EMIT_CHOICES == ("rates_csv", "alpha_csv", "streams_csv", "kde_csv")
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import multiport as mp
-from multiport import cli, montecarlo, strategies
+from conftest import make_system
+from multiport import channel_model, cli, montecarlo, strategies
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -813,15 +814,24 @@ class TestChunkInvariance:
 
 
 class TestRunScenario:
-    def test_deterministic_and_worker_invariant(self, monkeypatch):
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    def test_deterministic_and_worker_invariant(self, monkeypatch, start):
         import concurrent.futures
+        import multiprocessing
 
-        pools = []
+        pools, tasks = [], []
 
         class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            # A fork-started worker inherits the cached front ends; a
+            # spawn-started one builds them itself.
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs.get("max_workers"))
+                kwargs["mp_context"] = multiprocessing.get_context(start)
                 super().__init__(*args, **kwargs)
+
+            def map(self, fn, *iterables, **kwargs):
+                tasks.append(fn)
+                return super().map(fn, *iterables, **kwargs)
 
         # Two chunks and two usable CPUs: the two-worker run starts a pool.
         monkeypatch.setattr(
@@ -834,6 +844,9 @@ class TestRunScenario:
         assert pools == []
         parallel = mp.run_scenario(config, n_workers=2)
         assert pools == [2]
+        # A task carries the config and its couplings, not the front ends.
+        (task,) = tasks
+        assert (task.func, task.args, task.keywords) == (montecarlo._run_chunk, (config,), {})
         for s in config.strategies:
             assert np.array_equal(
                 serial_a.per_realization_rates[s], serial_b.per_realization_rates[s]
@@ -1025,12 +1038,15 @@ class TestRunScenario:
         with pytest.raises(mp.SimulationAbort):
             mp.run_scenario(config)
 
-    def test_zero_noise_aborts_before_drawing_coupling(self, monkeypatch):
+    @pytest.mark.parametrize("coupling_file", [None, "coupling.csv"])
+    def test_zero_noise_aborts_before_drawing_coupling(self, monkeypatch, coupling_file):
         def no_draw(*args, **kwargs):
             raise AssertionError("coupling drawn before the front end was checked")
 
+        montecarlo._built_front_ends.cache_clear()
         monkeypatch.setattr(montecarlo, "coupling_realization", no_draw)
         monkeypatch.setattr(montecarlo, "_draw_couplings", no_draw)
+        monkeypatch.setattr(montecarlo, "read_coupling_file", no_draw)
         dead = mp.NoiseConfig(
             voltage_noise_var=0.0, current_noise_var=0.0, antenna_temperature_k=0.0
         )
@@ -1040,9 +1056,12 @@ class TestRunScenario:
                 rx_partition=partition,
                 strategies=("cap",),
                 n_realizations=2,
+                coupling_file=coupling_file,
             )
-            with pytest.raises(mp.SimulationAbort, match="front end"):
-                mp.run_scenario(config)
+            # The cache stores no exception: every call aborts.
+            for _ in range(2):
+                with pytest.raises(mp.SimulationAbort, match="front end"):
+                    mp.run_scenario(config)
 
     def test_imported_coupling_matches_sampled(self, tmp_path):
         config = tiny_config(n_realizations=4)
@@ -1078,3 +1097,91 @@ class TestRunScenario:
         )
         with pytest.raises(mp.ConfigError):
             mp.run_scenario(tiny_config(coupling_file=path, n_realizations=5))
+
+
+# A value other than the default for each NoiseConfig field.
+NOISE_CHANGES = {
+    "voltage_noise_var": 2e-15,
+    "current_noise_var": 2e-17,
+    "correlation": 0.3j,
+    "antenna_temperature_k": 300.0,
+    "bandwidth_hz": 1e6,
+}
+
+
+class TestFrontEndCache:
+    """Front ends are built once per process for each geometry and noise."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch) -> list:
+        """The arguments of every link_front_ends call, from an empty cache on."""
+        montecarlo._built_front_ends.cache_clear()
+        build = montecarlo.link_front_ends
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(montecarlo, "link_front_ends", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"seed": 9}, {"n_realizations": 3}, {"power_grid_dbw": (-60.0,)}],
+        ids=["seed", "n_realizations", "power_grid_dbw"],
+    )
+    def test_a_run_sharing_arrays_and_noise_builds_none(self, builds, change):
+        config = tiny_config(n_realizations=2)
+        mp.run_scenario(config)
+        assert len(builds) == 1
+        mp.run_scenario(dataclasses.replace(config, **change))
+        assert len(builds) == 1
+
+    def test_every_noise_field_is_changed_below(self):
+        assert NOISE_CHANGES.keys() == {f.name for f in dataclasses.fields(mp.NoiseConfig)}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_tx": 5},
+            {"tx_spacing": 0.45},
+            {"rx_partition": (1, 2)},
+            {"rx_spacing": 0.3},
+            *(
+                {"noise": dataclasses.replace(mp.NoiseConfig.default(), **{name: value})}
+                for name, value in NOISE_CHANGES.items()
+            ),
+        ],
+        ids=["n_tx", "tx_spacing", "rx_partition", "rx_spacing", *NOISE_CHANGES],
+    )
+    def test_each_key_field_forces_a_rebuild(self, builds, change):
+        base = tiny_config(rx_partition=(2,), rx_spacing=0.35, strategies=("cap",))
+        montecarlo._front_ends(base)
+        montecarlo._front_ends(dataclasses.replace(base, **change))
+        assert len(builds) == 2
+        # One entry: the base geometry is built again.
+        montecarlo._front_ends(base)
+        assert len(builds) == 3
+
+    def test_cached_arrays_are_read_only(self, builds):
+        fronts = montecarlo._front_ends(tiny_config(rx_partition=(2,), rx_spacing=0.35))
+        arrays = [v for front in fronts for v in vars(front).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2 * 11
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_cached_front_ends_equal_a_direct_build(self, builds, name):
+        config = bundled_config(name)
+        assert montecarlo._front_ends(config) is montecarlo._front_ends(config)
+        assert len(builds) == 1
+        system = make_system(config.n_tx, config.rx_partition, config.tx_spacing, config.rx_spacing)
+        direct = channel_model.link_front_ends(system, config.noise)
+        for cached, built in zip(montecarlo._front_ends(config), direct):
+            for field in dataclasses.fields(mp.FrontEnd):
+                got, want = (np.asarray(getattr(f, field.name)) for f in (cached, built))
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
