@@ -320,14 +320,7 @@ def cmd_kde(args: argparse.Namespace) -> int:
     return 0
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process.
-
-    ``set_defaults(func=...)`` binds each subcommand's ``cmd_*``
-    function when the parser is first built, so a later patch of
-    ``cli.cmd_*`` does not reach the cached parser.
-    """
     parser = argparse.ArgumentParser(
         prog="multiport",
         description="Physically consistent MIMO link simulator",
@@ -361,9 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process. It bound the cmd_* functions when
+# it was built, so a later patch of one does not reach main.
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -17,15 +17,13 @@ line's run config) share one parser; each class's ``__post_init__``
 checks the values.
 
 Only the coupling block varies between realizations, so both link
-front ends are built once per process for each geometry and noise, and
-later runs that share them (another seed, size or power grid) reuse
-them; a front end that cannot be built aborts every run that needs it
-before any coupling is read or drawn.
+front ends are built once per process for each geometry and noise; one
+that cannot be built aborts the run before any coupling is read or drawn.
 
 Realizations run in chunks of fixed size. The calling process reads or
 draws each chunk's couplings; one worker call, serial or pooled, rates
 that (R, ...) stack with every strategy and returns a ChunkOutcome,
-which run_scenario concatenates field by field in chunk order. A pool
+which run_scenario concatenates field by field in chunk order; a pool
 task carries only the config and its chunk's couplings.
 
 Reproducibility: every realization uses a counter-based random stream
@@ -407,8 +405,7 @@ def write_coupling_file(path: str, realizations: np.ndarray) -> None:
 
 def _receive_impedance(partition: tuple[int, ...], spacing: float, z_self: complex) -> np.ndarray:
     """Block-diagonal receive impedance: one UCA block per user."""
-    n_rx = sum(partition)
-    z_rx = np.zeros((n_rx, n_rx), dtype=complex)
+    z_rx = np.zeros((sum(partition),) * 2, dtype=complex)
     offset = 0
     for m in partition:
         if m == 1:
@@ -421,28 +418,22 @@ def _receive_impedance(partition: tuple[int, ...], spacing: float, z_self: compl
 
 
 def _front_ends(config: ScenarioConfig) -> tuple[FrontEnd, FrontEnd]:
-    """Forward and reverse link front ends; SimulationAbort if one cannot be built.
-
-    A one-entry process cache keyed on the fields they read holds them, so
-    runs that differ only in seed, size, power grid or coupling file share them.
-    """
-    return _built_front_ends(
-        config.n_tx, config.tx_spacing, config.rx_partition, config.rx_spacing, config.noise
-    )
+    """Forward and reverse link front ends; SimulationAbort if one cannot be built."""
+    c = config  # tuple(): a config built in Python may hold a list partition
+    return _built_front_ends(c.n_tx, c.tx_spacing, tuple(c.rx_partition), c.rx_spacing, c.noise)
 
 
 @lru_cache(maxsize=1)
 def _built_front_ends(
-    n_tx: int,
-    tx_spacing: float,
-    rx_partition: tuple[int, ...],
-    rx_spacing: float,
-    noise: NoiseConfig,
+    n_tx: int, tx_spacing: float, rx_partition: tuple, rx_spacing: float, noise: NoiseConfig
 ) -> tuple[FrontEnd, FrontEnd]:
-    """:func:`_front_ends` of one geometry and noise.
+    """:func:`_front_ends` of one geometry and noise, in a one-entry process cache.
 
-    Later runs share the arrays, so all are read-only. The cache stores
-    no exception, so a failure raises SimulationAbort on every call.
+    Runs that differ only in seed, size, power grid or coupling file share
+    the entry, and so do pool workers: a fork-started one inherits it, a
+    spawn-started one fills it once. Every array is read-only, so no run
+    can change a later one's. The cache stores no exception, so a failure
+    raises SimulationAbort on every call.
     """
     z_tx = array_impedance_matrix(uniform_circular_array(n_tx, tx_spacing))
     # The diagonal of an array's impedance matrix is the dipole self impedance.
@@ -575,11 +566,7 @@ def _evaluate_chunk(
 
 
 def _run_chunk(config: ScenarioConfig, z21: np.ndarray) -> ChunkOutcome:
-    """Every strategy on the chunk of couplings ``z21`` (R, n_rx, n_tx).
-
-    The front ends come from this process's cache, which a fork-started
-    worker inherits and a spawn-started one fills once.
-    """
+    """Every strategy on the chunk of couplings ``z21`` (R, n_rx, n_tx)."""
     down, up = _front_ends(config)
     channels = (
         link_channel(down, z21),
@@ -620,8 +607,8 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     Realizations run in chunks of CHUNK_REALIZATIONS. ``n_workers`` > 1
     distributes the chunks over processes, at most one per chunk and per
     CPU this process may run on; each task carries only the config and
-    its own chunk's couplings, which this process reads or draws. Front
-    ends are built once per process for each geometry and noise.
+    its own chunk's couplings, which this process reads or draws, and
+    front ends come from a per-process cache (:func:`_built_front_ends`).
     Outputs are identical to the serial run, and to a run with any other
     chunk size, because every realization owns a counter-based random
     stream, its results do not depend on its chunk and results are

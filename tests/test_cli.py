@@ -366,7 +366,9 @@ class TestRun:
         assert exc.value.code == 2
         assert "--bogus" in capsys.readouterr().err
         assert main(["run", config, "--output-dir", str(out)]) == 0
-        assert cli.build_parser() is cli.build_parser()
+        assert cli._parser() is cli._parser()
+        # The public builder still hands each caller a parser of its own.
+        assert cli.build_parser() is not cli.build_parser()
         effective = json.loads((out / "clirun_effective_config.json").read_text())
         assert effective["n_workers"] == 1
 

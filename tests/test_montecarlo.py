@@ -1138,6 +1138,13 @@ class TestFrontEndCache:
         mp.run_scenario(dataclasses.replace(config, **change))
         assert len(builds) == 1
 
+    def test_a_list_partition_runs_and_shares_the_tuple_entry(self, builds):
+        config = tiny_config(rx_partition=[1, 1], strategies=("cap",), n_realizations=2)
+        result = mp.run_scenario(config)
+        assert result.per_realization_rates["cap"].shape == (2, 2)
+        mp.run_scenario(dataclasses.replace(config, rx_partition=(1, 1)))
+        assert len(builds) == 1
+
     def test_every_noise_field_is_changed_below(self):
         assert NOISE_CHANGES.keys() == {f.name for f in dataclasses.fields(mp.NoiseConfig)}
 
