@@ -170,10 +170,7 @@ def power_coupling(system: ImpedanceSystem) -> np.ndarray:
 
 def power_coupling_root(system: ImpedanceSystem) -> np.ndarray:
     """Non-Hermitian root G with G @ G^H equal to the power coupling."""
-    return _power_coupling_root(system, _inverse(system.z_tx, system.z_source))
-
-
-def _power_coupling_root(system: ImpedanceSystem, a_inv: np.ndarray) -> np.ndarray:
+    a_inv = _inverse(system.z_tx, system.z_source)
     r_tx = 0.5 * (system.z_tx + system.z_tx.conj().T)
     return sqrt(system.z_source.real) * a_inv.conj().T @ principal_sqrt_psd(r_tx)
 
@@ -264,30 +261,16 @@ class FrontEnd:
 def front_end(system: ImpedanceSystem, noise: NoiseConfig) -> FrontEnd:
     """Build the coupling-independent front end of one link direction.
 
-    ``system.z_coupling`` is not read. Raises FactorizationError when
-    the receive-noise covariance cannot be factored or a map is
-    singular; this cannot depend on the coupling realization.
+    ``front_end(reversed_link(system), noise)`` builds the reverse
+    direction. ``system.z_coupling`` is not read. Raises
+    FactorizationError when the receive-noise covariance cannot be
+    factored or a map is singular; this cannot depend on the coupling
+    realization.
     """
-    a_tx_inv = _inverse(system.z_tx, system.z_source)
-    return _front_end(system, noise, a_tx_inv, _inverse(system.z_rx, system.z_load))
-
-
-def link_front_ends(system: ImpedanceSystem, noise: NoiseConfig) -> tuple[FrontEnd, FrontEnd]:
-    """:func:`front_end` of both directions, inverting each array once per distinct termination."""
-    tx = {z: _inverse(system.z_tx, z) for z in {system.z_source, system.z_load}}
-    rx = {z: _inverse(system.z_rx, z) for z in {system.z_source, system.z_load}}
-    return (
-        _front_end(system, noise, tx[system.z_source], rx[system.z_load]),
-        _front_end(reversed_link(system), noise, rx[system.z_source], tx[system.z_load]),
-    )
-
-
-def _front_end(
-    system: ImpedanceSystem, noise: NoiseConfig, a_tx_inv: np.ndarray, a_rx_inv: np.ndarray
-) -> FrontEnd:
-    """:func:`front_end`, given the loaded inverses of the transmit and receive arrays."""
     m = system.n_rx
-    b_root = _power_coupling_root(system, a_tx_inv)
+    a_tx_inv = _inverse(system.z_tx, system.z_source)
+    a_rx_inv = _inverse(system.z_rx, system.z_load)
+    b_root = power_coupling_root(system)
     b = hermitize(b_root @ b_root.conj().T, tol=1e-6)
     b_diag_root = decoupled_power_root(system)
     q = port_noise_covariance(system, noise)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache, lru_cache, partial
@@ -50,9 +51,10 @@ from .channel_model import (
     ImpedanceSystem,
     NoiseConfig,
     build_bundle,  # noqa: F401  # bench/tests/test_bench.py reads montecarlo.build_bundle
+    front_end,
     link_channel,
-    link_front_ends,
     naive_channels,
+    reversed_link,
 )
 from .em_arrays import (
     array_impedance_matrix,
@@ -346,8 +348,14 @@ def coupling_realization(
     Entries have standard deviation ``std`` split evenly between real
     and imaginary parts. The counter-based stream makes each
     (seed, realization, attempt) triple independent; runs always draw
-    ``attempt`` 0.
+    ``attempt`` 0. Raises ValueError unless each index is an integer in
+    [0, 2**64) and ``std`` is positive and finite.
     """
+    for name, index in (("seed", seed), ("realization", realization), ("attempt", attempt)):
+        if not (isinstance(index, numbers.Integral) and 0 <= index < 2**64):
+            raise ValueError(f"{name} must be an integer in [0, 2**64)")
+    if not (math.isfinite(std) and std > 0.0):
+        raise ValueError("std must be positive and finite")
     return _draw_couplings(seed, attempt, [realization], n_rx, n_tx, std)[0]
 
 
@@ -446,7 +454,7 @@ def _built_front_ends(
         z_load=termination,
     )
     try:
-        fronts = link_front_ends(forward, noise)
+        fronts = front_end(forward, noise), front_end(reversed_link(forward), noise)
     except FactorizationError as exc:
         raise SimulationAbort(f"link front end cannot be built: {exc}") from exc
     for value in (*vars(fronts[0]).values(), *vars(fronts[1]).values()):

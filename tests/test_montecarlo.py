@@ -13,7 +13,7 @@ import pytest
 
 import multiport as mp
 from conftest import make_system
-from multiport import channel_model, cli, montecarlo, strategies
+from multiport import cli, montecarlo, strategies
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -65,6 +65,24 @@ class TestCouplingRealization:
 
     def test_far_field_scale(self):
         assert mp.far_field_coupling_std() == abs(mp.dipole_mutual_impedance(1000.0))
+
+    def test_largest_indices_draw(self):
+        top = 2**64 - 1
+        z = mp.coupling_realization(top, top, top, 2, 3, 0.5)
+        assert z.shape == (2, 3) and np.all(np.isfinite(z))
+        assert np.array_equal(z, mp.coupling_realization(np.uint64(top), top, top, 2, 3, 0.5))
+
+    @pytest.mark.parametrize("name", ["seed", "realization", "attempt"])
+    @pytest.mark.parametrize("value", [-1, 2**64, 1.0])
+    def test_rejects_an_index_outside_uint64(self, name, value):
+        args = {"seed": 5, "realization": 0, "attempt": 0, "n_rx": 2, "n_tx": 3, "std": 1.0}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer in"):
+            mp.coupling_realization(**{**args, name: value})
+
+    @pytest.mark.parametrize("std", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_a_std_that_is_not_positive_and_finite(self, std):
+        with pytest.raises(ValueError, match="^std must be positive and finite"):
+            mp.coupling_realization(5, 0, 0, 2, 3, std)
 
 
 class TestGaussianKde:
@@ -1113,18 +1131,10 @@ class TestFrontEndCache:
     """Front ends are built once per process for each geometry and noise."""
 
     @pytest.fixture
-    def builds(self, monkeypatch) -> list:
-        """The arguments of every link_front_ends call, from an empty cache on."""
+    def builds(self):
+        """The number of front-end builds (cache misses) from an empty cache on."""
         montecarlo._built_front_ends.cache_clear()
-        build = montecarlo.link_front_ends
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(montecarlo, "link_front_ends", counted)
-        return calls
+        return lambda: montecarlo._built_front_ends.cache_info().misses
 
     @pytest.mark.parametrize(
         "change",
@@ -1134,16 +1144,16 @@ class TestFrontEndCache:
     def test_a_run_sharing_arrays_and_noise_builds_none(self, builds, change):
         config = tiny_config(n_realizations=2)
         mp.run_scenario(config)
-        assert len(builds) == 1
+        assert builds() == 1
         mp.run_scenario(dataclasses.replace(config, **change))
-        assert len(builds) == 1
+        assert builds() == 1
 
     def test_a_list_partition_runs_and_shares_the_tuple_entry(self, builds):
         config = tiny_config(rx_partition=[1, 1], strategies=("cap",), n_realizations=2)
         result = mp.run_scenario(config)
         assert result.per_realization_rates["cap"].shape == (2, 2)
         mp.run_scenario(dataclasses.replace(config, rx_partition=(1, 1)))
-        assert len(builds) == 1
+        assert builds() == 1
 
     def test_every_noise_field_is_changed_below(self):
         assert NOISE_CHANGES.keys() == {f.name for f in dataclasses.fields(mp.NoiseConfig)}
@@ -1166,10 +1176,10 @@ class TestFrontEndCache:
         base = tiny_config(rx_partition=(2,), rx_spacing=0.35, strategies=("cap",))
         montecarlo._front_ends(base)
         montecarlo._front_ends(dataclasses.replace(base, **change))
-        assert len(builds) == 2
+        assert builds() == 2
         # One entry: the base geometry is built again.
         montecarlo._front_ends(base)
-        assert len(builds) == 3
+        assert builds() == 3
 
     def test_cached_arrays_are_read_only(self, builds):
         fronts = montecarlo._front_ends(tiny_config(rx_partition=(2,), rx_spacing=0.35))
@@ -1184,11 +1194,17 @@ class TestFrontEndCache:
     def test_cached_front_ends_equal_a_direct_build(self, builds, name):
         config = bundled_config(name)
         assert montecarlo._front_ends(config) is montecarlo._front_ends(config)
-        assert len(builds) == 1
+        assert builds() == 1
         system = make_system(config.n_tx, config.rx_partition, config.tx_spacing, config.rx_spacing)
-        direct = channel_model.link_front_ends(system, config.noise)
-        for cached, built in zip(montecarlo._front_ends(config), direct):
-            for field in dataclasses.fields(mp.FrontEnd):
-                got, want = (np.asarray(getattr(f, field.name)) for f in (cached, built))
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()
+        directions = (system, mp.reversed_link(system))
+        # build_bundle's front end is the one the acceptance tests read.
+        for cached, *direct in zip(
+            montecarlo._front_ends(config),
+            (mp.front_end(s, config.noise) for s in directions),
+            (mp.build_bundle(s, config.noise) for s in directions),
+        ):
+            for built in direct:
+                for field in dataclasses.fields(mp.FrontEnd):
+                    got, want = (np.asarray(getattr(f, field.name)) for f in (cached, built))
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
