@@ -43,6 +43,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -54,11 +55,12 @@ from .em_arrays import (
     write_impedance_rows,
 )
 from .montecarlo import (
+    KDE_GRID_POINTS,
     ConfigError,
     ScenarioConfig,
     ScenarioResult,
     SimulationAbort,
-    config_to_dict,
+    config_to_json,
     from_json,
     gaussian_kde,
     reports_alpha,
@@ -93,26 +95,21 @@ def _write_rates_csv(path: str, result: ScenarioResult) -> None:
 
 
 def _per_power_rows(
-    result: ScenarioResult, format_columns: Callable[[np.ndarray], list[list[str]]]
+    result: ScenarioResult, format_column: Callable[[np.ndarray], list[str]]
 ) -> list[str]:
     """Rows ``"{P!r},{body}"`` for each power point P and its alpha column's bodies.
 
-    ``format_columns(columns)`` gets the (k, R) stack of the columns
-    that differ in any bit from the column before them and returns each
-    one's bodies, in one call; a repeated column reuses the previous
+    ``format_column(column)`` formats each column that differs in any
+    bit from the column before it; a repeated column reuses the previous
     bodies, which prints the same bytes. A single-receiver alpha does not
     depend on the budget, so all its columns repeat.
     """
-    distinct, index = [], []
-    for column in result.alpha_samples.T:
-        if not distinct or column.tobytes() != distinct[-1].tobytes():
-            distinct.append(column)
-        index.append(len(distinct) - 1)
-    bodies = format_columns(np.array(distinct))
-    rows = []
-    for p_dbw, i in zip(result.config.power_grid_dbw, index):
+    rows, previous, bodies = [], None, []
+    for p_dbw, column in zip(result.config.power_grid_dbw, result.alpha_samples.T):
+        if column.tobytes() != previous:
+            previous, bodies = column.tobytes(), format_column(column)
         prefix = f"{float(p_dbw)!r},"
-        rows += [prefix + body for body in bodies[i]]
+        rows += [prefix + body for body in bodies]
     return rows
 
 
@@ -122,21 +119,24 @@ def _alpha_rows(alpha: np.ndarray) -> list[str]:
 
 
 def _kde_rows(grid: np.ndarray, density: np.ndarray) -> list[str]:
-    """``"{g!r},{d!r}"`` rows of a KDE curve; a NaN curve gives ``nan,nan`` rows."""
+    """``"{g!r},{d!r}"`` rows of a KDE curve."""
     return [f"{g!r},{d!r}" for g, d in zip(grid.tolist(), density.tolist())]
 
 
-def _alpha_kde_rows(columns: np.ndarray) -> list[list[str]]:
-    """KDE rows of each alpha column, estimated in one :func:`gaussian_kde` call.
+def _alpha_kde_rows(column: np.ndarray) -> list[str]:
+    """KDE rows of one alpha column, or ``nan,nan`` rows where :func:`gaussian_kde` rejects it.
 
-    A column without a density (fewer than two realizations, a
-    non-finite alpha or zero spread) gets ``nan,nan`` rows.
+    A column has no density with fewer than two realizations, a
+    non-finite alpha or zero spread.
     """
-    return [_kde_rows(g, d) for g, d in zip(*gaussian_kde(columns))]
+    try:
+        return _kde_rows(*gaussian_kde(column))
+    except ValueError:
+        return ["nan,nan"] * KDE_GRID_POINTS
 
 
 def _write_alpha_csv(path: str, result: ScenarioResult) -> None:
-    rows = _per_power_rows(result, lambda columns: [_alpha_rows(c) for c in columns])
+    rows = _per_power_rows(result, _alpha_rows)
     _write_csv(path, ["P_dBW", "realization", "alpha"], rows)
 
 
@@ -154,11 +154,6 @@ def _write_streams_csv(path: str, result: ScenarioResult) -> None:
 def _write_kde_csv(path: str, result: ScenarioResult) -> None:
     rows = _per_power_rows(result, _alpha_kde_rows)
     _write_csv(path, ["P_dBW", "alpha", "density"], rows)
-
-
-def _write_json(path: str, data: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_atomically(path: str, write: Callable[[str], None]) -> None:
@@ -257,9 +252,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         path = os.path.join(out_dir, f"{config.name}_{suffix}")
         _write_atomically(path, lambda tmp: writer(tmp, result))
         written.append(path)
-    effective = config_to_dict(replace(run, output_dir=os.path.abspath(out_dir)))
+    effective = config_to_json(replace(run, output_dir=os.path.abspath(out_dir))) + "\n"
     effective_path = os.path.join(out_dir, f"{config.name}_effective_config.json")
-    _write_atomically(effective_path, lambda tmp: _write_json(tmp, effective))
+    _write_atomically(effective_path, lambda tmp: Path(tmp).write_text(effective))
     written.append(effective_path)
     for path in written:
         print(path)

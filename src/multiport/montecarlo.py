@@ -8,7 +8,7 @@ physically consistent forward and reverse channels, and evaluates the
 configured transmit strategies over a transmit power grid. Results are
 ergodic averages plus per-realization samples of rates, active stream
 counts, and radiated-power ratios alpha; :func:`gaussian_kde` estimates
-the density of each power point's alpha column.
+the density of one sample set, such as a power point's alpha column.
 
 Configurations are frozen dataclasses. :func:`from_json` builds one
 from a JSON object and reads each field's JSON type from the field's
@@ -39,7 +39,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, lru_cache, partial
 from types import MappingProxyType
 from typing import NamedTuple, get_args, get_origin, get_type_hints
@@ -95,52 +95,33 @@ def far_field_coupling_std() -> float:
 
 
 def gaussian_kde(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian kernel density estimates on automatic grids.
+    """Gaussian kernel density estimate of one sample set on an automatic grid.
 
-    ``samples`` is one sample set (n,) or a stack (k, n) of sets. Each
-    set's bandwidth is the Silverman rule 1.06 * std * n^(-1/5); its
-    grid of KDE_GRID_POINTS points spans the sample range extended by
-    three bandwidths on both sides. Returns the grid and the density,
-    (KDE_GRID_POINTS,) each for one set and (k, KDE_GRID_POINTS) for a
-    stack. Standard deviations, bandwidths and grids take one
-    vectorised pass over the stack; the kernel sums run set by set on
-    contiguous (KDE_GRID_POINTS, n) arrays, which beat one
-    (k, KDE_GRID_POINTS, n) exp at n = 100. Each set's estimate is bit
-    for bit the one it gets alone.
+    ``samples`` is one set (n,). The bandwidth is the Silverman rule
+    1.06 * std * n^(-1/5); the grid of KDE_GRID_POINTS points spans the
+    sample range extended by three bandwidths on both sides. Returns
+    the grid and the density, (KDE_GRID_POINTS,) each.
 
-    One set raises ValueError for fewer than two samples, a non-finite
-    sample or zero spread. In a stack such a set gets NaN grid and
-    density rows, and no warning.
+    Raises ValueError for samples of any other rank, fewer than two
+    samples, a non-finite sample or zero spread.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim > 2:
-        raise ValueError("samples must be one set (n,) or a stack (k, n)")
-    single = x.ndim < 2
-    stack = x.reshape(1, -1) if single else x
-    k, n = stack.shape
-    if single:
-        if n < 2:
-            raise ValueError("need at least two samples")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("samples must be finite")
-    std = np.zeros(k)
-    usable = (n >= 2) & np.isfinite(stack).all(axis=1)
-    if usable.any():
-        std[usable] = np.std(stack[usable], axis=1, ddof=1)
-    if single and std[0] == 0.0:
+    if x.ndim != 1:
+        raise ValueError("samples must be one set (n,)")
+    n = x.size
+    if n < 2:
+        raise ValueError("need at least two samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    std = float(np.std(x, ddof=1))
+    if std == 0.0:
         raise ValueError("samples are degenerate (zero spread)")
     bandwidth = 1.06 * std * n ** (-1.0 / 5.0)
-    rows = np.flatnonzero(std > 0.0)
-    grid, density = np.full((2, k, KDE_GRID_POINTS), np.nan)
-    if rows.size:
-        spread = 3 * bandwidth[rows]
-        low, high = stack[rows].min(axis=1) - spread, stack[rows].max(axis=1) + spread
-        grid[rows] = np.linspace(low, high, KDE_GRID_POINTS, axis=-1)
-    norm = n * bandwidth * math.sqrt(2 * math.pi)
-    for i in rows.tolist():
-        z = (grid[i][:, None] - stack[i][None, :]) / bandwidth[i]
-        density[i] = np.exp(-0.5 * z * z).sum(axis=1) / norm[i]
-    return (grid[0], density[0]) if single else (grid, density)
+    spread = 3 * bandwidth
+    grid = np.linspace(x.min() - spread, x.max() + spread, KDE_GRID_POINTS)
+    z = (grid[:, None] - x[None, :]) / bandwidth
+    density = np.exp(-0.5 * z * z).sum(axis=1) / (n * bandwidth * math.sqrt(2 * math.pi))
+    return grid, density
 
 
 @dataclass(frozen=True)
@@ -228,9 +209,21 @@ class ScenarioConfig:
         return len(self.rx_partition) == 1
 
 
+def _json_default(value):
+    """``json.dumps`` default: a config dataclass's fields, a complex's ``[re, im]``."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    return [value.real, value.imag]
+
+
+def config_to_json(config) -> str:
+    """JSON text of a config dataclass, indented by two with sorted keys."""
+    return json.dumps(config, default=_json_default, indent=2, sort_keys=True)
+
+
 def config_to_dict(config) -> dict:
     """JSON-safe dictionary form of a config dataclass; :func:`from_json` reads it back."""
-    return json.loads(json.dumps(asdict(config), default=lambda z: [z.real, z.imag]))
+    return json.loads(config_to_json(config))
 
 
 def from_json(cls, data, what: str):

@@ -20,6 +20,7 @@ trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 NOISE_VARS = {"voltage_noise_var": 1e-14, "current_noise_var": 1e-17}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def scenario_dict(**overrides) -> dict:
@@ -172,6 +173,23 @@ class TestRun:
         ).read_bytes()
         replay2 = json.loads((out2 / "clirun_effective_config.json").read_text())
         assert replay2["scenario"] == replay["scenario"]
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_effective_config_bytes_of_bundled_configs(self, tmp_path, name):
+        data = json.loads((CONFIGS / f"{name}.json").read_text())
+        # The run's size does not reach the serialization.
+        data["scenario"]["n_realizations"] = 2
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--output-dir", str(out)]) == 0
+        run = montecarlo.from_json(cli.RunConfig, data, "run-config")
+        run = dataclasses.replace(run, output_dir=str(out))
+        reference = json.dumps(
+            dataclasses.asdict(run), default=lambda z: [z.real, z.imag], indent=2, sort_keys=True
+        )
+        written = (out / f"{name}_effective_config.json").read_bytes()
+        assert written == (reference + "\n").encode()
 
     def test_output_dir_precedence(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
@@ -490,8 +508,8 @@ class TestCsvWriters:
         original = getattr(cli, counted_name)
 
         def counted(samples):
-            # _alpha_rows takes one column, gaussian_kde the stack of all.
-            columns.extend(np.atleast_2d(samples))
+            # _alpha_rows and gaussian_kde each take one distinct column.
+            columns.append(samples)
             return original(samples)
 
         monkeypatch.setattr(cli, counted_name, counted)
@@ -569,7 +587,7 @@ class TestKdeCsv:
         columns = []
 
         def counted(samples):
-            columns.extend(np.atleast_2d(samples))
+            columns.append(samples)
             return mp.gaussian_kde(samples)
 
         monkeypatch.setattr(cli, "gaussian_kde", counted)

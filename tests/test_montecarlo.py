@@ -119,6 +119,14 @@ class TestGaussianKde:
         with pytest.raises(ValueError):
             mp.gaussian_kde(np.array([1.0, np.nan, 2.0]))
 
+    @pytest.mark.parametrize(
+        "shape", [(200, 1), (3, 50), (2, 3, 50)], ids=["column", "stack", "rank3"]
+    )
+    def test_rejects_samples_that_are_not_one_set(self, shape):
+        samples = np.random.default_rng(3).standard_normal(shape)
+        with pytest.raises(ValueError, match="one set"):
+            mp.gaussian_kde(samples)
+
 
 NOISE_VARS = {"voltage_noise_var": 1e-14, "current_noise_var": 1e-17}
 
