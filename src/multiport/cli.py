@@ -79,7 +79,11 @@ RATE_COLUMNS = {
 
 
 def _write_csv(path: str, header: list[str], rows: list[str]) -> None:
-    """Write a header and preformatted rows, each line ending in CRLF."""
+    """Write a header and preformatted rows, each line ending in CRLF.
+
+    A row may be a block of several lines joined by CRLF, such as one
+    power point's rows from :func:`_per_power_rows`.
+    """
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *rows, ""]))
 
@@ -97,20 +101,21 @@ def _write_rates_csv(path: str, result: ScenarioResult) -> None:
 def _per_power_rows(
     result: ScenarioResult, format_column: Callable[[np.ndarray], list[str]]
 ) -> list[str]:
-    """Rows ``"{P!r},{body}"`` for each power point P and its alpha column's bodies.
+    """One block of rows ``"{P!r},{body}"`` per power point P, from its alpha column.
 
     ``format_column(column)`` formats each column that differs in any
     bit from the column before it; a repeated column reuses the previous
     bodies, which prints the same bytes. A single-receiver alpha does not
-    depend on the budget, so all its columns repeat.
+    depend on the budget, so all its columns repeat. A block joins its
+    rows by CRLF, so the prefixing runs inside ``str.join``.
     """
-    rows, previous, bodies = [], None, []
+    blocks, previous, bodies = [], None, []
     for p_dbw, column in zip(result.config.power_grid_dbw, result.alpha_samples.T):
         if column.tobytes() != previous:
             previous, bodies = column.tobytes(), format_column(column)
         prefix = f"{float(p_dbw)!r},"
-        rows += [prefix + body for body in bodies]
-    return rows
+        blocks.append(prefix + ("\r\n" + prefix).join(bodies))
+    return blocks
 
 
 def _alpha_rows(alpha: np.ndarray) -> list[str]:

@@ -100,7 +100,8 @@ def gaussian_kde(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``samples`` is one set (n,). The bandwidth is the Silverman rule
     1.06 * std * n^(-1/5); the grid of KDE_GRID_POINTS points spans the
     sample range extended by three bandwidths on both sides. Returns
-    the grid and the density, (KDE_GRID_POINTS,) each.
+    the grid and the density, (KDE_GRID_POINTS,) each. The kernels are
+    evaluated in one (KDE_GRID_POINTS, n) buffer, reused for every step.
 
     Raises ValueError for samples of any other rank, fewer than two
     samples, a non-finite sample or zero spread.
@@ -119,8 +120,14 @@ def gaussian_kde(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bandwidth = 1.06 * std * n ** (-1.0 / 5.0)
     spread = 3 * bandwidth
     grid = np.linspace(x.min() - spread, x.max() + spread, KDE_GRID_POINTS)
-    z = (grid[:, None] - x[None, :]) / bandwidth
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (n * bandwidth * math.sqrt(2 * math.pi))
+    # exp(-z^2 / 2) with z = (g - x) / h in one (grid, n) buffer; scaling by
+    # -0.5 is exact, so the order of the two products does not change a bit.
+    kernel = np.subtract.outer(grid, x)
+    kernel /= bandwidth
+    kernel *= kernel
+    kernel *= -0.5
+    np.exp(kernel, out=kernel)
+    density = kernel.sum(axis=1) / (n * bandwidth * math.sqrt(2 * math.pi))
     return grid, density
 
 
@@ -361,17 +368,20 @@ def _draw_couplings(
     (0, 0, attempt, realization) with an empty output buffer gives the
     state of a fresh generator with that counter, which draws the real
     and then the imaginary parts straight into the realization's slot.
+    The state dict holds Python integers, which the setter converts in
+    about half the time of numpy scalars, and each realization writes
+    only its index into the counter. ``realizations`` is a sequence of
+    integers: a list, a range or a numpy integer array.
     """
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    counters = np.zeros((len(realizations), 4), dtype=np.uint64)
-    counters[:, 2] = attempt
-    counters[:, 3] = realizations
+    state = bitgen.state  # a fresh generator's: its output buffer is empty
+    counter = [0, 0, int(attempt), 0]
+    state["state"] = {"counter": counter, "key": [int(seed), 0]}
+    state["buffer"] = state["buffer"].tolist()
     parts = np.empty((len(realizations), 2, n_rx, n_tx))
-    for counter, out in zip(counters, parts):
-        state["state"]["counter"] = counter
-        state["buffer_pos"], state["has_uint32"] = 4, 0
+    for r, out in zip(realizations, parts):
+        counter[3] = r
         bitgen.state = state
         rng.standard_normal(out=out)
     return std / math.sqrt(2.0) * (parts[:, 0] + 1j * parts[:, 1])

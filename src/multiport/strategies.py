@@ -165,7 +165,10 @@ class ModeDesign(NamedTuple):
         S = sqrt(P) / sigma: the mode Gram A^H A is formed once for all
         budgets and :func:`~multiport.numerics.log_det_eye_plus` rates
         the k x k stack, as precisely as log1p of ``eigvalsh`` down to
-        budgets far below the noise.
+        budgets far below the noise. Each budget is rated on the leading
+        modes up to the last one that gets power in any row: an unpowered
+        mode's row and column of the scaled Gram are zero, so it would
+        add log1p(0) and never enter an earlier pivot.
         """
         budgets = np.asarray(powers_w, dtype=float)
         gains = self.gains[..., None, :] / noise_std**2
@@ -175,8 +178,14 @@ class ModeDesign(NamedTuple):
         else:
             gram = self.forward.conj().swapaxes(-1, -2) @ self.forward
             scale = np.sqrt(powers) / noise_std
-            scaled = scale[..., :, None] * gram[..., None, :, :] * scale[..., None, :]
-            rates = log_det_eye_plus(scaled) / LN2
+            # Each budget's width: one past its last mode powered in any row.
+            powered = powers.reshape(-1, *powers.shape[-2:]).any(axis=0)
+            widths = (powered * np.arange(1, powers.shape[-1] + 1)).max(axis=-1)
+            rates = np.empty(powers.shape[:-1])
+            for j, width in enumerate(widths.tolist()):
+                s = scale[..., j, :width]
+                scaled = s[..., :, None] * gram[..., :width, :width] * s[..., None, :]
+                rates[..., j] = log_det_eye_plus(scaled) / LN2
         alpha = np.ones(powers.shape[:-1])
         if self.radiated is not None:
             radiated = (powers @ self.radiated[..., :, None])[..., 0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from pathlib import Path
 from types import SimpleNamespace
@@ -110,6 +111,18 @@ class TestGaussianKde:
         factor = 1.06 * x.size ** (-1.0 / 5.0)
         reference = scipy_stats.gaussian_kde(x, bw_method=factor)(grid)
         assert np.allclose(density, reference, rtol=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 50, 200, 1000])
+    def test_bits_equal_the_textbook_formula(self, n):
+        # kde.csv prints every bit, and scipy agrees only to rtol 1e-8.
+        x = 0.8 + 0.05 * np.random.default_rng(n).standard_normal(n)
+        grid, density = mp.gaussian_kde(x)
+        h = 1.06 * float(np.std(x, ddof=1)) * n ** (-1.0 / 5.0)
+        expected_grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, montecarlo.KDE_GRID_POINTS)
+        z = (expected_grid[:, None] - x[None, :]) / h
+        expected = np.exp(-0.5 * z * z).sum(axis=1) / (n * h * math.sqrt(2 * math.pi))
+        assert np.array_equal(grid, expected_grid)
+        assert np.array_equal(density, expected)
 
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
@@ -678,17 +691,21 @@ class TestMultiUserGrid:
 class TestChunks:
     SEED, N_RX, N_TX, STD = 5, 3, 4, 0.02
 
-    def test_counter_reset_draws_match_fresh_generators(self):
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "int64_array"])
+    @pytest.mark.parametrize("attempt", [0, 1])
+    def test_counter_reset_draws_match_fresh_generators(self, attempt, as_array):
         chunk = montecarlo.CHUNK_REALIZATIONS
         indices = [0, 1, chunk - 1, chunk, 2**40 + 3]
+        if as_array:
+            indices = np.array(indices, dtype=np.int64)
         drawn = montecarlo._draw_couplings(
-            self.SEED, 0, indices, self.N_RX, self.N_TX, self.STD
+            self.SEED, attempt, indices, self.N_RX, self.N_TX, self.STD
         )
         for r, z in zip(indices, drawn):
             rng = np.random.Generator(
                 np.random.Philox(
                     key=np.array([self.SEED, 0], dtype=np.uint64),
-                    counter=np.array([0, 0, 0, r], dtype=np.uint64),
+                    counter=np.array([0, 0, attempt, r], dtype=np.uint64),
                 )
             )
             shape = (self.N_RX, self.N_TX)
@@ -697,7 +714,7 @@ class TestChunks:
             )
             assert np.array_equal(z, fresh)
             assert np.array_equal(
-                z, mp.coupling_realization(self.SEED, r, 0, self.N_RX, self.N_TX, self.STD)
+                z, mp.coupling_realization(self.SEED, r, attempt, self.N_RX, self.N_TX, self.STD)
             )
 
     @pytest.mark.parametrize("partition", [[1], [1, 1]])

@@ -10,6 +10,7 @@ import pytest
 
 import multiport as mp
 from multiport import strategies
+from multiport.numerics import log_det_eye_plus
 from multiport.strategies import beam_design, greedy_zf_design, mac_sum_capacity_grid, mode_design
 from test_montecarlo import mixed_stack
 
@@ -235,6 +236,23 @@ class TestLog1pRates:
             received = (a * grid.powers[:, None, :]) @ a.conj().T / 0.7**2
             expected = np.log1p(np.linalg.eigvalsh(received)).sum(axis=-1) / np.log(2.0)
             np.testing.assert_allclose(grid.rates, expected, rtol=1e-12, atol=0.0)
+
+    def test_rated_modes_on_their_active_prefix_equal_the_full_rating(self):
+        # A zero channel, a rank-2 channel and a full-rank one, rated on
+        # perturbed channels. Each budget is rated on its powered prefix;
+        # the full-width rating of the same powers must give the same bits.
+        rng = RNG(65)
+        full = (crandn(rng, 4, 6).T * np.array([2.0, 1.0, 0.3, 0.05])).T
+        design = np.stack([np.zeros((4, 6)), crandn(rng, 4, 2) @ crandn(rng, 2, 6), full])
+        built = mode_design(design, design + 0.3 * crandn(rng, *design.shape))
+        grid = built.evaluate(self.BUDGETS, 0.7)
+        widths = (grid.powers > 0.0).any(axis=0).sum(axis=-1)
+        assert len(set(widths.tolist())) >= 3 and widths.max() == 4
+        gram = built.forward.conj().swapaxes(-1, -2) @ built.forward
+        scale = np.sqrt(grid.powers) / 0.7
+        scaled = scale[..., :, None] * gram[:, None, :, :] * scale[..., None, :]
+        assert np.array_equal(grid.rates, log_det_eye_plus(scaled) / strategies.LN2)
+        assert (grid.rates[0] == 0.0).all()
 
     @pytest.mark.parametrize("partition", [(1, 1), (2, 2), (1, 2)])
     def test_zero_forcing_rates_under_interference(self, partition):
