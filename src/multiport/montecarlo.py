@@ -530,49 +530,40 @@ def _evaluate_chunk(
     }
     sigma, partition = down.noise_scale, config.rx_partition
     single_user = config.is_single_user
-    rates, streams, alphas = {}, {}, None
+    # Each strategy's (rates, streams, alpha); a sum-capacity entry has no alpha.
+    grids = {}
     iterations, gaps, converged = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=bool)
     mac = [s for s in ("cap", "hyp") if s in config.strategies and not single_user]
     lin = [s for s in ("cap_lin", "recip_lin", "hyp_lin") if s in config.strategies]
-    if mac:
-        grid = mac_sum_capacity_grid(
-            np.stack([plans[s][0] for s in mac]), partition, powers_w, sigma
-        )
-        iterations = grid.iterations.reshape(-1)
-        gaps = grid.gap_bits.reshape(-1)
-        converged = grid.converged.reshape(-1)
-        for i, s in enumerate(mac):
-            rated = plans[s][1]
-            own = grid._replace(covariances=grid.covariances[i])  # rate stack i only
-            rates[s] = grid.rates[i] if rated is None else own.rates_on(rated, sigma)
-            streams[s] = grid.streams[i].astype(float)
-    if lin:
-        families = [plans[s.removesuffix("_lin")] for s in lin]
-        grid = greedy_zf_design(
-            np.stack([design for design, _, _ in families]),
-            partition,
-            np.stack([design if rated is None else rated for design, rated, _ in families]),
-            down.mismatch_power if "hyp_lin" in lin else None,
-        ).evaluate(powers_w, sigma)
-        for i, s in enumerate(lin):
-            rates[s] = grid.rates[i]
-            streams[s] = grid.streams[i].astype(float)
-            if reports_alpha(s, single_user):
-                alphas = grid.alpha[i]
-    for s in config.strategies:
-        if s in mac or s in lin:
-            continue
-        design, rated, power_model = plans[s]
-        if design.shape[-2] == 1:
-            rated = None if rated is None else rated[:, 0]
-            built = beam_design(design[:, 0], rated, power_model)
+    for stack in filter(None, (mac, lin)):
+        families = [plans[s.removesuffix("_lin")] for s in stack]
+        design = np.stack([d for d, _, _ in families])
+        rated = np.stack([d if r is None else r for d, r, _ in families])
+        if stack is mac:
+            grid = mac_sum_capacity_grid(design, partition, powers_w, sigma, rated)
+            iterations, gaps, converged = (
+                a.reshape(-1) for a in (grid.iterations, grid.gap_bits, grid.converged)
+            )
+            alpha = [None] * len(mac)
         else:
-            built = mode_design(design, rated, power_model)
-        grid = built.evaluate(powers_w, sigma)
-        rates[s] = grid.rates
-        streams[s] = grid.streams.astype(float)
+            power_model = down.mismatch_power if "hyp_lin" in lin else None
+            grid = greedy_zf_design(design, partition, rated, power_model).evaluate(powers_w, sigma)
+            alpha = grid.alpha
+        grids.update(zip(stack, zip(grid.rates, grid.streams, alpha)))
+    rates, streams, alphas = {}, {}, None
+    for s in config.strategies:
+        if s not in grids:
+            design, rated, power_model = plans[s]
+            if design.shape[-2] == 1:
+                rated = None if rated is None else rated[:, 0]
+                built = beam_design(design[:, 0], rated, power_model)
+            else:
+                built = mode_design(design, rated, power_model)
+            grids[s] = built.evaluate(powers_w, sigma)[:3]
+        rates[s], counts, alpha = grids[s]
+        streams[s] = counts.astype(float)
         if reports_alpha(s, single_user):
-            alphas = grid.alpha
+            alphas = alpha
     return ChunkOutcome(rates, streams, alphas, iterations, gaps, converged)
 
 
@@ -623,10 +614,12 @@ def run_scenario(config: ScenarioConfig, n_workers: int = 1) -> ScenarioResult:
     Outputs are identical to the serial run, and to a run with any other
     chunk size, because every realization owns a counter-based random
     stream, its results do not depend on its chunk and results are
-    reduced in index order. Raises
-    SimulationAbort when the link front ends cannot be built, before
-    any coupling is read or drawn.
+    reduced in index order. Raises ValueError unless ``n_workers`` is an
+    integer of at least 1 (not a bool), and SimulationAbort when the
+    link front ends cannot be built, before any coupling is read or drawn.
     """
+    if isinstance(n_workers, bool) or not isinstance(n_workers, numbers.Integral) or n_workers < 1:
+        raise ValueError("n_workers must be an integer of at least 1")
     _front_ends(config)  # aborts before any coupling is read or drawn
     n = config.n_realizations
     chunks = [range(a, min(a + CHUNK_REALIZATIONS, n)) for a in range(0, n, CHUNK_REALIZATIONS)]

@@ -30,7 +30,8 @@ water-filling over the budgets is one broadcasting
 :func:`~multiport.numerics.waterfill` call. Sum capacity
 (``mac_sum_capacity_grid``) solves one stack of covariances, one per
 realization and budget: two single-antenna users in closed form, any
-other partition by iterating the whole stack. ``su_mimo_capacity``
+other partition by iterating the whole stack; like the constructors,
+it takes a ``rated`` channel to rate them on. ``su_mimo_capacity``
 and ``mac_sum_capacity`` are one-budget views of the same code on one
 channel.
 
@@ -348,8 +349,7 @@ class MacGrid(NamedTuple):
     and after each of the I iterations the longest solve ran; an entry
     is NaN after its last accepted iterate. Two single-antenna users
     are solved in closed form: I = 0, so ``iterations`` reads 0 and the
-    history (..., P, 1) holds the rate. ``partition`` holds the receive
-    antennas per user.
+    history (..., P, 1) holds the rate.
     """
 
     rates: np.ndarray
@@ -359,23 +359,6 @@ class MacGrid(NamedTuple):
     gap_bits: np.ndarray
     converged: np.ndarray
     objective_history: np.ndarray
-    partition: tuple[int, ...]
-
-    def rates_on(self, channel: np.ndarray, noise_std: float) -> np.ndarray:
-        """DPC sum rate of every covariance on another channel (or stack).
-
-        Two single-antenna users are rated in closed form, as
-        :func:`_two_user_grid` rates them; more single-antenna users on
-        the scaled Gram S G S, others on a root of G (see :func:`_dpc_bits`).
-        """
-        if self.partition == (1, 1):
-            p1, p2 = np.moveaxis(np.diagonal(self.covariances, axis1=-2, axis2=-1).real, -1, 0)
-            terms = _two_user_terms(np.asarray(channel), noise_std)
-            # p2 = P - p1 in the solve, so (p1 + p2) - p1 gives p2 back bit for bit.
-            return _two_user_bits(*terms, p1, p1 + p2)[0]
-        diagonal = all(p == 1 for p in self.partition)
-        factor = _gram_factor(np.asarray(channel), noise_std, diagonal)[1]
-        return _dpc_bits(factor[..., None, :, :], self.covariances, diagonal)
 
 
 def mac_sum_capacity_grid(
@@ -383,6 +366,7 @@ def mac_sum_capacity_grid(
     partition: tuple[int, ...],
     powers_w: np.ndarray,
     noise_std: float,
+    rated: np.ndarray | None = None,
 ) -> MacGrid:
     """Sum capacity at every budget of ``powers_w`` in one batched solve.
 
@@ -394,15 +378,45 @@ def mac_sum_capacity_grid(
     ``iterations`` reads 0. Every other partition runs the sum-power
     iterative water-filling (:func:`_iterated_grid`). Either way the
     Frank-Wolfe duality gap certifies each entry.
+
+    A ``rated`` channel (None: ``channel``) of the same shape replaces
+    ``rates`` by the covariances' DPC rates on it (:func:`_dpc_rates`).
     """
     h = np.asarray(channel)
     partition = _check_partition(h, partition)
     budgets = np.asarray(powers_w, dtype=float)
     if budgets.ndim != 1 or not (budgets >= 0.0).all():
         raise ValueError("power budgets must be a 1-D array of nonnegative values")
+    if rated is not None and np.shape(rated) != h.shape:
+        raise ValueError("rated and design channels must have equal shapes")
     if partition == (1, 1):
-        return _two_user_grid(h, budgets, noise_std)
-    return _iterated_grid(h, partition, budgets, noise_std)
+        grid = _two_user_grid(h, budgets, noise_std)
+    else:
+        grid = _iterated_grid(h, partition, budgets, noise_std)
+    if rated is not None:
+        grid = grid._replace(rates=_dpc_rates(grid.covariances, rated, partition, noise_std))
+    return grid
+
+
+def _dpc_rates(
+    covariances: np.ndarray, channel: np.ndarray, partition: tuple[int, ...], noise_std: float
+) -> np.ndarray:
+    """DPC sum rate of every covariance (..., P, m, m) on ``channel`` (..., m, n).
+
+    Two single-antenna users are rated in the closed form of
+    :func:`_two_user_grid`, more on the scaled Gram S G S, others on a
+    root of G (:func:`_dpc_bits`): on their own channel, bit for bit
+    the solve's rates.
+    """
+    channel = np.asarray(channel)
+    if partition == (1, 1):
+        p1, p2 = np.moveaxis(np.diagonal(covariances, axis1=-2, axis2=-1).real, -1, 0)
+        terms = _two_user_terms(channel, noise_std)
+        # p2 = P - p1 in the solve, so (p1 + p2) - p1 gives p2 back bit for bit.
+        return _two_user_bits(*terms, p1, p1 + p2)[0]
+    diagonal = all(p == 1 for p in partition)
+    factor = _gram_factor(channel, noise_std, diagonal)[1]
+    return _dpc_bits(factor[..., None, :, :], covariances, diagonal)
 
 
 def _two_user_bits(
@@ -447,7 +461,7 @@ def _two_user_grid(h: np.ndarray, budgets: np.ndarray, noise_std: float) -> MacG
     p1 = clip(P / 2 + (g11 - g22) / (2 D), 0, P). With D = 0 the
     stronger user takes the whole budget; an exact tie splits it in
     half, as the iteration does. :func:`_two_user_bits` rates that
-    split (as ``MacGrid.rates_on`` does) and computes its duality gap.
+    split (as :func:`_dpc_rates` does) and computes its duality gap.
     A user counts as a stream when its gain is positive and its power
     above STREAM_POWER_REL_TOL of the budget.
     """
@@ -468,7 +482,6 @@ def _two_user_grid(h: np.ndarray, budgets: np.ndarray, noise_std: float) -> MacG
         gap_bits,
         gap_bits <= MAC_GAP_TOL * np.maximum(rates, 1.0),
         rates[..., None],
-        (1, 1),
     )
 
 
@@ -560,7 +573,7 @@ def _iterated_grid(
     converged = gap_bits <= MAC_GAP_TOL * np.maximum(fx, 1.0)
     history = np.array(history).T
     arrays = (fx, _count_active(powers, budgets), xi, iterations, gap_bits, converged, history)
-    return MacGrid(*(a.reshape(shape + a.shape[1:]) for a in arrays), partition)
+    return MacGrid(*(a.reshape(shape + a.shape[1:]) for a in arrays))
 
 
 def mac_sum_capacity(

@@ -604,10 +604,12 @@ class TestMultiUserGrid:
                 budget = np.array([p_w])
                 cap = mp.mac_sum_capacity(h, partition, p_w, sigma)
                 hyp = mp.mac_sum_capacity(h_as, partition, p_w, sigma)
-                hyp_grid = strategies.mac_sum_capacity_grid(h_as, partition, budget, sigma)
+                hyp_grid = strategies.mac_sum_capacity_grid(
+                    h_as, partition, budget, sigma, rated=h_mm
+                )
                 expected_rates = {
                     "cap": cap.rate.rate_bits,
-                    "hyp": hyp_grid.rates_on(h_mm, sigma)[0],
+                    "hyp": hyp_grid.rates[0],
                 }
                 expected_streams = {
                     "cap": cap.rate.active_streams,
@@ -666,6 +668,31 @@ class TestMultiUserGrid:
             assert np.array_equal(outcome.streams[s], alone[s].streams)
         assert np.array_equal(outcome.alpha, alone["hyp_lin"].alpha)
         assert outcome.mac_iterations.size == 0
+
+    @pytest.mark.parametrize("partition", [(1, 2), (2, 1)])
+    def test_shared_mac_stack_matches_each_strategy_alone(self, partition):
+        # cap and hyp share one sum-capacity stack, designed and rated by
+        # one call each; which of them is requested must change no bit.
+        sigma = 0.7
+        channels, mismatch, _ = mixed_stack("random", sum(partition), 5, 7)
+        down = SimpleNamespace(noise_scale=sigma, mismatch_power=mismatch)
+
+        def chunk(tokens):
+            config = SimpleNamespace(
+                strategies=tokens, rx_partition=partition, is_single_user=False
+            )
+            return montecarlo._evaluate_chunk(config, down, channels, self.POWERS_W)
+
+        full = chunk(("cap", "hyp", "cap_lin", "recip_lin", "hyp_lin"))
+        for i, s in enumerate(("cap", "hyp")):
+            alone = chunk((s,))
+            assert np.array_equal(alone.rates[s], full.rates[s])
+            assert np.array_equal(alone.streams[s], full.streams[s])
+            assert alone.alpha is None
+            # The full chunk's diagnostics hold cap's solves, then hyp's.
+            for name in ("mac_iterations", "mac_gap_bits", "mac_converged"):
+                own = getattr(alone, name)
+                assert np.array_equal(own, getattr(full, name).reshape(2, -1)[i])
 
     @pytest.mark.parametrize("partition", [(1, 2), (2, 1)])
     def test_each_realization_keeps_its_bits_alone(self, partition):
@@ -937,6 +964,19 @@ class TestRunScenario:
         config = tiny_config(n_realizations=4)
         result = mp.run_scenario(config, n_workers=4)
         assert result.per_realization_rates["cap"].shape == (4, 2)
+
+    @pytest.mark.parametrize("n_workers", [0, -3, 2.5, True, "2", None])
+    def test_rejects_a_worker_count_that_is_not_a_positive_integer(self, monkeypatch, n_workers):
+        def no_run(config):
+            raise AssertionError("the worker count is checked first")
+
+        monkeypatch.setattr(montecarlo, "_front_ends", no_run)
+        with pytest.raises(ValueError, match="n_workers"):
+            mp.run_scenario(tiny_config(), n_workers=n_workers)
+
+    def test_a_numpy_integer_worker_count_runs(self):
+        result = mp.run_scenario(tiny_config(n_realizations=2), n_workers=np.int64(1))
+        assert result.per_realization_rates["cap"].shape == (2, 2)
 
     def test_largest_seed_runs(self):
         result = mp.run_scenario(tiny_config(seed=2**64 - 1, n_realizations=2))

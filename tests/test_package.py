@@ -71,6 +71,8 @@ def test_every_design_shares_one_contract():
         params = inspect.signature(build).parameters
         for name in ("rated", "mismatch_power"):
             assert params[name].default is None, (build.__name__, name)
+    # Sum capacity takes the rated channel too; it designs against the true power model.
+    assert inspect.signature(strategies.mac_sum_capacity_grid).parameters["rated"].default is None
     for design in (strategies.BeamDesign, strategies.ModeDesign, strategies.ZfDesign):
         params = list(inspect.signature(design.evaluate).parameters)
         assert params == ["self", "powers_w", "noise_std"], design.__name__

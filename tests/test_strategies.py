@@ -456,8 +456,8 @@ class TestMacSumCapacity:
         rng = RNG(16)
         h = crandn(rng, 3, 5)
         mac = mp.mac_sum_capacity(h, (1, 2), 2.0, SIGMA)
-        grid = mac_sum_capacity_grid(h, (1, 2), np.array([2.0]), SIGMA)
-        assert grid.rates_on(h, SIGMA)[0] == pytest.approx(mac.rate.rate_bits, rel=1e-12)
+        grid = mac_sum_capacity_grid(h, (1, 2), np.array([2.0]), SIGMA, rated=h)
+        assert grid.rates[0] == pytest.approx(mac.rate.rate_bits, rel=1e-12)
 
     def test_zero_power(self):
         rng = RNG(18)
@@ -485,8 +485,8 @@ class TestMacSumCapacity:
             best = np.log1p(g11 * p + g22 * (budget - p) + d * p * (budget - p)) / np.log(2.0)
             mac = mp.mac_sum_capacity(h, (1, 1), budget, SIGMA)
             assert mac.rate.rate_bits == pytest.approx(best, rel=1e-10, abs=0.0)
-            grid = mac_sum_capacity_grid(h, (1, 1), np.array([budget]), SIGMA)
-            assert grid.rates_on(h, SIGMA)[0] == pytest.approx(best, rel=1e-10, abs=0.0)
+            grid = mac_sum_capacity_grid(h, (1, 1), np.array([budget]), SIGMA, rated=h)
+            assert grid.rates[0] == pytest.approx(best, rel=1e-10, abs=0.0)
             assert mac.rate.active_streams == (1 if corner else 2)
             assert mac.converged
             # The gap bounds the distance to the optimum, also one step
@@ -562,6 +562,8 @@ class TestMacSumCapacity:
             mp.mac_sum_capacity(h, (3, 0), 1.0, SIGMA)
         with pytest.raises(ValueError):
             mp.mac_sum_capacity(h, (1, 1, 1), -1.0, SIGMA)
+        with pytest.raises(ValueError, match="equal shapes"):
+            mac_sum_capacity_grid(h, (1, 1, 1), np.array([1.0]), SIGMA, rated=h[:2])
 
 
 class TestTwoUserClosedForm:
@@ -595,7 +597,8 @@ class TestTwoUserClosedForm:
         assert not closed.iterations.any()
         np.testing.assert_array_equal(closed.objective_history, closed.rates[..., None])
         # Rated on its own channel, the closed form returns its own rates bit for bit.
-        np.testing.assert_array_equal(closed.rates_on(h, 0.7), closed.rates)
+        rated = strategies._dpc_rates(closed.covariances, h, (1, 1), 0.7)
+        np.testing.assert_array_equal(rated, closed.rates)
         powers = np.diagonal(closed.covariances, axis1=-2, axis2=-1)
         trace = powers.sum(axis=-1).real
         np.testing.assert_allclose(trace, np.broadcast_to(self.BUDGETS_W, trace.shape), rtol=1e-15)
@@ -662,7 +665,10 @@ class TestTwoUserClosedForm:
         powers = np.diagonal(grid.covariances, axis1=-2, axis2=-1).real
         other = unit_phase_pairs(rng)
         # The grid's splits as solved, and rated on its own channel and on a second one.
-        rated = [(h, grid.rates), (h, grid.rates_on(h, 0.7)), (other, grid.rates_on(other, 0.7))]
+        rated = [(h, grid.rates)] + [
+            (channel, strategies._dpc_rates(grid.covariances, channel, (1, 1), 0.7))
+            for channel in (h, other)
+        ]
         for channel, rates in rated:
             expected = [
                 [exact_bits(channel[r], *powers[r, j]) for j in range(budgets.size)]
@@ -682,7 +688,7 @@ class TestTwoUserClosedForm:
             patch.setattr(np.linalg, "eigh", refuse)
             patch.setattr(strategies, "waterfill", refuse)
             grid = mac_sum_capacity_grid(h, (1, 1), self.BUDGETS_W, 0.7)
-            on_other = grid.rates_on(other, 0.7)
+            on_other = strategies._dpc_rates(grid.covariances, other, (1, 1), 0.7)
             one = mp.mac_sum_capacity(h[4], (1, 1), 2.0, 0.7)
         assert grid.converged.all() and one.converged
         assert one.iterations == 0 and one.objective_trace == (one.rate.rate_bits,)
@@ -732,7 +738,7 @@ class TestScaledGramRating:
         np.testing.assert_allclose(scaled, via_root, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_rates_on_matches_root_route_without_eigh(self, monkeypatch, k):
+    def test_rating_matches_root_route_without_eigh(self, monkeypatch, k):
         rng = RNG(80 + k)
         h = crandn(rng, 5, k, 6)
         other = h + 0.3 * crandn(rng, *h.shape)
@@ -744,7 +750,7 @@ class TestScaledGramRating:
         grid = mac_sum_capacity_grid(h, (1,) * k, self.BUDGETS_W, 0.7)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", refuse)
-            on_other = grid.rates_on(other, 0.7)
+            on_other = strategies._dpc_rates(grid.covariances, other, (1,) * k, 0.7)
         gram = strategies._gram_factor(other, 0.7, True)[0]
         reference = self.eig_bits(gram[:, None], grid.covariances)
         np.testing.assert_allclose(on_other, reference, rtol=1e-13, atol=0.0)
@@ -803,10 +809,10 @@ class TestMultiUserGrid:
         h = crandn(rng, sum(partition), 8)
         other = h + 0.3 * crandn(rng, *h.shape)
         grid = mac_sum_capacity_grid(h, partition, self.POWERS_W, SIGMA)
-        on_other = grid.rates_on(other, SIGMA)
+        on_other = mac_sum_capacity_grid(h, partition, self.POWERS_W, SIGMA, rated=other).rates
         for j, power in enumerate(self.POWERS_W):
             sol = mp.mac_sum_capacity(h, partition, power, SIGMA)
-            one = mac_sum_capacity_grid(h, partition, np.array([power]), SIGMA)
+            one = mac_sum_capacity_grid(h, partition, np.array([power]), SIGMA, rated=other)
             assert grid.rates[j] == pytest.approx(sol.rate.rate_bits, rel=1e-12, abs=0.0)
             assert grid.streams[j] == sol.rate.active_streams
             assert grid.converged[j] == sol.converged
@@ -814,11 +820,26 @@ class TestMultiUserGrid:
             n = len(sol.objective_trace)
             assert grid.objective_history[j, :n].tolist() == list(sol.objective_trace)
             assert np.isnan(grid.objective_history[j, n:]).all()
-            assert on_other[j] == pytest.approx(
-                one.rates_on(other, SIGMA)[0], rel=1e-12, abs=0.0
-            )
+            assert on_other[j] == pytest.approx(one.rates[0], rel=1e-12, abs=0.0)
         assert grid.rates[0] == 0.0 and grid.streams[0] == 0
         assert grid.converged.all()
+
+    @pytest.mark.parametrize("partition", [(1, 1), (1, 1, 1), (2, 1, 1), (1, 2), (2, 2)])
+    def test_rated_on_its_own_channel_returns_the_solved_rates(self, partition):
+        # The chunk rates cap this way: rated on its design channel, the
+        # solve's rates come back bit for bit. Row 1 is rank one, row 2 zero.
+        rng = RNG(60 + len(partition))
+        h = crandn(rng, 6, sum(partition), 8)
+        h[1] = crandn(rng, sum(partition), 1) * crandn(rng, 1, 8)
+        h[2] = 0.0
+        grid = mac_sum_capacity_grid(h, partition, self.POWERS_W, SIGMA)
+        rated = mac_sum_capacity_grid(h, partition, self.POWERS_W, SIGMA, rated=h)
+        assert np.array_equal(rated.rates, grid.rates)
+        # Rated elsewhere, every other array still describes the solve.
+        other = mac_sum_capacity_grid(h, partition, self.POWERS_W, SIGMA, rated=h[::-1])
+        assert not np.array_equal(other.rates, grid.rates)
+        for name in grid._fields[1:]:
+            np.testing.assert_array_equal(getattr(other, name), getattr(grid, name))
 
     @pytest.mark.parametrize("partition", [(1, 1), (1, 2), (2, 1, 3)])
     @pytest.mark.parametrize("seed", [0, 1])
